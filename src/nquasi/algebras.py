@@ -72,6 +72,7 @@ class FiniteAlgebra:
                 raise AlgebraError("identity %r not in carrier" % (identity,))
         self.identity = identity
         self._index = {a: i for i, a in enumerate(carrier)}
+        self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
 
     def f(self, *args) -> str:
         return self.table_f[args]
@@ -161,22 +162,25 @@ def _discover_identity(n, carrier, table_f):
 def derive_divisions(n, carrier, table_f) -> list:
     """Division tables: g_i(a_1..a_n) is the unique b solving f with b in
     slot i equal to a_i.  Raises NotAQuasigroupError when a solution is
-    missing or ambiguous."""
+    missing or ambiguous.
+
+    Each one-slot map b -> f(..b..) is inverted in one pass over the
+    table, so the cost is O(m^n) per slot rather than a search over b."""
     table_f = {tuple(k): v for k, v in table_f.items()}
     tables = []
-    for i in range(1, n + 1):
+    for i in range(n):
+        solution, count = {}, {}
+        for args in itertools.product(carrier, repeat=n):
+            solved = args[:i] + (table_f[args],) + args[i + 1 :]
+            solution[solved] = args[i]
+            count[solved] = count.get(solved, 0) + 1
         gi = {}
         for args in itertools.product(carrier, repeat=n):
-            solutions = [
-                b
-                for b in carrier
-                if table_f[args[: i - 1] + (b,) + args[i:]] == args[i - 1]
-            ]
-            if len(solutions) != 1:
+            if count.get(args) != 1:
                 raise NotAQuasigroupError(
-                    "slot %d: %d solutions for %r" % (i, len(solutions), args)
+                    "slot %d: %d solutions for %r" % (i + 1, count.get(args, 0), args)
                 )
-            gi[args] = solutions[0]
+            gi[args] = solution[args]
         tables.append(gi)
     return tables
 
@@ -280,26 +284,79 @@ class Congruence:
         return " | ".join("{" + ",".join(b) + "}" for b in self.blocks)
 
 
-def _scope_tables(alg: FiniteAlgebra, scope: str):
-    if scope == "f":
-        return (alg.table_f,)
-    return (alg.table_f,) + alg.tables_g
+def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
+    """The one-slot maps of the scope's tables over carrier indices, built
+    once per algebra and scope.  One entry per (table, slot); entry[a] is
+    the tuple of value indices with element a in that slot, over every
+    context of the other slots in product order."""
+    rows = alg._slot_row_cache.get(scope)
+    if rows is None:
+        tables = (alg.table_f,) if scope == "f" else (alg.table_f,) + alg.tables_g
+        index = alg._index
+        contexts = list(itertools.product(alg.carrier, repeat=alg.n - 1))
+        rows = tuple(
+            tuple(
+                tuple(index[table[ctx[:slot] + (a,) + ctx[slot:]]] for ctx in contexts)
+                for a in alg.carrier
+            )
+            for table in tables
+            for slot in range(alg.n)
+        )
+        alg._slot_row_cache[scope] = rows
+    return rows
 
 
-def partitions(items):
-    """All set partitions, by restricted growth strings."""
-    items = list(items)
-    m = len(items)
-    if m == 0:
-        yield []
-        return
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list, x: int, y: int) -> bool:
+    """Merge the classes of x and y under the smaller root; False when
+    they were one class already."""
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx == ry:
+        return False
+    parent[max(rx, ry)] = min(rx, ry)
+    return True
+
+
+def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list):
+    """Congruence closure on an integer union-find over carrier indices.
+
+    `parent` holds the classes; `pending` holds pairs already in one class
+    whose images under the one-slot maps have not been merged yet.  Yields
+    each pair whose classes it merges; when exhausted, the classes form the
+    least scope-congruence containing the classes it started from.  One
+    slot at a time suffices: transitivity chains cover full tuples."""
+    maps = _slot_rows(alg, scope)
+    while pending:
+        a, b = pending.pop()
+        for rows in maps:
+            for x, y in zip(rows[a], rows[b]):
+                if _union(parent, x, y):
+                    pending.append((x, y))
+                    yield x, y
+
+
+def _congruence(alg: FiniteAlgebra, labels, scope: str) -> Congruence:
+    """The congruence whose blocks group carrier indices by label.  Blocks
+    come out in canonical order: members ascending, blocks by first member."""
+    groups = {}
+    for a, label in zip(alg.carrier, labels):
+        groups.setdefault(label, []).append(a)
+    return Congruence(algebra=alg, blocks=tuple(map(tuple, groups.values())), scope=scope)
+
+
+def _growth_strings(m: int):
+    """Restricted growth strings of length m >= 1: the block label of each
+    of m items, labels numbered by first use.  The same list is yielded
+    each time, updated in place between yields."""
     rgs = [0] * m
     maxes = [0] * m
     while True:
-        blocks = {}
-        for item, b in zip(items, rgs):
-            blocks.setdefault(b, []).append(item)
-        yield list(blocks.values())
+        yield rgs
         i = m - 1
         while i > 0 and rgs[i] == maxes[i - 1] + 1:
             i -= 1
@@ -312,23 +369,26 @@ def partitions(items):
             maxes[j] = maxes[i]
 
 
-def _compatible(alg: FiniteAlgebra, block_of: dict, scope: str) -> bool:
-    # One-slot compatibility suffices: transitivity chains cover full tuples.
-    n = alg.n
-    for table in _scope_tables(alg, scope):
-        for block in set(block_of.values()):
-            members = [a for a in alg.carrier if block_of[a] is block]
-            if len(members) < 2:
-                continue
-            rep = members[0]
-            for other in members[1:]:
-                for slot in range(n):
-                    for context in itertools.product(alg.carrier, repeat=n - 1):
-                        k1 = context[:slot] + (rep,) + context[slot:]
-                        k2 = context[:slot] + (other,) + context[slot:]
-                        if block_of[table[k1]] is not block_of[table[k2]]:
-                            return False
-    return True
+def partitions(items):
+    """All set partitions, by restricted growth strings."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    for rgs in _growth_strings(len(items)):
+        blocks = {}
+        for item, b in zip(items, rgs):
+            blocks.setdefault(b, []).append(item)
+        yield list(blocks.values())
+
+
+def _compatible(alg: FiniteAlgebra, labels: list, scope: str) -> bool:
+    """Whether the partition of carrier indices by `labels` is a
+    scope-congruence, i.e. closing it merges no two of its blocks."""
+    first = {}
+    parent = [first.setdefault(label, a) for a, label in enumerate(labels)]
+    pending = [(b, a) for a, b in enumerate(parent) if a != b]
+    return next(_closing_merges(alg, scope, parent, pending), None) is None
 
 
 def enumerate_congruences(alg: FiniteAlgebra, scope="full", bound=DEFAULT_CARRIER_BOUND) -> list:
@@ -338,69 +398,27 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full", bound=DEFAULT_CARRIE
             "carrier of size %d exceeds the enumeration bound %d" % (alg.order, bound)
         )
     out = []
-    for blocks in partitions(alg.carrier):
-        interned = [tuple(b) for b in blocks]
-        block_of = {a: blk for blk in interned for a in blk}
-        if _compatible(alg, block_of, scope):
-            out.append(Congruence.from_blocks(alg, interned, scope))
+    for labels in _growth_strings(alg.order):
+        if _compatible(alg, labels, scope):
+            out.append(_congruence(alg, labels, scope))
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
     return out
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-    def blocks(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
-
-
 def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congruence:
-    """Least scope-congruence containing the seed pairs: reflexive,
-    symmetric, transitive closure iterated with one-slot compatibility
-    until a fixpoint."""
-    uf = _UnionFind(alg.carrier)
+    """Least scope-congruence containing the seed pairs: the seeds merged
+    in an integer union-find, then closed under one-slot compatibility."""
+    parent = list(range(alg.order))
+    pending = []
     for a, b in seed_pairs:
         if a not in alg._index or b not in alg._index:
             raise AlgebraError("seed pair (%r, %r) is not in the carrier" % (a, b))
-        uf.union(a, b)
-    n = alg.n
-    tables = _scope_tables(alg, scope)
-    changed = True
-    while changed:
-        changed = False
-        roots = {}
-        for a in alg.carrier:
-            roots.setdefault(uf.find(a), []).append(a)
-        for members in roots.values():
-            if len(members) < 2:
-                continue
-            rep = members[0]
-            for other in members[1:]:
-                for table in tables:
-                    for slot in range(n):
-                        for context in itertools.product(alg.carrier, repeat=n - 1):
-                            v1 = table[context[:slot] + (rep,) + context[slot:]]
-                            v2 = table[context[:slot] + (other,) + context[slot:]]
-                            if uf.union(v1, v2):
-                                changed = True
-    return Congruence.from_blocks(alg, uf.blocks(), scope)
+        pair = (alg._index[a], alg._index[b])
+        if _union(parent, *pair):
+            pending.append(pair)
+    for _ in _closing_merges(alg, scope, parent, pending):
+        pass
+    return _congruence(alg, [_find(parent, a) for a in range(alg.order)], scope)
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +466,8 @@ def validate_embedding(emb: Embedding) -> Violation | None:
 
 def restrict(cong: Congruence, emb: Embedding) -> Congruence:
     """Pull a target congruence back along an embedding."""
-    uf = _UnionFind(emb.source.carrier)
-    image = {emb(a): a for a in emb.source.carrier}
-    for block in cong.blocks:
-        hits = [image[x] for x in block if x in image]
-        for other in hits[1:]:
-            uf.union(hits[0], other)
-    return Congruence.from_blocks(emb.source, uf.blocks(), cong.scope)
+    label = {x: k for k, block in enumerate(cong.blocks) for x in block}
+    return _congruence(emb.source, [label[emb(a)] for a in emb.source.carrier], cong.scope)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +488,8 @@ def _flatten_table(n, carrier, nested, opname) -> dict:
 
     def walk(prefix, level):
         if len(prefix) == n:
+            if not isinstance(level, str):
+                raise AlgebraError("%s table entry %r is not an element name" % (opname, level))
             table[prefix] = level
             return
         if not isinstance(level, list) or len(level) != len(carrier):
@@ -503,16 +518,26 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
 def algebra_from_json(obj) -> FiniteAlgebra:
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise AlgebraError("algebra must be a JSON object")
     try:
         name = obj["name"]
         n = obj["n"]
         kind = obj["kind"]
-        carrier = tuple(obj["carrier"])
-        table_f = _flatten_table(n, carrier, obj["f"], "f")
+        carrier = obj["carrier"]
+        f = obj["f"]
     except KeyError as exc:
         raise AlgebraError("algebra object is missing field %s" % exc) from None
+    if type(n) is not int or n < 1:
+        raise AlgebraError("n must be an integer of at least 1, got %r" % (n,))
+    if not isinstance(carrier, list) or not all(isinstance(a, str) for a in carrier):
+        raise AlgebraError("carrier must be a list of element names")
+    carrier = tuple(carrier)
+    table_f = _flatten_table(n, carrier, f, "f")
     tables_g = None
     if "g" in obj:
+        if not isinstance(obj["g"], list):
+            raise AlgebraError("g must be a list of division tables")
         tables_g = [_flatten_table(n, carrier, tg, "g%d" % (i + 1)) for i, tg in enumerate(obj["g"])]
     return FiniteAlgebra(name, n, kind, carrier, table_f, tables_g, obj.get("e"))
 

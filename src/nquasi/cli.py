@@ -55,9 +55,9 @@ def _reduct_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise SystemExit("NQ_REDUCT_CAP must be an integer, got %r" % raw)
+        raise _InputError("NQ_REDUCT_CAP must be an integer, got %r" % raw) from None
     if cap < 1:
-        raise SystemExit("NQ_REDUCT_CAP must be positive")
+        raise _InputError("NQ_REDUCT_CAP must be positive")
     return cap
 
 
@@ -267,11 +267,15 @@ def cmd_codescent(args) -> int:
     text = _read(args.embedding)
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise _InputError("bad embedding file: expected a JSON object")
         source = _load_algebra_field(obj["source"], args.embedding)
         target = _load_algebra_field(obj["target"], args.embedding)
         mapping = obj["map"]
     except (KeyError, ValueError) as exc:
         raise _InputError("bad embedding file: %s" % exc) from None
+    if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+        raise _InputError("bad embedding file: map must be an object of element names")
     emb = Embedding(source, target, mapping)
     bad = validate_embedding(emb)
     if bad:

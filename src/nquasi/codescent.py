@@ -177,46 +177,50 @@ def _unary_compatible(func, block_of, blocks) -> bool:
 
 
 def latin_squares(order: int):
-    """All Latin squares on {0..order-1} as row-major tuples, by
-    backtracking with column availability masks."""
-    full = (1 << order) - 1
-    rows = []
-    col_used = [0] * order
+    """All Latin squares on {0..order-1} as tuples of row tuples, in
+    lexicographic order of their rows.
 
-    def rec(r):
-        if r == order:
-            yield tuple(tuple(row) for row in rows)
+    A row is a permutation carrying a bitmask of its (column, symbol)
+    cells; it fits under the rows above it when its mask is disjoint from
+    theirs.  Each level keeps only the permutations that still fit."""
+    rows = [
+        (perm, sum(1 << (column * order + symbol) for column, symbol in enumerate(perm)))
+        for perm in itertools.permutations(range(order))
+    ]
+    square = []
+
+    def extend(fitting):
+        if len(square) == order:
+            yield tuple(square)
             return
-        row = [0] * order
-        rows.append(row)
+        for perm, mask in fitting:
+            square.append(perm)
+            yield from extend([row for row in fitting if not row[1] & mask])
+            square.pop()
 
-        def fill(c, row_used):
-            if c == order:
-                yield from rec(r + 1)
-                return
-            free = full & ~row_used & ~col_used[c]
-            while free:
-                bit = free & -free
-                free ^= bit
-                v = bit.bit_length() - 1
-                row[c] = v
-                col_used[c] |= bit
-                yield from fill(c + 1, row_used | bit)
-                col_used[c] ^= bit
-
-        yield from fill(0, 0)
-        rows.pop()
-
-    yield from rec(0)
+    yield from extend(rows)
 
 
 def _closed_subsets(square, order):
-    """Subsets of 2..order-1 elements closed under the table product."""
-    elements = range(order)
-    for k in range(2, order):
-        for subset in itertools.combinations(elements, k):
-            members = set(subset)
-            if all(square[a][b] in members for a in subset for b in subset):
+    """Proper subsets of at least two elements closed under the table
+    product, by size and then lexicographically.
+
+    Only sizes up to order/2 need testing.  If S is closed and b is outside
+    S, the products s*b for s in S are |S| distinct elements (b's column
+    holds no symbol twice), and none lies in S: s*b = t in S would make b
+    the unique solution of s*x = t, which S already holds because x -> s*x
+    permutes the finite closed set S.  So S and S*b are disjoint, and
+    2|S| <= order."""
+    diagonal = [1 << row[a] for a, row in enumerate(square)]
+    for k in range(2, order // 2 + 1):
+        for subset in itertools.combinations(range(order), k):
+            members = squared = 0
+            for a in subset:
+                members |= 1 << a
+                squared |= diagonal[a]
+            if not squared & ~members and all(
+                members >> square[a][b] & 1 for a in subset for b in subset
+            ):
                 yield subset
 
 

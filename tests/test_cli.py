@@ -334,6 +334,54 @@ class TestCodescent:
         assert code == 0
 
 
+class TestHostileInput:
+    """Bad input exits 2 with an error line, never with a traceback."""
+
+    def _assert_rejected(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def _embedding_path(self, tmp_path, payload):
+        path = tmp_path / "embedding.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return str(path)
+
+    def test_non_integer_reduct_cap(self, capsys, complete_loop_file, monkeypatch):
+        monkeypatch.setenv("NQ_REDUCT_CAP", "abc")
+        err = self._assert_rejected(capsys, "check", "--trs", complete_loop_file)
+        assert "NQ_REDUCT_CAP" in err
+
+    def test_non_positive_reduct_cap(self, capsys, complete_loop_file, monkeypatch):
+        monkeypatch.setenv("NQ_REDUCT_CAP", "0")
+        err = self._assert_rejected(capsys, "check", "--trs", complete_loop_file)
+        assert "NQ_REDUCT_CAP" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", "2"), ("n", 0), ("n", True), ("kind", "group"), ("carrier", "01"), ("carrier", [0, 1])],
+    )
+    def test_algebra_schema(self, capsys, tmp_path, field, value):
+        source = dict(algebra_to_json(cyclic_loop(2)), **{field: value})
+        payload = {"source": source, "target": algebra_to_json(cyclic_loop(4)), "map": {"0": "0", "1": "2"}}
+        err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
+        assert field in err
+
+    def test_list_as_embedding_file(self, capsys, tmp_path):
+        payload = [{"source": algebra_to_json(cyclic_loop(2)), "target": algebra_to_json(cyclic_loop(4))}]
+        err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
+        assert "JSON object" in err
+
+    def test_map_of_lists(self, capsys, tmp_path):
+        payload = {
+            "source": algebra_to_json(cyclic_loop(2)),
+            "target": algebra_to_json(cyclic_loop(4)),
+            "map": {"0": ["0"], "1": ["2"]},
+        }
+        self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
+
+
 def test_json_reports_share_the_envelope(capsys, base_quasi_file, diagram_file, embedding_file):
     invocations = [
         ["check", "--trs", base_quasi_file, "--json"],
