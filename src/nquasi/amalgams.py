@@ -17,23 +17,22 @@ from dataclasses import dataclass
 from random import Random
 
 from .algebras import Embedding, validate, validate_embedding
-from .rewriting import CapExceeded, DEFAULT_REDUCT_CAP
-from .terms import (
-    App,
-    Elem,
-    Term,
-    Var,
-    apply_substitution,
-    match,
-    parse_term,
-    positions,
-    positions_postorder,
-    replace_at,
-    size,
+from .rewriting import (
+    DEFAULT_REDUCT_CAP,
+    explore_reducts,
+    index_rules,
+    normalize,
+    rewrite_steps,
+    rule_steps,
+    step_key,
+    terms_up_to,
 )
-from .varieties import generate_trs, VarietySpec
+from .terms import App, Elem, Term, Var, parse_term, positions, replace_at
 
-STRATEGIES = ("leftmost-innermost", "leftmost-outermost", "random")
+# Rule steps match in `rewriting`; these stay bound here so that the
+# per-layer tracer of perfbench/tracing.py can rebind them in this module.
+from .terms import apply_substitution, match  # noqa: F401
+from .varieties import generate_trs, VarietySpec
 
 
 class AmalgamError(ValueError):
@@ -56,7 +55,16 @@ class AmalgamElement:
 
 class AmalgamDiagram:
     """Base algebra, renamed factors, and the rewrite machinery for the
-    matching variety.  Built by build_amalgam."""
+    matching variety.  Built by build_amalgam.
+
+    As a reduction system (see `rewriting`) it gives, at each position, the
+    collapse step first and then the rule steps of the variety's complete
+    rules with the identity constant resolved.
+    """
+
+    # The complete rules pass the size-decrease check and a collapse step
+    # replaces a subterm of size >= 2 by a leaf, so every step shrinks the term.
+    terminates = True
 
     def __init__(self, base, factors, renamings):
         self.base = base
@@ -69,7 +77,7 @@ class AmalgamDiagram:
         self.identity_leaf = Elem(base.identity) if self.kind == "loop" else None
         # Rule sides with the identity constant resolved to the base's
         # identity element, so rules fire on element-only terms.
-        self.rules = tuple(
+        self._by_root = index_rules(
             (_resolve_e(r.lhs, self.identity_leaf), _resolve_e(r.rhs, self.identity_leaf), r.label)
             for r in self.trs.rules
         )
@@ -81,10 +89,14 @@ class AmalgamDiagram:
         self.carrier_union = tuple(
             sorted(self.membership, key=lambda a: (a not in set(base.carrier), a))
         )
-        self._step_cache = {}
-        self._rules_by_root = {}
-        for lhs, rhs, label in self.rules:
-            self._rules_by_root.setdefault(lhs.symbol, []).append((lhs, rhs, label))
+
+    def steps_at(self, t: Term, pos, sub: App) -> list:
+        steps = rule_steps(self._by_root, t, pos, sub)
+        eligible = _leaf_factors(self, sub)
+        if eligible:
+            value = self.factors[min(eligible)].eval_term(sub)
+            steps.insert(0, (replace_at(t, pos, Elem(value)), "collapse", pos))
+        return steps
 
     def owns(self, element: str) -> frozenset:
         try:
@@ -179,31 +191,10 @@ def _check_element_term(d: AmalgamDiagram, t: Term) -> None:
             d.owns(sub.name)
 
 
-def _steps_at(d: AmalgamDiagram, t: Term, pos, sub) -> list:
-    """Steps available at one position, collapse before rule steps."""
-    out = []
-    if isinstance(sub, App):
-        eligible = _leaf_factors(d, sub)
-        if eligible:
-            factor = d.factors[min(eligible)]
-            out.append((replace_at(t, pos, Elem(factor.eval_term(sub))), "collapse", pos))
-        for lhs, rhs, label in d._rules_by_root.get(sub.symbol, ()):
-            bindings = match(lhs, sub)
-            if bindings is not None:
-                out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
-    return out
-
-
 def amalgam_steps(d: AmalgamDiagram, t: Term) -> tuple:
-    """All one-step successors (term, step label, position); cached."""
-    cached = d._step_cache.get(t)
-    if cached is None:
-        out = []
-        for pos, sub in positions(t):
-            out.extend(_steps_at(d, t, pos, sub))
-        cached = tuple(out)
-        d._step_cache[t] = cached
-    return cached
+    """All one-step successors (term, step label, position), in the order
+    of `rewriting.step_key`."""
+    return tuple(sorted(rewrite_steps(d, t), key=step_key))
 
 
 def normalize_element(
@@ -214,30 +205,10 @@ def normalize_element(
     Normal forms are strategy-independent for these varieties, which
     check_unique_normal_forms verifies rather than assumes.
     """
-    if strategy not in STRATEGIES:
-        raise AmalgamError("unknown strategy %r" % strategy)
     if d.kind == "loop":
         t = _resolve_e(t, d.identity_leaf)
     _check_element_term(d, t)
-    rng = Random(seed) if strategy == "random" else None
-    current = t
-    while True:
-        if strategy == "random":
-            options = amalgam_steps(d, current)
-            if not options:
-                return AmalgamElement(current)
-            current = rng.choice(sorted(options, key=lambda s: (s[2], s[1], str(s[0]))))[0]
-            continue
-        order = positions_postorder if strategy == "leftmost-innermost" else positions
-        step = None
-        for pos, sub in order(current):
-            found = _steps_at(d, current, pos, sub)
-            if found:
-                step = found[0]
-                break
-        if step is None:
-            return AmalgamElement(current)
-        current = step[0]
+    return AmalgamElement(normalize(d, t, strategy, seed)[0])
 
 
 def apply_op(d: AmalgamDiagram, symbol: str, args) -> AmalgamElement:
@@ -309,49 +280,13 @@ class UnfCounterexample:
 
 def enumerate_element_terms(d: AmalgamDiagram, max_size: int) -> list:
     """All terms over the carrier union of size <= max_size."""
-    leaves = [Elem(a) for a in d.carrier_union]
-    by_size = {1: leaves}
-    symbols = [s for s, k in d.signature.symbols.items() if k == d.n]
-    for n in range(2, max_size + 1):
-        bucket = []
-        for symbol in symbols:
-            for split in _compositions(n - 1, d.n):
-                if any(s not in by_size for s in split):
-                    continue
-                for args in itertools.product(*(by_size[s] for s in split)):
-                    bucket.append(App(symbol, args))
-        by_size[n] = bucket
-    out = []
-    for n in range(1, max_size + 1):
-        out.extend(by_size.get(n, ()))
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    symbols = [(s, k) for s, k in d.signature.symbols.items() if k == d.n]
+    return terms_up_to([Elem(a) for a in d.carrier_union], symbols, max_size)
 
 
 def reduct_graph(d: AmalgamDiagram, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     """All terms reachable from t, including t."""
-    seen = {t}
-    frontier = [t]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for v, _label, _pos in amalgam_steps(d, u):
-                if v not in seen:
-                    seen.add(v)
-                    if len(seen) > cap:
-                        raise CapExceeded("amalgam reduct set exceeded cap %d" % cap)
-                    fresh.append(v)
-        frontier = fresh
-    return seen
+    return explore_reducts(d, t, cap)[0]
 
 
 def random_element_term(d: AmalgamDiagram, rng: Random, max_depth: int) -> Term:
@@ -373,8 +308,8 @@ def check_unique_normal_forms(
     irreducible reduct, then sample random terms and compare the three
     reduction strategies.  None means no discrepancy."""
     for t in enumerate_element_terms(d, depth):
-        graph = reduct_graph(d, t, cap)
-        normal_forms = tuple(sorted((u for u in graph if not amalgam_steps(d, u)), key=str))
+        _graph, irreducible = explore_reducts(d, t, cap)
+        normal_forms = tuple(sorted(irreducible, key=str))
         if len(normal_forms) != 1:
             return UnfCounterexample(term=t, normal_forms=normal_forms, mode="reduct-graph")
     rng = Random(seed)

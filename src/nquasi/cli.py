@@ -28,6 +28,7 @@ from .rewriting import (
     CapExceeded,
     DEFAULT_REDUCT_CAP,
     MaxRoundsExceeded,
+    STRATEGIES,
     StepBoundExceeded,
     TerminationNotVerified,
     UnorientableError,
@@ -221,9 +222,18 @@ def cmd_amalgam(args) -> int:
     text = _read(args.diagram)
     try:
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
         base = algebra_from_json(obj["base"])
+        if not isinstance(obj["factors"], list):
+            raise ValueError("factors must be a list")
         factors = [algebra_from_json(f) for f in obj["factors"]]
         embeddings = obj["embeddings"]
+        if not isinstance(embeddings, list):  # build_amalgam checks its length
+            raise ValueError("embeddings must be a list")
+        for mapping in embeddings:
+            if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+                raise ValueError("each embedding must be an object of element names")
     except (KeyError, ValueError) as exc:
         raise _InputError("bad diagram file: %s" % exc) from None
     inputs = {"diagram": _digest(text)}
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     norm.add_argument("--term", required=True)
     norm.add_argument(
         "--strategy",
-        choices=["leftmost-innermost", "leftmost-outermost", "random"],
+        choices=STRATEGIES,
         default="leftmost-innermost",
     )
     norm.add_argument("--seed", type=int, default=0)
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ama.add_argument("--seed", type=int, default=0)
     ama.add_argument(
         "--strategy",
-        choices=["leftmost-innermost", "leftmost-outermost", "random"],
+        choices=STRATEGIES,
         default="leftmost-innermost",
     )
     ama.add_argument("--json", action="store_true")
@@ -394,6 +404,10 @@ def main(argv=None) -> int:
     except (CapExceeded, StepBoundExceeded, MaxRoundsExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        # the term walkers recurse once per level of nesting
+        print("error: term is nested too deeply", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

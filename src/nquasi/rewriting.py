@@ -94,7 +94,9 @@ class Rule:
 
 
 class Trs:
-    """A signature together with a finite sequence of rewrite rules."""
+    """A signature together with a finite sequence of rewrite rules; as a
+    reduction system, it terminates when its rules pass the size-decrease
+    check."""
 
     def __init__(self, signature: Signature, rules):
         rules = tuple(rules)
@@ -107,12 +109,19 @@ class Trs:
             check_well_formed(signature, r.rhs)
         self.signature = signature
         self.rules = rules
-        self._by_root = {}
-        for r in rules:
-            self._by_root.setdefault(r.lhs.symbol, []).append(r)
+        self._by_root = index_rules((r.lhs, r.rhs, r.label) for r in rules)
+        self.conditions = ConditionsReport(  # returned by check_conditions
+            star={r.label: _rule_star(r) for r in rules},
+            star2="holds" if len(signature.constants()) <= 1 else "undetermined",
+            star3={r.label: _rule_star3(r) for r in rules},
+        )
 
-    def rules_for_root(self, symbol: str):
-        return self._by_root.get(symbol, ())
+    @property
+    def terminates(self) -> bool:
+        return self.conditions.star_ok
+
+    def steps_at(self, t: Term, pos: Position, sub: App) -> list:
+        return rule_steps(self._by_root, t, pos, sub)
 
     def rule(self, label: str) -> Rule:
         for r in self.rules:
@@ -194,36 +203,54 @@ def parse_trs(text: str) -> Trs:
 # the rewrite relation
 
 
-def rewrite_steps(trs: Trs, t: Term) -> set:
-    """All one-step successors of t: (result, rule label, position).
+# This section works on any reduction system: a Trs or an amalgam
+# diagram.  Its steps_at(t, pos, sub) lists the one-step successors
+# (result, step label, pos) of t at the position pos of an application
+# sub in preference order, a leftmost strategy taking the first; its
+# `terminates` is true when every reduction sequence is finite.
+# Variables and elements have no steps.
+
+
+def index_rules(rules) -> dict:
+    """Root symbol -> the rules (lhs, rhs, label) with that root, in order."""
+    by_root = {}
+    for lhs, rhs, label in rules:
+        by_root.setdefault(lhs.symbol, []).append((lhs, rhs, label))
+    return by_root
+
+
+def rule_steps(by_root: dict, t: Term, pos: Position, sub: App) -> list:
+    """Steps of the indexed rules at one position, in rule order.
 
     Rules apply left to right only, by one-sided matching of the left-hand
-    side against the subterm at each position.
+    side against the subterm.
     """
-    out = set()
-    for pos, sub in positions(t):
-        if not isinstance(sub, App):
-            continue
-        for rule in trs.rules_for_root(sub.symbol):
-            bindings = match(rule.lhs, sub)
-            if bindings is not None:
-                out.add((replace_at(t, pos, apply_substitution(bindings, rule.rhs)), rule.label, pos))
+    out = []
+    for lhs, rhs, label in by_root.get(sub.symbol, ()):
+        bindings = match(lhs, sub)
+        if bindings is not None:
+            out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
     return out
 
 
-def _first_step(trs: Trs, t: Term, order) -> tuple | None:
-    for pos, sub in order(t):
-        if not isinstance(sub, App):
-            continue
-        for rule in trs.rules_for_root(sub.symbol):
-            bindings = match(rule.lhs, sub)
-            if bindings is not None:
-                return replace_at(t, pos, apply_substitution(bindings, rule.rhs)), rule.label, pos
-    return None
+def _successors(system, t: Term):
+    for pos, sub in positions(t):
+        if isinstance(sub, App):
+            yield from system.steps_at(t, pos, sub)
+
+
+def rewrite_steps(system, t: Term) -> set:
+    """All one-step successors of t: (result, step label, position)."""
+    return set(_successors(system, t))
+
+
+def step_key(step) -> tuple:
+    """Total order on the steps from one term: position, label, result."""
+    return step[2], step[1], str(step[0])
 
 
 def normalize(
-    trs: Trs,
+    system,
     t: Term,
     strategy: str = "leftmost-innermost",
     seed: int = 0,
@@ -231,27 +258,35 @@ def normalize(
 ):
     """Rewrite t to an irreducible term; returns (normal form, trace).
 
-    The trace lists the (rule label, position) of every step taken.
-    Without a step bound the rules must pass the size-decrease check, which
-    guarantees termination.
+    The trace lists the (step label, position) of every step taken.  The
+    leftmost strategies take the first step at the first position that has
+    one, children before parents (innermost) or parents first (outermost);
+    `random` picks uniformly among all steps sorted by `step_key`.
+    Without a step bound the system must terminate.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    if max_steps is None and not check_conditions(trs).star_ok:
+    if max_steps is None and not system.terminates:
         raise TerminationNotVerified(
             "rules do not all strictly decrease size; pass max_steps to rewrite anyway"
         )
     rng = Random(seed) if strategy == "random" else None
+    order = positions_postorder if strategy == "leftmost-innermost" else positions
     trace = []
     current = t
     while True:
-        if strategy == "leftmost-innermost":
-            step = _first_step(trs, current, positions_postorder)
-        elif strategy == "leftmost-outermost":
-            step = _first_step(trs, current, positions)
+        step = None
+        if rng is None:
+            for pos, sub in order(current):
+                if isinstance(sub, App):
+                    steps = system.steps_at(current, pos, sub)
+                    if steps:
+                        step = steps[0]
+                        break
         else:
-            options = sorted(rewrite_steps(trs, current), key=lambda s: (s[2], s[1], str(s[0])))
-            step = rng.choice(options) if options else None
+            options = sorted(_successors(system, current), key=step_key)
+            if options:
+                step = rng.choice(options)
         if step is None:
             return current, tuple(trace)
         current, label, pos = step
@@ -260,44 +295,51 @@ def normalize(
             raise StepBoundExceeded("no normal form within %d steps" % max_steps)
 
 
-def reducts(trs: Trs, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
-    """The set {t' | t ->* t'}, including t itself.
+def explore_reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> tuple:
+    """Breadth-first search of {u | t ->* u}: (every reduct, including t
+    itself; the irreducible ones among them).
 
-    Requires the size-decrease check (finiteness then follows from
-    termination plus finite branching); the cap is a safety net against a
-    non-decreasing system slipping through.
+    Requires a terminating system (finiteness then follows from finite
+    branching); the cap is a safety net against a non-decreasing system
+    slipping through.
     """
-    if not check_conditions(trs).star_ok:
+    if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
-    return _reducts_unchecked(trs, t, cap)
-
-
-def _reducts_unchecked(trs: Trs, t: Term, cap: int) -> set:
     seen = {t}
+    irreducible = set()
     frontier = [t]
     while frontier:
         fresh = []
         for u in frontier:
-            for v, _label, _pos in rewrite_steps(trs, u):
+            reducible = False
+            for v, _label, _pos in _successors(system, u):
+                reducible = True
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > cap:
                         raise CapExceeded("reduct set exceeded cap %d" % cap)
                     fresh.append(v)
+            if not reducible:
+                irreducible.add(u)
         frontier = fresh
-    return seen
+    return seen, irreducible
 
 
-def joinable(trs: Trs, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
+def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
+    """The set {t' | t ->* t'}, including t itself."""
+    return explore_reducts(system, t, cap)[0]
+
+
+def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
     """Whether t1 and t2 have a common reduct; returns (bool, witness).
 
     The witness is the size-minimal common reduct (ties broken by the term
     ordering), or None.
     """
-    r1 = reducts(trs, t1, cap)
+    r1 = reducts(system, t1, cap)
     if t2 in r1:  # cheap hit before building the second graph
         return True, t2
-    r2 = reducts(trs, t2, cap)
+    r2 = reducts(system, t2, cap)
     common = r1 & r2
     if not common:
         return False, None
@@ -481,16 +523,14 @@ def _rule_star3(rule: Rule) -> bool:
 
 def check_conditions(trs: Trs) -> ConditionsReport:
     """Per-rule size/occurrence check, constant-injectivity check, and the
-    every-proper-subterm-sees-all-variables check.
+    every-proper-subterm-sees-all-variables check; computed once, when the
+    Trs is built.
 
     The constant condition is semantic (it quantifies over all nontrivial
     models), so it is only reported `holds` when vacuous (at most one
     constant) and `undetermined` otherwise.
     """
-    star = {r.label: _rule_star(r) for r in trs.rules}
-    star3 = {r.label: _rule_star3(r) for r in trs.rules}
-    star2 = "holds" if len(trs.signature.constants()) <= 1 else "undetermined"
-    return ConditionsReport(star=star, star2=star2, star3=star3)
+    return trs.conditions
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +615,13 @@ def enumerate_terms(sig: Signature, max_size: int, num_vars: int = 3) -> list:
     variables v1..v{num_vars} (complete up to renaming)."""
     leaves = [Var("v%d" % (i + 1)) for i in range(num_vars)]
     leaves += [App(c) for c in sig.constants()]
+    return terms_up_to(leaves, [(s, k) for s, k in sig.symbols.items() if k >= 1], max_size)
+
+
+def terms_up_to(leaves, symbols, max_size: int) -> list:
+    """All terms of size <= max_size built from the given leaves and
+    (symbol, arity >= 1) pairs, smallest first."""
     by_size = {1: list(leaves)}
-    symbols = [(s, k) for s, k in sig.symbols.items() if k >= 1]
     for n in range(2, max_size + 1):
         bucket = []
         for symbol, k in symbols:
@@ -625,7 +670,7 @@ def local_confluence_oracle(
         return OracleVerdict(status="termination-not-verified")
     checked = 0
     for peak in enumerate_terms(trs.signature, max_size, num_vars):
-        steps = sorted(rewrite_steps(trs, peak), key=lambda s: (s[2], s[1], str(s[0])))
+        steps = sorted(rewrite_steps(trs, peak), key=step_key)
         if len(steps) < 2:
             continue
         checked += 1

@@ -289,6 +289,46 @@ class TestAmalgam:
         )
         assert code == 2 and "error" in err
 
+    def test_reduct_cap_env(self, capsys, diagram_file, monkeypatch):
+        monkeypatch.setenv("NQ_REDUCT_CAP", "2")
+        code, _, _ = run_cli(capsys, "amalgam", "--diagram", diagram_file, "--check-unf", "--depth", "3")
+        assert code == 0
+        code, out, err = run_cli(capsys, "amalgam", "--diagram", diagram_file, "--check-unf", "--depth", "5")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and "cap 2" in err
+
+
+# Exact output of `nq amalgam` on the fixture diagram, recorded before the
+# amalgam reductions moved onto the shared rewriting engine.
+GOLDEN_TERM = "g1(f(g2(Z3a.1, f(Z3a.1, f(Z3b.2, Z3a.2))), Z3b.1), f(e, g2(Z3b.1, Z3a.1)))"
+GOLDEN_NORMAL_FORM = "normal form: g1(f(f(2@2,2@1),1@2),g2(1@2,1@1))\n"
+GOLDEN_DIGEST = '"9650ae58d587c5a4ff7e46783515ade9164071a4a396e029ebe13312724091a6"'
+GOLDEN_UNF = (
+    '{\n  "command": "amalgam",\n  "details": {\n    "depth": 4\n  },\n  "exit_code": 0,\n'
+    '  "inputs": {\n    "diagram": %s\n  },\n  "verdict": "unique-normal-forms"\n}\n' % GOLDEN_DIGEST
+)
+GOLDEN_STRONG = (
+    '{\n  "command": "amalgam",\n  "details": {\n    "base_image": [\n      "0"\n    ],\n'
+    '    "intersection": [\n      "0"\n    ],\n    "ok": true\n  },\n  "exit_code": 0,\n'
+    '  "inputs": {\n    "diagram": %s\n  },\n'
+    '  "verdict": "strong amalgamation holds (intersection of size 1)"\n}\n' % GOLDEN_DIGEST
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--normalize", GOLDEN_TERM], GOLDEN_NORMAL_FORM),
+        (["--normalize", GOLDEN_TERM, "--strategy", "leftmost-outermost"], GOLDEN_NORMAL_FORM),
+        (["--normalize", GOLDEN_TERM, "--strategy", "random", "--seed", "0"], GOLDEN_NORMAL_FORM),
+        (["--normalize", GOLDEN_TERM, "--strategy", "random", "--seed", "5"], GOLDEN_NORMAL_FORM),
+        (["--check-unf", "--depth", "4", "--json"], GOLDEN_UNF),
+        (["--check-strong-amalgamation", "--json"], GOLDEN_STRONG),
+    ],
+)
+def test_amalgam_output_is_byte_identical(capsys, diagram_file, argv, expected):
+    assert run_cli(capsys, "amalgam", "--diagram", diagram_file, *argv) == (0, expected, "")
+
 
 class TestCodescent:
     def test_effective(self, capsys, embedding_file):
@@ -372,6 +412,36 @@ class TestHostileInput:
         payload = [{"source": algebra_to_json(cyclic_loop(2)), "target": algebra_to_json(cyclic_loop(4))}]
         err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
         assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: [d], "JSON object"),
+            (lambda d: dict(d, factors=5), "factors"),
+            (lambda d: dict(d, embeddings=3), "embeddings"),
+            (lambda d: dict(d, embeddings=[["0"], {"0": "0"}]), "embedding"),
+        ],
+        ids=["list-as-file", "factors-not-a-list", "embeddings-not-a-list", "embedding-as-list"],
+    )
+    def test_diagram_schema(self, capsys, diagram_file, change, message):
+        with open(diagram_file, encoding="utf-8") as handle:
+            payload = change(json.load(handle))
+        with open(diagram_file, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        err = self._assert_rejected(capsys, "amalgam", "--diagram", diagram_file, "--check-unf")
+        assert err.startswith("error: bad diagram file: ") and message in err
+
+    @pytest.mark.parametrize("subcommand", ["normalize", "amalgam"])
+    def test_deep_term(self, capsys, base_quasi_file, diagram_file, subcommand):
+        term = "0"
+        for _ in range(1500):
+            term = "f(%s,0)" % term
+        if subcommand == "normalize":
+            argv = ["normalize", "--trs", base_quasi_file, "--term", term]
+        else:
+            argv = ["amalgam", "--diagram", diagram_file, "--normalize", term]
+        err = self._assert_rejected(capsys, *argv)
+        assert "nested too deeply" in err
 
     def test_map_of_lists(self, capsys, tmp_path):
         payload = {

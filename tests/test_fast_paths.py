@@ -1,6 +1,8 @@
 """Each fast path of the CEP scan and the congruence layer, checked
-against the straightforward string-keyed code it replaced.  The reference
-implementations below are kept only for these comparisons."""
+against the straightforward string-keyed code it replaced, and amalgam
+reduction on the shared rewriting engine, checked against the separate
+amalgam engine it replaced.  The reference implementations below are kept
+only for these comparisons."""
 
 import itertools
 import random
@@ -18,7 +20,19 @@ from nquasi.algebras import (
     generated_congruence,
     partitions,
 )
+from nquasi.amalgams import (
+    _leaf_factors,
+    _resolve_e,
+    build_amalgam,
+    enumerate_element_terms,
+    normalize_element,
+    reduct_graph,
+)
 from nquasi.codescent import _closed_subsets, latin_squares, quasigroup_from_square
+from nquasi.rewriting import explore_reducts, normalize
+from nquasi.terms import App, Elem, apply_substitution, match, positions, positions_postorder, replace_at
+
+from conftest import steiner3
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +344,118 @@ def test_division_errors_match_reference(case):
         derive_divisions(n, carrier, table)
     assert str(got.value) == str(expected.value)
 
+
+# ---------------------------------------------------------------------------
+# amalgam reduction: the separate engine with collapse steps it replaced
+
+
+def reference_rules_by_root(d):
+    by_root = {}
+    for r in d.trs.rules:
+        lhs, rhs = _resolve_e(r.lhs, d.identity_leaf), _resolve_e(r.rhs, d.identity_leaf)
+        by_root.setdefault(lhs.symbol, []).append((lhs, rhs, r.label))
+    return by_root
+
+
+def reference_steps_at(d, by_root, t, pos, sub):
+    """Steps available at one position, collapse before rule steps."""
+    out = []
+    if isinstance(sub, App):
+        eligible = _leaf_factors(d, sub)
+        if eligible:
+            factor = d.factors[min(eligible)]
+            out.append((replace_at(t, pos, Elem(factor.eval_term(sub))), "collapse", pos))
+        for lhs, rhs, label in by_root.get(sub.symbol, ()):
+            bindings = match(lhs, sub)
+            if bindings is not None:
+                out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
+    return out
+
+
+def reference_amalgam_steps(d, by_root, t):
+    return [step for pos, sub in positions(t) for step in reference_steps_at(d, by_root, t, pos, sub)]
+
+
+def reference_normalize(d, by_root, t, strategy, seed=0):
+    """(normal form, trace of (step label, position))"""
+    rng = random.Random(seed)
+    current = t
+    trace = []
+    while True:
+        if strategy == "random":
+            options = reference_amalgam_steps(d, by_root, current)
+            step = rng.choice(sorted(options, key=lambda s: (s[2], s[1], str(s[0])))) if options else None
+        else:
+            order = positions_postorder if strategy == "leftmost-innermost" else positions
+            step = None
+            for pos, sub in order(current):
+                found = reference_steps_at(d, by_root, current, pos, sub)
+                if found:
+                    step = found[0]
+                    break
+        if step is None:
+            return current, tuple(trace)
+        current = step[0]
+        trace.append(step[1:])
+
+
+def reference_reduct_graph(d, by_root, t):
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for v, _label, _pos in reference_amalgam_steps(d, by_root, u):
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+        frontier = fresh
+    return seen
+
+
+def reference_element_terms(d, max_size):
+    by_size = {1: [Elem(a) for a in d.carrier_union]}
+    symbols = [s for s, k in d.signature.symbols.items() if k == d.n]
+    for size in range(2, max_size + 1):
+        splits = [c for c in itertools.product(range(1, size), repeat=d.n) if sum(c) == size - 1]
+        by_size[size] = [
+            App(symbol, args)
+            for symbol in symbols
+            for split in splits
+            if all(part in by_size for part in split)
+            for args in itertools.product(*(by_size[part] for part in split))
+        ]
+    return [t for size in range(1, max_size + 1) for t in by_size[size]]
+
+
+def _trivial(n, kind):
+    return algebra_from_function("T", n, kind, ["0"], lambda *ix: 0, identity="0" if kind == "loop" else None)
+
+
+AMALGAM_CASES = {
+    # name: (diagram builder, largest term size); a ternary application
+    # has size >= 4, so size <= 3 would hold leaves only
+    "Z3*Z3/T": (lambda: build_amalgam(_trivial(2, "loop"), [cyclic_loop(3, name="Z3a"), cyclic_loop(3, name="Z3b")], [{"0": "0"}] * 2), 5),
+    "Z4*Z4/Z2": (lambda: build_amalgam(cyclic_loop(2), [cyclic_loop(4, name="Z4a"), cyclic_loop(4, name="Z4b")], [{"0": "0", "1": "2"}] * 2), 5),
+    "St3*St3/S1": (lambda: build_amalgam(_trivial(2, "quasigroup"), [steiner3("Sta"), steiner3("Stb")], [{"0": "0"}] * 2), 5),
+    "Z3*Z3/T:n=3": (lambda: build_amalgam(_trivial(3, "loop"), [cyclic_loop(3, 3, "Z3a"), cyclic_loop(3, 3, "Z3b")], [{"0": "0"}] * 2), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAM_CASES))
+def test_amalgam_reduction_matches_reference(name):
+    build, max_size = AMALGAM_CASES[name]
+    d = build()
+    by_root = reference_rules_by_root(d)
+    terms = enumerate_element_terms(d, max_size)
+    assert terms == reference_element_terms(d, max_size)
+    for t in terms:
+        reference = reference_reduct_graph(d, by_root, t)
+        graph, irreducible = explore_reducts(d, t)
+        assert graph == reference == reduct_graph(d, t)
+        assert irreducible == {u for u in reference if not reference_amalgam_steps(d, by_root, u)}
+        # the whole reduction path, not only the normal form, which is unique
+        for strategy, seed in [("leftmost-innermost", 0), ("leftmost-outermost", 0)] + [("random", k) for k in range(5)]:
+            expected = reference_normalize(d, by_root, t, strategy, seed)
+            assert normalize(d, t, strategy, seed) == expected
+            assert normalize_element(d, t, strategy, seed).normal_form == expected[0]

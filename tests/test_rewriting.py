@@ -360,6 +360,13 @@ class TestCheckConditions:
         trs = Trs(sig, [Rule(parse_term("f(g1(x,x),y)", sig), Var("x"), "r")])
         assert check_conditions(trs).star3 == {"r": False}
 
+    def test_report_is_kept_per_system(self):
+        report = check_conditions(BQ2)
+        assert check_conditions(BQ2) is report and BQ2.terminates
+        swap = BQ2.with_rules([Rule(bq2("f(x,y)"), bq2("f(y,x)"), "swap")])
+        assert check_conditions(swap).star["swap"] is False and not swap.terminates
+        assert check_conditions(BQ2) is report and report.star_ok
+
 
 def canonical_rule_set(trs):
     from nquasi.rewriting import _canonical_rule_body
