@@ -70,6 +70,8 @@ class FiniteAlgebra:
                 identity = _discover_identity(n, carrier, self.table_f)
             elif identity not in carrier:
                 raise AlgebraError("identity %r not in carrier" % (identity,))
+        elif identity is not None:
+            raise AlgebraError("a quasigroup has no identity element, got %r" % (identity,))
         self.identity = identity
         self._index = {a: i for i, a in enumerate(carrier)}
         self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
@@ -450,15 +452,13 @@ def validate_embedding(emb: Embedding) -> Violation | None:
         return Violation("codomain", (), "map image leaves the target carrier")
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
-    for args in src.tuples():
-        mapped = tuple(m[a] for a in args)
-        if m[src.table_f[args]] != tgt.table_f[mapped]:
-            return Violation("preserve-f", args, "f is not preserved")
-    for i in range(1, src.n + 1):
+    names = ["f"] + ["g%d" % i for i in range(1, src.n + 1)]
+    for name, table, image in zip(
+        names, (src.table_f,) + src.tables_g, (tgt.table_f,) + tgt.tables_g
+    ):
         for args in src.tuples():
-            mapped = tuple(m[a] for a in args)
-            if m[src.tables_g[i - 1][args]] != tgt.tables_g[i - 1][mapped]:
-                return Violation("preserve-g%d" % i, args, "g%d is not preserved" % i)
+            if m[table[args]] != image[tuple(m[a] for a in args)]:
+                return Violation("preserve-" + name, args, "%s is not preserved" % name)
     if src.kind == "loop" and m[src.identity] != tgt.identity:
         return Violation("preserve-identity", (src.identity,), "identity is not preserved")
     return None
@@ -545,10 +545,9 @@ def algebra_from_json(obj) -> FiniteAlgebra:
 def algebra_from_function(name, n, kind, carrier, func, identity=None) -> FiniteAlgebra:
     """Build tables for f by evaluating `func` on index tuples (0-based)."""
     carrier = tuple(carrier)
-    idx = {a: i for i, a in enumerate(carrier)}
+    indices = itertools.product(range(len(carrier)), repeat=n)
     table_f = {
-        args: carrier[func(*(idx[a] for a in args))]
-        for args in itertools.product(carrier, repeat=n)
+        args: carrier[func(*ix)] for args, ix in zip(itertools.product(carrier, repeat=n), indices)
     }
     return FiniteAlgebra(name, n, kind, carrier, table_f, identity=identity)
 

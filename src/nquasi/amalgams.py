@@ -27,11 +27,21 @@ from .rewriting import (
     step_key,
     terms_up_to,
 )
-from .terms import App, Elem, Term, Var, parse_term, positions, replace_at
+from .terms import (
+    App,
+    Elem,
+    Term,
+    Var,
+    apply_substitution,
+    iter_variables,
+    parse_term,
+    positions,
+    replace_at,
+)
 
-# Rule steps match in `rewriting`; these stay bound here so that the
-# per-layer tracer of perfbench/tracing.py can rebind them in this module.
-from .terms import apply_substitution, match  # noqa: F401
+# Rule steps match in `rewriting`; this stays bound here so that the
+# per-layer tracer of perfbench/tracing.py can rebind it in this module.
+from .terms import match  # noqa: F401
 from .varieties import generate_trs, VarietySpec
 
 
@@ -229,38 +239,26 @@ def parse_element_term(d: AmalgamDiagram, text: str) -> Term:
     """Concrete syntax with element leaves: bare shared/renamed names, or
     FACTOR.element to pick an element of a named factor."""
     raw = parse_term(text, d.signature)
+    leaves = {name: Elem(_resolve_name(d, name)) for name in dict.fromkeys(iter_variables(raw))}
+    return apply_substitution(leaves, raw)
 
-    def resolve(t: Term) -> Term:
-        if isinstance(t, Var):
-            name = t.name
-            if name in d.membership:
-                return Elem(name)
-            if "." in name:
-                factor_name, _, element = name.partition(".")
-                hits = [
-                    (i, ren)
-                    for i, (factor, ren) in enumerate(zip(d.factors, d.renamings))
-                    if factor.name == factor_name
-                ]
-                if not hits:
-                    raise UnknownElementError("no factor named %r" % (factor_name,))
-                if len(hits) > 1:
-                    raise UnknownElementError(
-                        "factor name %r is ambiguous; use the renamed element directly"
-                        % (factor_name,)
-                    )
-                renaming = hits[0][1]
-                if element not in renaming:
-                    raise UnknownElementError(
-                        "%r is not an element of factor %s" % (element, factor_name)
-                    )
-                return Elem(renaming[element])
-            raise UnknownElementError("unknown element %r" % (name,))
-        if isinstance(t, App):
-            return App(t.symbol, tuple(resolve(a) for a in t.args))
-        return t
 
-    return resolve(raw)
+def _resolve_name(d: AmalgamDiagram, name: str) -> str:
+    if name in d.membership:
+        return name
+    if "." in name:
+        factor_name, _, element = name.partition(".")
+        hits = [ren for factor, ren in zip(d.factors, d.renamings) if factor.name == factor_name]
+        if not hits:
+            raise UnknownElementError("no factor named %r" % (factor_name,))
+        if len(hits) > 1:
+            raise UnknownElementError(
+                "factor name %r is ambiguous; use the renamed element directly" % (factor_name,)
+            )
+        if element not in hits[0]:
+            raise UnknownElementError("%r is not an element of factor %s" % (element, factor_name))
+        return hits[0][element]
+    raise UnknownElementError("unknown element %r" % (name,))
 
 
 # ---------------------------------------------------------------------------

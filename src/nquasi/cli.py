@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .algebras import AlgebraError, Embedding, algebra_from_json, validate_embedding
+from .algebras import AlgebraError, Embedding, algebra_from_json, validate, validate_embedding
 from .amalgams import (
     AmalgamError,
     build_amalgam,
@@ -76,6 +76,25 @@ def _read(path: str) -> str:
 
 class _InputError(Exception):
     pass
+
+
+def _at_least(low: int):
+    """argparse type: an integer of at least `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # argparse's own wording for type=int
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
 
 
 def _pair_json(cp) -> dict:
@@ -286,6 +305,10 @@ def cmd_codescent(args) -> int:
         raise _InputError("bad embedding file: %s" % exc) from None
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise _InputError("bad embedding file: map must be an object of element names")
+    for role, alg in (("source", source), ("target", target)):
+        bad = validate(alg)
+        if bad:
+            raise _InputError("%s %s is not a valid %s: %s" % (role, alg.name, alg.kind, bad))
     emb = Embedding(source, target, mapping)
     bad = validate_embedding(emb)
     if bad:
@@ -327,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-trs", help="emit a variety presentation as a TRS file")
     gen.add_argument("--kind", choices=["quasigroup", "loop"], required=True)
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_positive, required=True)
     gen.add_argument("--complete", action="store_true")
     gen.set_defaults(func=cmd_gen_trs)
 
@@ -348,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="leftmost-innermost",
     )
     norm.add_argument("--seed", type=int, default=0)
-    norm.add_argument("--max-steps", type=int, default=None)
+    norm.add_argument("--max-steps", type=_count, default=None)
     norm.add_argument("--trace", action="store_true")
     norm.add_argument("--json", action="store_true")
     norm.set_defaults(func=cmd_normalize)
 
     comp = sub.add_parser("complete", help="orient non-joinable critical pairs until confluent")
     comp.add_argument("--trs", required=True)
-    comp.add_argument("--max-rounds", type=int, default=10)
+    comp.add_argument("--max-rounds", type=_count, default=10)
     comp.add_argument("--json", action="store_true")
     comp.set_defaults(func=cmd_complete)
 
@@ -365,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--normalize", metavar="TERM", default=None)
     action.add_argument("--check-unf", action="store_true")
     action.add_argument("--check-strong-amalgamation", action="store_true")
-    ama.add_argument("--depth", type=int, default=4)
-    ama.add_argument("--trials", type=int, default=200)
+    ama.add_argument("--depth", type=_count, default=4)
+    ama.add_argument("--trials", type=_count, default=200)
     ama.add_argument("--seed", type=int, default=0)
     ama.add_argument(
         "--strategy",
@@ -389,8 +412,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "gen-trs" and args.n < 1:
-            parser.error("--n must be at least 1")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:

@@ -20,6 +20,7 @@ from .algebras import (
     DEFAULT_CARRIER_BOUND,
     Embedding,
     FiniteAlgebra,
+    algebra_from_function,
     enumerate_congruences,
     generated_congruence,
     permutation_quasigroup,
@@ -140,36 +141,23 @@ def permutation_from_cycle_type(cycle_type) -> tuple:
 def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
     """Check, for every cycle type of every order up to max_order, that
     each partition compatible with the permutation is also compatible with
-    its inverse.  None means no counterexample (as expected)."""
+    its inverse: the full congruence generated by each f-congruence of the
+    permutation's 1-quasigroup, whose division g1 is the inverse, is that
+    f-congruence.  None means no counterexample (as expected)."""
     if max_order > 7:
         raise ValueError("max_order above 7 is out of enumeration range")
-    from .algebras import partitions
-
     for order in range(1, max_order + 1):
         for cycle_type in integer_partitions(order):
             perm = permutation_from_cycle_type(cycle_type)
-            inverse = [0] * order
-            for i, v in enumerate(perm):
-                inverse[v] = i
-            for blocks in partitions(range(order)):
-                block_of = {a: i for i, b in enumerate(blocks) for a in b}
-                if not _unary_compatible(perm, block_of, blocks):
-                    continue
-                if not _unary_compatible(inverse, block_of, blocks):
+            alg = permutation_quasigroup(perm)
+            for cong in enumerate_congruences(alg, "f"):
+                if generated_congruence(alg, cong.pairs(), "full").blocks != cong.blocks:
                     return Prop36Counterexample(
                         order=order,
                         permutation=perm,
-                        blocks=tuple(tuple(b) for b in blocks),
+                        blocks=tuple(tuple(map(int, b)) for b in cong.blocks),
                     )
     return None
-
-
-def _unary_compatible(func, block_of, blocks) -> bool:
-    for block in blocks:
-        images = {block_of[func[a]] for a in block}
-        if len(images) > 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +213,9 @@ def _closed_subsets(square, order):
 
 
 def quasigroup_from_square(square, name: str) -> FiniteAlgebra:
-    order = len(square)
-    carrier = tuple(str(i) for i in range(order))
-    table_f = {
-        (carrier[a], carrier[b]): carrier[square[a][b]]
-        for a in range(order)
-        for b in range(order)
-    }
-    return FiniteAlgebra(name, 2, "quasigroup", carrier, table_f)
+    return algebra_from_function(
+        name, 2, "quasigroup", [str(i) for i in range(len(square))], lambda a, b: square[a][b]
+    )
 
 
 def search_noncep_monomorphism(max_order: int = 5):

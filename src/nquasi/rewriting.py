@@ -448,23 +448,13 @@ def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdi
     if not check_conditions(trs).star_ok:
         return ConfluenceVerdict(status="termination-not-verified")
     pairs = critical_pairs(trs)
-    bad = []
-    for cp in pairs:
-        if cp.trivial:
-            continue
-        ok, _ = joinable(trs, cp.left, cp.right, cap)
-        if not ok:
-            bad.append(cp)
-    if bad:
-        return ConfluenceVerdict(
-            status="not-confluent",
-            witness=bad[0],
-            nonjoinable=tuple(bad),
-            pairs_total=len(pairs),
-            pairs_trivial=sum(cp.trivial for cp in pairs),
-        )
+    bad = tuple(
+        cp for cp in pairs if not cp.trivial and not joinable(trs, cp.left, cp.right, cap)[0]
+    )
     return ConfluenceVerdict(
-        status="confluent",
+        status="not-confluent" if bad else "confluent",
+        witness=bad[0] if bad else None,
+        nonjoinable=bad,
         pairs_total=len(pairs),
         pairs_trivial=sum(cp.trivial for cp in pairs),
     )
@@ -575,11 +565,7 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
     adopted = []
     rounds = 0
     while True:
-        nonjoinable = [
-            cp
-            for cp in critical_pairs(current)
-            if not cp.trivial and not joinable(current, cp.left, cp.right, cap)[0]
-        ]
+        nonjoinable = check_confluence(current, cap).nonjoinable
         if not nonjoinable:
             return CompletionResult(trs=current, rounds=rounds, adopted=tuple(adopted))
         if rounds >= max_rounds:

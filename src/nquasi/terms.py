@@ -121,19 +121,6 @@ def iter_variables(t: Term) -> Iterator[str]:
             yield from iter_variables(a)
 
 
-def elements(*terms: Term) -> set:
-    """Set of Elem leaf names occurring in the given terms."""
-    out = set()
-    stack = list(terms)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Elem):
-            out.add(t.name)
-        elif isinstance(t, App):
-            stack.extend(t.args)
-    return out
-
-
 def has_elem(t: Term) -> bool:
     if isinstance(t, Elem):
         return True
@@ -272,17 +259,9 @@ def rename_apart(fixed, movable) -> Substitution:
     side; variables of `movable` that cause no collision are kept, so
     already-disjoint inputs get the identity renaming.
     """
-    taken = set()
-    for t in fixed:
-        taken |= variables(t)
-    movable_vars = []
-    seen = set()
-    for t in movable:
-        for name in iter_variables(t):
-            if name not in seen:
-                seen.add(name)
-                movable_vars.append(name)
-    used = taken | seen
+    taken = variables(*fixed)
+    movable_vars = _first_occurrences(movable)
+    used = taken | set(movable_vars)
     renaming: Substitution = {}
     counter = 1
     for name in movable_vars:
@@ -297,14 +276,12 @@ def rename_apart(fixed, movable) -> Substitution:
 
 def canonical_renaming(terms) -> Substitution:
     """Renaming to v1, v2, ... in left-to-right first-occurrence order."""
-    order = []
-    seen = set()
-    for t in terms:
-        for name in iter_variables(t):
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-    return {name: Var("v%d" % (i + 1)) for i, name in enumerate(order)}
+    return {name: Var("v%d" % i) for i, name in enumerate(_first_occurrences(terms), start=1)}
+
+
+def _first_occurrences(terms) -> list:
+    """Variable names of the terms, each once, in left-to-right order."""
+    return list(dict.fromkeys(name for t in terms for name in iter_variables(t)))
 
 
 def check_well_formed(sig: Signature, t: Term) -> None:

@@ -58,74 +58,48 @@ def _g(i: int, args) -> Term:
     return App("g%d" % i, tuple(args))
 
 
+def _put(args: tuple, slots: dict) -> tuple:
+    """`args` with the term of each 1-based slot of `slots` put in place."""
+    out = list(args)
+    for slot, term in slots.items():
+        out[slot - 1] = term
+    return tuple(out)
+
+
 def generate_trs(spec: VarietySpec) -> Trs:
     """The presentation of the chosen variety as a rewriting system."""
     n = spec.n
     x = Var("x")
-    e = "e"
+    xs = var_run(1, n)
+    es = const_run("e", n)
+    slots = range(1, n + 1)
+    above = [(i, j) for i in slots for j in range(i + 1, n + 1)]
+    below = [(i, j) for i in slots for j in range(1, i)]
+    loop = spec.kind == "loop"
     rules = []
 
-    if spec.kind == "loop":
-        for i in range(1, n + 1):
-            lhs = _f(const_run(e, i - 1) + (x,) + const_run(e, n - i))
-            rules.append(Rule(lhs, x, "2.2[i=%d]" % i))
-
-    for i in range(1, n + 1):
-        lhs = _f(var_run(1, i - 1) + (_g(i, var_run(1, n)),) + var_run(i + 1, n))
-        rules.append(Rule(lhs, Var("x%d" % i), "2.3[i=%d]" % i))
-    for i in range(1, n + 1):
-        lhs = _g(i, var_run(1, i - 1) + (_f(var_run(1, n)),) + var_run(i + 1, n))
-        rules.append(Rule(lhs, Var("x%d" % i), "2.4[i=%d]" % i))
+    if loop:
+        rules += [Rule(_f(_put(es, {i: x})), x, "2.2[i=%d]" % i) for i in slots]
+    rules += [Rule(_f(_put(xs, {i: _g(i, xs)})), xs[i - 1], "2.3[i=%d]" % i) for i in slots]
+    rules += [Rule(_g(i, _put(xs, {i: _f(xs)})), xs[i - 1], "2.4[i=%d]" % i) for i in slots]
 
     if spec.complete:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                lhs = _g(
-                    i,
-                    var_run(1, i - 1)
-                    + (Var("x%d" % j),)
-                    + var_run(i + 1, j - 1)
-                    + (_g(j, var_run(1, n)),)
-                    + var_run(j + 1, n),
+        for family, pairs in (("2.7", above), ("2.8", below)):
+            rules += [
+                Rule(
+                    _g(i, _put(xs, {i: xs[j - 1], j: _g(j, xs)})),
+                    xs[i - 1],
+                    "%s[i=%d,j=%d]" % (family, i, j),
                 )
-                rules.append(Rule(lhs, Var("x%d" % i), "2.7[i=%d,j=%d]" % (i, j)))
-        for i in range(1, n + 1):
-            for j in range(1, i):
-                lhs = _g(
-                    i,
-                    var_run(1, j - 1)
-                    + (_g(j, var_run(1, n)),)
-                    + var_run(j + 1, i - 1)
-                    + (Var("x%d" % j),)
-                    + var_run(i + 1, n),
-                )
-                rules.append(Rule(lhs, Var("x%d" % i), "2.8[i=%d,j=%d]" % (i, j)))
-        if spec.kind == "loop":
-            for i in range(1, n + 1):
-                lhs = _g(i, const_run(e, i - 1) + (x,) + const_run(e, n - i))
-                rules.append(Rule(lhs, x, "2.9[i=%d]" % i))
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    lhs = _g(
-                        i,
-                        const_run(e, i - 1)
-                        + (x,)
-                        + const_run(e, j - i - 1)
-                        + (x,)
-                        + const_run(e, n - j),
-                    )
-                    rules.append(Rule(lhs, App(e), "2.10[i=%d,j=%d]" % (i, j)))
-            for i in range(1, n + 1):
-                for j in range(1, i):
-                    lhs = _g(
-                        i,
-                        const_run(e, j - 1)
-                        + (x,)
-                        + const_run(e, i - j - 1)
-                        + (x,)
-                        + const_run(e, n - i),
-                    )
-                    rules.append(Rule(lhs, App(e), "2.11[i=%d,j=%d]" % (i, j)))
+                for i, j in pairs
+            ]
+        if loop:
+            rules += [Rule(_g(i, _put(es, {i: x})), x, "2.9[i=%d]" % i) for i in slots]
+            for family, pairs in (("2.10", above), ("2.11", below)):
+                rules += [
+                    Rule(_g(i, _put(es, {i: x, j: x})), App("e"), "%s[i=%d,j=%d]" % (family, i, j))
+                    for i, j in pairs
+                ]
 
     return Trs(variety_signature(spec.kind, n), rules)
 

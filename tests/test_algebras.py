@@ -222,6 +222,16 @@ class TestEmbeddings:
         violation = validate_embedding(emb)
         assert violation is not None and violation.axiom == "preserve-f"
 
+    def test_each_division_is_checked(self, z3):
+        # f and g1 are preserved; the source's g2 table is a copy of f
+        bad = FiniteAlgebra("bad", 2, "loop", z3.carrier, z3.table_f, [z3.tables_g[0], z3.table_f], "0")
+        violation = validate_embedding(Embedding(bad, z3, {a: a for a in z3.carrier}))
+        assert (violation.axiom, violation.where, violation.detail) == (
+            "preserve-g2",
+            ("1", "0"),
+            "g2 is not preserved",
+        )
+
     def test_non_injective_rejected(self, z4):
         z2 = cyclic_loop(2)
         emb = Embedding(z2, z4, {"0": "0", "1": "0"})
@@ -269,6 +279,11 @@ class TestJsonFormat:
         obj = algebra_to_json(z3)
         obj["f"] = [["0", "1"], ["1", "2"]]
         with pytest.raises(AlgebraError):
+            algebra_from_json(obj)
+
+    def test_quasigroup_with_identity_rejected(self):
+        obj = dict(algebra_to_json(steiner3()), e="zzz")
+        with pytest.raises(AlgebraError, match="quasigroup has no identity"):
             algebra_from_json(obj)
 
     def test_steiner_fixture_round_trips(self):

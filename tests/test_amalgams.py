@@ -180,6 +180,20 @@ class TestParseElementTerm:
         with pytest.raises(UnknownElementError):
             parse_element_term(d, "q")
 
+    def test_first_bad_name_is_reported(self):
+        d = two_z3_over_trivial()
+        with pytest.raises(UnknownElementError, match="unknown element 'q'"):
+            parse_element_term(d, "f(q, g1(Z9.1, Z3a.7))")
+        with pytest.raises(UnknownElementError, match="no factor named 'Z9'"):
+            parse_element_term(d, "f(Z9.1, q)")
+        with pytest.raises(UnknownElementError, match="'7' is not an element of factor Z3a"):
+            parse_element_term(d, "f(Z3a.7, q)")
+
+    def test_repeated_names_resolve_alike(self):
+        d = two_z3_over_trivial()
+        one = Elem("1@1")
+        assert parse_element_term(d, "f(Z3a.1, g1(Z3a.1, 1@1))") == App("f", (one, App("g1", (one, one))))
+
     def test_ambiguous_factor_name(self):
         base = algebra_from_function("T", 2, "loop", ["0"], lambda a, b: 0, identity="0")
         d = build_amalgam(

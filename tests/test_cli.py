@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import nquasi
 from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
 from nquasi.cli import main
 
@@ -443,6 +445,46 @@ class TestHostileInput:
         err = self._assert_rejected(capsys, *argv)
         assert "nested too deeply" in err
 
+    @pytest.mark.parametrize(
+        "source, target, mapping, message",
+        [
+            (
+                algebra_to_json(cyclic_loop(2)),
+                dict(algebra_to_json(cyclic_loop(4)), g=[algebra_to_json(cyclic_loop(4))["f"]] * 2),
+                {"0": "0", "1": "2"},
+                "target Z4 is not a valid loop: f-of-division",
+            ),
+            (
+                dict(algebra_to_json(cyclic_loop(3)), e="1"),
+                dict(algebra_to_json(cyclic_loop(3)), e="1"),
+                {"0": "0", "1": "1", "2": "2"},
+                "source Z3 is not a valid loop: identity",
+            ),
+        ],
+        ids=["division-copies-f", "loop-with-wrong-identity"],
+    )
+    def test_invalid_algebra_in_embedding(self, capsys, tmp_path, source, target, mapping, message):
+        payload = {"source": source, "target": target, "map": mapping}
+        err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
+        assert err.startswith("error: " + message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-trs", "--kind", "quasigroup", "--n", "-1"],
+            ["normalize", "--trs", "{trs}", "--term", "f(g1(x1,x2),x2)", "--max-steps", "-1"],
+            ["complete", "--trs", "{trs}", "--max-rounds", "-1"],
+            ["amalgam", "--diagram", "{diagram}", "--check-unf", "--depth", "-1"],
+            ["amalgam", "--diagram", "{diagram}", "--check-unf", "--trials", "-3"],
+        ],
+        ids=["n", "max-steps", "max-rounds", "depth", "trials"],
+    )
+    def test_negative_count(self, capsys, base_quasi_file, diagram_file, argv):
+        argv = [arg.format(trs=base_quasi_file, diagram=diagram_file) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: argument %s: must be at least" % argv[-2] in err
+
     def test_map_of_lists(self, capsys, tmp_path):
         payload = {
             "source": algebra_to_json(cyclic_loop(2)),
@@ -469,10 +511,14 @@ def test_json_reports_share_the_envelope(capsys, base_quasi_file, diagram_file, 
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(nquasi.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nquasi.cli", "gen-trs", "--kind", "quasigroup", "--n", "1"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sig f/1 g1/1")

@@ -1,6 +1,7 @@
 import pytest
 
-from nquasi.algebras import Embedding, algebra_from_function, cyclic_loop, permutation_quasigroup
+from nquasi import codescent
+from nquasi.algebras import Embedding, FiniteAlgebra, algebra_from_function, cyclic_loop, permutation_quasigroup
 from nquasi.codescent import (
     cep_by_enumeration,
     check_cep,
@@ -108,6 +109,18 @@ class TestProp36:
     def test_bound_guard(self):
         with pytest.raises(ValueError):
             verify_prop_3_6(9)
+
+    def test_counterexample_is_reported(self, monkeypatch):
+        # With g1 the shift a -> a+1 in place of the inverse, {0,1} | {2}
+        # is compatible with the transposition (0 1) but not with g1.
+        def shifted_division(perm):
+            alg = permutation_quasigroup(perm)
+            shift = {(a,): alg.carrier[(i + 1) % alg.order] for i, a in enumerate(alg.carrier)}
+            return FiniteAlgebra(alg.name, 1, "quasigroup", alg.carrier, alg.table_f, [shift])
+
+        monkeypatch.setattr(codescent, "permutation_quasigroup", shifted_division)
+        found = verify_prop_3_6(3)
+        assert (found.order, found.permutation, found.blocks) == (3, (1, 0, 2), ((0, 1), (2,)))
 
 
 class TestUnaryEffectiveness:

@@ -1,8 +1,10 @@
 """Each fast path of the CEP scan and the congruence layer, checked
-against the straightforward string-keyed code it replaced, and amalgam
+against the straightforward string-keyed code it replaced; amalgam
 reduction on the shared rewriting engine, checked against the separate
-amalgam engine it replaced.  The reference implementations below are kept
-only for these comparisons."""
+amalgam engine it replaced; and the rule families, Prop. 3.6 and the
+square-to-quasigroup step, checked against the hand-built code they
+replaced.  The reference implementations below are kept only for these
+comparisons."""
 
 import itertools
 import random
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from nquasi.algebras import (
     Congruence,
+    FiniteAlgebra,
     NotAQuasigroupError,
     algebra_from_function,
     cyclic_loop,
@@ -19,6 +22,7 @@ from nquasi.algebras import (
     enumerate_congruences,
     generated_congruence,
     partitions,
+    permutation_quasigroup,
 )
 from nquasi.amalgams import (
     _leaf_factors,
@@ -28,9 +32,16 @@ from nquasi.amalgams import (
     normalize_element,
     reduct_graph,
 )
-from nquasi.codescent import _closed_subsets, latin_squares, quasigroup_from_square
-from nquasi.rewriting import explore_reducts, normalize
-from nquasi.terms import App, Elem, apply_substitution, match, positions, positions_postorder, replace_at
+from nquasi.codescent import (
+    _closed_subsets,
+    integer_partitions,
+    latin_squares,
+    permutation_from_cycle_type,
+    quasigroup_from_square,
+)
+from nquasi.rewriting import Rule, Trs, explore_reducts, format_trs, normalize
+from nquasi.terms import App, Elem, Var, apply_substitution, match, positions, positions_postorder, replace_at
+from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
 
 from conftest import steiner3
 
@@ -459,3 +470,106 @@ def test_amalgam_reduction_matches_reference(name):
             expected = reference_normalize(d, by_root, t, strategy, seed)
             assert normalize(d, t, strategy, seed) == expected
             assert normalize_element(d, t, strategy, seed).normal_form == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# rule families, Prop. 3.6 and squares: the hand-built code they replaced
+
+
+def reference_generate_trs(spec):
+    """Each rule family's arguments assembled run by run."""
+    n = spec.n
+    x = Var("x")
+    e = "e"
+    f = lambda args: App("f", tuple(args))
+    g = lambda i, args: App("g%d" % i, tuple(args))
+    rules = []
+    if spec.kind == "loop":
+        for i in range(1, n + 1):
+            rules.append(Rule(f(const_run(e, i - 1) + (x,) + const_run(e, n - i)), x, "2.2[i=%d]" % i))
+    for i in range(1, n + 1):
+        lhs = f(var_run(1, i - 1) + (g(i, var_run(1, n)),) + var_run(i + 1, n))
+        rules.append(Rule(lhs, Var("x%d" % i), "2.3[i=%d]" % i))
+    for i in range(1, n + 1):
+        lhs = g(i, var_run(1, i - 1) + (f(var_run(1, n)),) + var_run(i + 1, n))
+        rules.append(Rule(lhs, Var("x%d" % i), "2.4[i=%d]" % i))
+    if spec.complete:
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                args = var_run(1, i - 1) + (Var("x%d" % j),) + var_run(i + 1, j - 1)
+                args += (g(j, var_run(1, n)),) + var_run(j + 1, n)
+                rules.append(Rule(g(i, args), Var("x%d" % i), "2.7[i=%d,j=%d]" % (i, j)))
+        for i in range(1, n + 1):
+            for j in range(1, i):
+                args = var_run(1, j - 1) + (g(j, var_run(1, n)),) + var_run(j + 1, i - 1)
+                args += (Var("x%d" % j),) + var_run(i + 1, n)
+                rules.append(Rule(g(i, args), Var("x%d" % i), "2.8[i=%d,j=%d]" % (i, j)))
+        if spec.kind == "loop":
+            for i in range(1, n + 1):
+                rules.append(Rule(g(i, const_run(e, i - 1) + (x,) + const_run(e, n - i)), x, "2.9[i=%d]" % i))
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    args = const_run(e, i - 1) + (x,) + const_run(e, j - i - 1) + (x,) + const_run(e, n - j)
+                    rules.append(Rule(g(i, args), App(e), "2.10[i=%d,j=%d]" % (i, j)))
+            for i in range(1, n + 1):
+                for j in range(1, i):
+                    args = const_run(e, j - 1) + (x,) + const_run(e, i - j - 1) + (x,) + const_run(e, n - i)
+                    rules.append(Rule(g(i, args), App(e), "2.11[i=%d,j=%d]" % (i, j)))
+    return Trs(variety_signature(spec.kind, n), rules)
+
+
+def reference_unary_compatible(func, block_of, blocks):
+    return all(len({block_of[func[a]] for a in block}) == 1 for block in blocks)
+
+
+def reference_prop_3_6_partitions(perm):
+    """(perm-compatible, perm-and-inverse-compatible) partitions of
+    range(len(perm)), each a set of frozensets of blocks."""
+    inverse = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inverse[v] = i
+    with_perm, with_both = set(), set()
+    for blocks in partitions(range(len(perm))):
+        block_of = {a: i for i, b in enumerate(blocks) for a in b}
+        if reference_unary_compatible(perm, block_of, blocks):
+            key = frozenset(map(frozenset, blocks))
+            with_perm.add(key)
+            if reference_unary_compatible(inverse, block_of, blocks):
+                with_both.add(key)
+    return with_perm, with_both
+
+
+def reference_quasigroup_from_square(square, name):
+    order = len(square)
+    carrier = tuple(str(i) for i in range(order))
+    table_f = {(carrier[a], carrier[b]): carrier[square[a][b]] for a in range(order) for b in range(order)}
+    return FiniteAlgebra(name, 2, "quasigroup", carrier, table_f)
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["base", "complete"])
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_rule_families_match_reference(n, kind, complete):
+    spec = VarietySpec(kind, n, complete)
+    assert format_trs(generate_trs(spec)) == format_trs(reference_generate_trs(spec))
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_prop_3_6_kernel_scopes_match_reference_scan(order):
+    for cycle_type in integer_partitions(order):
+        perm = permutation_from_cycle_type(cycle_type)
+        alg = permutation_quasigroup(perm)
+        kernel = [
+            {frozenset(frozenset(map(int, b)) for b in cong.blocks) for cong in enumerate_congruences(alg, scope)}
+            for scope in ("f", "full")
+        ]
+        assert tuple(kernel) == reference_prop_3_6_partitions(perm), cycle_type
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_quasigroups_from_squares_match_reference(order):
+    for square in latin_squares(order):
+        got = quasigroup_from_square(square, "Q")
+        expected = reference_quasigroup_from_square(square, "Q")
+        assert (got.name, got.n, got.kind, got.carrier) == (expected.name, expected.n, expected.kind, expected.carrier)
+        assert (got.table_f, got.tables_g, got.identity) == (expected.table_f, expected.tables_g, expected.identity)
