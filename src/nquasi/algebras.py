@@ -32,6 +32,11 @@ class CarrierTooLargeError(AlgebraError):
     pass
 
 
+class InvalidAlgebraError(AlgebraError):
+    """Tables that break an axiom; the message names the algebra and the
+    violation."""
+
+
 @dataclass
 class Violation:
     axiom: str
@@ -70,6 +75,10 @@ class FiniteAlgebra:
                 identity = _discover_identity(n, carrier, self.table_f)
             elif identity not in carrier:
                 raise AlgebraError("identity %r not in carrier" % (identity,))
+            else:
+                bad = _identity_violation(n, carrier, self.table_f, identity)
+                if bad:
+                    raise InvalidAlgebraError("%s is not a valid loop: %s" % (name, bad))
         elif identity is not None:
             raise AlgebraError("a quasigroup has no identity element, got %r" % (identity,))
         self.identity = identity
@@ -147,16 +156,23 @@ def _check_total(n, carrier, table, opname):
     return table
 
 
+def _identity_violation(n, carrier, table_f, e) -> Violation | None:
+    """The first failure of the loop law f(e,..,e,a,e,..,e) = a, or None;
+    n*m table lookups."""
+    for i in range(1, n + 1):
+        for a in carrier:
+            args = (e,) * (i - 1) + (a,) + (e,) * (n - i)
+            if table_f[args] != a:
+                return Violation("identity", args, "f%s = %r, expected %r" % (args, table_f[args], a))
+    return None
+
+
 def _discover_identity(n, carrier, table_f):
     # Identity elements need not be unique once n >= 3 (in the parity
     # 3-loop on two elements both elements qualify); take the first in
     # carrier order for determinism.
     for e in carrier:
-        if all(
-            table_f[(e,) * (i - 1) + (a,) + (e,) * (n - i)] == a
-            for i in range(1, n + 1)
-            for a in carrier
-        ):
+        if _identity_violation(n, carrier, table_f, e) is None:
             return e
     raise AlgebraError("no identity element satisfies the loop law")
 
@@ -222,16 +238,9 @@ def validate(alg: FiniteAlgebra) -> Violation | None:
                     "g%d(.., f(..) ,..) gave %r, expected %r" % (i, got, args[i - 1]),
                 )
     if alg.kind == "loop":
-        e = alg.identity
-        if e is None:
+        if alg.identity is None:
             return Violation("identity", (), "loop without identity element")
-        for i in range(1, n + 1):
-            for a in carrier:
-                args = (e,) * (i - 1) + (a,) + (e,) * (n - i)
-                if alg.table_f[args] != a:
-                    return Violation(
-                        "identity", args, "f%s = %r, expected %r" % (args, alg.table_f[args], a)
-                    )
+        return _identity_violation(n, carrier, alg.table_f, alg.identity)
     return None
 
 

@@ -87,7 +87,7 @@ class AmalgamDiagram:
         self.identity_leaf = Elem(base.identity) if self.kind == "loop" else None
         # Rule sides with the identity constant resolved to the base's
         # identity element, so rules fire on element-only terms.
-        self._by_root = index_rules(
+        self._index = index_rules(
             (_resolve_e(r.lhs, self.identity_leaf), _resolve_e(r.rhs, self.identity_leaf), r.label)
             for r in self.trs.rules
         )
@@ -101,7 +101,7 @@ class AmalgamDiagram:
         )
 
     def steps_at(self, t: Term, pos, sub: App) -> list:
-        steps = rule_steps(self._by_root, t, pos, sub)
+        steps = rule_steps(self._index, t, pos, sub)
         eligible = _leaf_factors(self, sub)
         if eligible:
             value = self.factors[min(eligible)].eval_term(sub)

@@ -14,7 +14,14 @@ import json
 import os
 import sys
 
-from .algebras import AlgebraError, Embedding, algebra_from_json, validate, validate_embedding
+from .algebras import (
+    AlgebraError,
+    Embedding,
+    InvalidAlgebraError,
+    algebra_from_json,
+    validate,
+    validate_embedding,
+)
 from .amalgams import (
     AmalgamError,
     build_amalgam,
@@ -298,8 +305,8 @@ def cmd_codescent(args) -> int:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise _InputError("bad embedding file: expected a JSON object")
-        source = _load_algebra_field(obj["source"], args.embedding)
-        target = _load_algebra_field(obj["target"], args.embedding)
+        source = _load_algebra_field(obj, "source", args.embedding)
+        target = _load_algebra_field(obj, "target", args.embedding)
         mapping = obj["map"]
     except (KeyError, ValueError) as exc:
         raise _InputError("bad embedding file: %s" % exc) from None
@@ -330,11 +337,15 @@ def cmd_codescent(args) -> int:
     return _emit(args, _report("codescent", inputs, verdict, details, code), human)
 
 
-def _load_algebra_field(value, embedding_path):
+def _load_algebra_field(obj, role, embedding_path):
+    value = obj[role]
     if isinstance(value, str):
         base_dir = os.path.dirname(os.path.abspath(embedding_path))
-        return algebra_from_json(_read(os.path.join(base_dir, value)))
-    return algebra_from_json(value)
+        value = _read(os.path.join(base_dir, value))
+    try:
+        return algebra_from_json(value)
+    except InvalidAlgebraError as exc:
+        raise _InputError("%s %s" % (role, exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,11 @@ class CepReport:
 
 def check_cep(emb: Embedding, scope: str = "full", bound: int = DEFAULT_CARRIER_BOUND) -> CepReport:
     """For every scope-congruence R on the source, extend least and
-    restrict back; the verdict is the conjunction over all R."""
+    restrict back; the verdict is the conjunction over all R.
+
+    Only the embedding is checked here: its algebras must already be valid
+    (`algebras.validate`), as `nq codescent` and `build_amalgam` check.
+    """
     bad = validate_embedding(emb)
     if bad:
         raise ValueError("invalid embedding: %s" % bad)

@@ -16,6 +16,7 @@ from random import Random
 
 from .terms import (
     App,
+    Elem,
     ParseError,
     Position,
     Signature,
@@ -109,7 +110,7 @@ class Trs:
             check_well_formed(signature, r.rhs)
         self.signature = signature
         self.rules = rules
-        self._by_root = index_rules((r.lhs, r.rhs, r.label) for r in rules)
+        self._index = index_rules((r.lhs, r.rhs, r.label) for r in rules)
         self.conditions = ConditionsReport(  # returned by check_conditions
             star={r.label: _rule_star(r) for r in rules},
             star2="holds" if len(signature.constants()) <= 1 else "undetermined",
@@ -121,7 +122,7 @@ class Trs:
         return self.conditions.star_ok
 
     def steps_at(self, t: Term, pos: Position, sub: App) -> list:
-        return rule_steps(self._by_root, t, pos, sub)
+        return rule_steps(self._index, t, pos, sub)
 
     def rule(self, label: str) -> Rule:
         for r in self.rules:
@@ -211,22 +212,54 @@ def parse_trs(text: str) -> Trs:
 # Variables and elements have no steps.
 
 
+def _head(t: Term):
+    """The symbol of an application, an element leaf itself, or None for a
+    variable (which a rule's variable argument matches like any other)."""
+    if isinstance(t, App):
+        return t.symbol
+    return t if isinstance(t, Elem) else None
+
+
+class _RuleIndex(dict):
+    """(root symbol, head of each argument) -> the rules (lhs, rhs, label)
+    that may match an application with that key, in rule order.
+
+    A rule is a candidate when each non-variable argument of its left side
+    has the key's head; `match` still checks deeper levels, repeated
+    variables and the number of arguments.  Each key's list is filled on
+    first use.
+    """
+
+    def __init__(self, by_root: dict):
+        super().__init__()
+        self.by_root = by_root  # root symbol -> [(argument heads, rule)]
+
+    def __missing__(self, key):
+        symbol, heads = key[0], key[1:]
+        found = self[key] = [
+            rule
+            for rule_heads, rule in self.by_root.get(symbol, ())
+            if all(h is None or h == k for h, k in zip(rule_heads, heads))
+        ]
+        return found
+
+
 def index_rules(rules) -> dict:
-    """Root symbol -> the rules (lhs, rhs, label) with that root, in order."""
+    """Index rules (lhs, rhs, label) by root symbol and argument heads."""
     by_root = {}
     for lhs, rhs, label in rules:
-        by_root.setdefault(lhs.symbol, []).append((lhs, rhs, label))
-    return by_root
+        by_root.setdefault(lhs.symbol, []).append((tuple(map(_head, lhs.args)), (lhs, rhs, label)))
+    return _RuleIndex(by_root)
 
 
-def rule_steps(by_root: dict, t: Term, pos: Position, sub: App) -> list:
+def rule_steps(index: dict, t: Term, pos: Position, sub: App) -> list:
     """Steps of the indexed rules at one position, in rule order.
 
     Rules apply left to right only, by one-sided matching of the left-hand
     side against the subterm.
     """
     out = []
-    for lhs, rhs, label in by_root.get(sub.symbol, ()):
+    for lhs, rhs, label in index[(sub.symbol, *map(_head, sub.args))]:
         bindings = match(lhs, sub)
         if bindings is not None:
             out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))

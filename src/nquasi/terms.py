@@ -122,10 +122,14 @@ def iter_variables(t: Term) -> Iterator[str]:
 
 
 def has_elem(t: Term) -> bool:
-    if isinstance(t, Elem):
-        return True
-    if isinstance(t, App):
-        return any(has_elem(a) for a in t.args)
+    """Whether an element leaf occurs in t."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Elem):
+            return True
+        if isinstance(u, App):
+            stack.extend(u.args)
     return False
 
 
@@ -176,11 +180,8 @@ def apply_substitution(sigma: Substitution, t: Term) -> Term:
 
 
 def occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, App):
-        return any(occurs(name, a) for a in t.args)
-    return False
+    """Whether the variable `name` occurs in t."""
+    return name in variables(t)
 
 
 def match(pattern: Term, subject: Term) -> Substitution | None:

@@ -73,6 +73,13 @@ class TestValidation:
             algebra_from_function("S", 2, "loop", ["0", "1", "2"],
                                   lambda a, b: (-a - b) % 3)
 
+    def test_given_identity_must_satisfy_the_loop_law(self, z3):
+        message = r"Z3 is not a valid loop: identity at \['0', '1'\]: f\('0', '1'\) = '1', expected '0'"
+        with pytest.raises(AlgebraError, match=message):
+            FiniteAlgebra("Z3", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, identity="1")
+        again = FiniteAlgebra("Z3", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, identity="0")
+        assert validate(again) is None
+
     def test_steiner_quasigroup_valid(self, steiner):
         assert validate(steiner) is None
 

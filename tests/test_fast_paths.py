@@ -1,10 +1,11 @@
 """Each fast path of the CEP scan and the congruence layer, checked
 against the straightforward string-keyed code it replaced; amalgam
 reduction on the shared rewriting engine, checked against the separate
-amalgam engine it replaced; and the rule families, Prop. 3.6 and the
-square-to-quasigroup step, checked against the hand-built code they
-replaced.  The reference implementations below are kept only for these
-comparisons."""
+amalgam engine it replaced; rule selection by argument heads, checked
+against the root-symbol index it replaced; and the rule families,
+Prop. 3.6 and the square-to-quasigroup step, checked against the
+hand-built code they replaced.  The reference implementations below are
+kept only for these comparisons."""
 
 import itertools
 import random
@@ -39,7 +40,16 @@ from nquasi.codescent import (
     permutation_from_cycle_type,
     quasigroup_from_square,
 )
-from nquasi.rewriting import Rule, Trs, explore_reducts, format_trs, normalize
+from nquasi.rewriting import (
+    Rule,
+    Trs,
+    enumerate_terms,
+    explore_reducts,
+    format_trs,
+    normalize,
+    parse_trs,
+    rewrite_steps,
+)
 from nquasi.terms import App, Elem, Var, apply_substitution, match, positions, positions_postorder, replace_at
 from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
 
@@ -470,6 +480,70 @@ def test_amalgam_reduction_matches_reference(name):
             expected = reference_normalize(d, by_root, t, strategy, seed)
             assert normalize(d, t, strategy, seed) == expected
             assert normalize_element(d, t, strategy, seed).normal_form == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# Trs rule selection: the root-symbol index it replaced
+
+
+def reference_rule_steps(by_root, t, pos, sub):
+    """Every rule with the subterm's root symbol, tried by `match` in rule order."""
+    out = []
+    for lhs, rhs, label in by_root.get(sub.symbol, ()):
+        bindings = match(lhs, sub)
+        if bindings is not None:
+            out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
+    return out
+
+
+class RootIndexedTrs:
+    """A Trs as a reduction system whose rules are selected by root only."""
+
+    def __init__(self, trs):
+        self.terminates = trs.terminates
+        self.by_root = {}
+        for r in trs.rules:
+            self.by_root.setdefault(r.lhs.symbol, []).append((r.lhs, r.rhs, r.label))
+
+    def steps_at(self, t, pos, sub):
+        return reference_rule_steps(self.by_root, t, pos, sub)
+
+
+# nested, non-linear and constant-argument left sides, all size-decreasing
+HANDMADE_TRS = """
+sig f/2 h/2 u/1 c/0 d/0
+rule nested: f(u(u(x)),y) -> y
+rule nonlinear: h(x,x) -> x
+rule nonlinear-below: f(x,h(y,y)) -> f(x,y)
+rule constant: f(c,x) -> x
+rule constants: h(c,d) -> d
+rule mixed: h(u(x),c) -> x
+rule deep: u(h(x,u(c))) -> x
+rule constant-right: f(x,d) -> u(x)
+"""
+
+
+def check_rule_selection(trs, max_size):
+    """Same steps, normal forms and traces as the root-only selection for
+    every term of size <= max_size over three variables."""
+    reference = RootIndexedTrs(trs)
+    assert trs.terminates
+    for t in enumerate_terms(trs.signature, max_size, num_vars=3):
+        assert rewrite_steps(trs, t) == rewrite_steps(reference, t)
+        for strategy, seed in [("leftmost-innermost", 0), ("leftmost-outermost", 0)] + [("random", k) for k in range(5)]:
+            assert normalize(trs, t, strategy, seed) == normalize(reference, t, strategy, seed)
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["base", "complete"])
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_variety_rule_selection_matches_reference(n, kind, complete):
+    # a ternary application has size >= 4, so size <= 5 adds nothing over 4
+    check_rule_selection(generate_trs(VarietySpec(kind, n, complete)), 4 if n == 3 else 5)
+
+
+def test_handmade_rule_selection_matches_reference():
+    check_rule_selection(parse_trs(HANDMADE_TRS), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from nquasi.algebras import cyclic_loop
+from nquasi.amalgams import build_amalgam
 from nquasi.rewriting import (
     CapExceeded,
     MaxRoundsExceeded,
@@ -14,6 +18,7 @@ from nquasi.rewriting import (
     critical_pairs,
     enumerate_terms,
     format_trs,
+    index_rules,
     joinable,
     local_confluence_oracle,
     normalize,
@@ -27,6 +32,7 @@ from nquasi.terms import (
     ParseError,
     Signature,
     Var,
+    match,
     parse_term,
     positions,
     size,
@@ -132,6 +138,75 @@ class TestRewriteSteps:
             for v, _l, _p in rewrite_steps(BQ2, u):
                 assert size(v) < size(u)
                 frontier.add(v)
+
+
+def _all_keys(signature, heads):
+    """Every index key (symbol, argument heads) over the given heads."""
+    for symbol, arity in signature.symbols.items():
+        for key_heads in itertools.product(heads, repeat=arity):
+            yield (symbol,) + key_heads
+
+
+def _labels(index, key):
+    return [label for _lhs, _rhs, label in index[key]]
+
+
+class TestRuleIndex:
+    """Rules are selected by root symbol and argument heads; `match`
+    still decides among the candidates."""
+
+    @pytest.mark.parametrize(
+        "trs", [BQ2, CQ2, BL2, CL2, complete_loop(3)], ids=["bq2", "cq2", "bl2", "cl2", "cl3"]
+    )
+    def test_candidates_agree_with_argument_heads_in_rule_order(self, trs):
+        index = index_rules((r.lhs, r.rhs, r.label) for r in trs.rules)
+        order = [r.label for r in trs.rules]
+        for key in _all_keys(trs.signature, [None] + list(trs.signature.symbols)):
+            candidates = index[key]
+            positions_in_order = [order.index(label) for _lhs, _rhs, label in candidates]
+            assert positions_in_order == sorted(positions_in_order)
+            for r in trs.rules:
+                fits = r.lhs.symbol == key[0] and all(
+                    isinstance(arg, Var) or arg.symbol == head for arg, head in zip(r.lhs.args, key[1:])
+                )
+                assert ((r.lhs, r.rhs, r.label) in candidates) == fits, (key, r.label)
+
+    def test_variable_argument_never_selects_an_application_argument(self):
+        index = index_rules((r.lhs, r.rhs, r.label) for r in CQ2.rules)
+        assert _labels(index, ("f", None, None)) == []
+        assert _labels(index, ("f", "g1", None)) == ["2.3[i=1]"]
+        assert _labels(index, ("g1", None, None)) == []
+        assert _labels(index, ("g1", None, "g2")) == ["2.7[i=1,j=2]"]
+        assert rewrite_steps(CQ2, bq2("f(x1,x2)")) == set()
+
+    def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
+        lhs = App("g1", (Var("x"), Var("x")))
+        trs = Trs(Signature({"g1": 2}), [Rule(lhs, Var("x"), "idem")])
+        index = index_rules((r.lhs, r.rhs, r.label) for r in trs.rules)
+        for a, b, key in [
+            (Var("a"), Var("b"), ("g1", None, None)),
+            (Elem("a"), Elem("b"), ("g1", Elem("a"), Elem("b"))),
+        ]:
+            subject = App("g1", (a, b))
+            assert _labels(index, key) == ["idem"]
+            assert match(lhs, subject) is None
+            assert rewrite_steps(trs, subject) == set()
+        assert rewrite_steps(trs, App("g1", (Var("a"), Var("a")))) == {(Var("a"), "idem", ())}
+
+    def test_resolved_identity_selects_identity_rules_only_for_the_identity(self):
+        factors = [cyclic_loop(4, name="Z4a"), cyclic_loop(4, name="Z4b")]
+        d = build_amalgam(cyclic_loop(2), factors, [{"0": "0", "1": "2"}] * 2)
+        identity = Elem(d.base.identity)
+        # the constant e is resolved in the rules, so its head selects nothing
+        for a in [Elem(x) for x in d.carrier_union] + ["e"]:
+            expected = a == identity
+            assert ("2.2[i=1]" in _labels(d._index, ("f", None, a))) == expected
+            assert ("2.2[i=2]" in _labels(d._index, ("f", a, None))) == expected
+            assert ("2.9[i=1]" in _labels(d._index, ("g1", None, a))) == expected
+            assert ("2.9[i=2]" in _labels(d._index, ("g2", a, None))) == expected
+        identity_rules = {r.label for r in d.trs.rules if r.label.startswith(("2.2", "2.9"))}
+        for key in _all_keys(d.signature, [None, Elem("1")]):
+            assert identity_rules.isdisjoint(_labels(d._index, key))
 
 
 class TestNormalize:

@@ -10,6 +10,8 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
+    has_elem,
+    occurs,
     parse_term,
     positions,
     rename_apart,
@@ -268,3 +270,24 @@ def test_size_counts_nodes():
 def test_term_key_orders_by_size_then_text():
     terms = [t2("f(x,y)"), Var("z"), Var("a"), t2("g1(x,y)")]
     assert sorted(terms, key=term_key) == [Var("a"), Var("z"), t2("f(x,y)"), t2("g1(x,y)")]
+
+
+def _deep_term(leaf, depth=5000):
+    """f(...f(leaf, y)..., y), nested `depth` times: deeper than the
+    default recursion limit."""
+    t = leaf
+    for _ in range(depth):
+        t = App("f", (t, Var("y")))
+    return t
+
+
+def test_has_elem_on_a_deep_term():
+    assert has_elem(_deep_term(Elem("a")))
+    assert not has_elem(_deep_term(Var("x")))
+
+
+def test_occurs_on_a_deep_term():
+    t = _deep_term(Var("x"))
+    assert occurs("x", t) and occurs("y", t)
+    assert not occurs("z", t)
+    assert not occurs("x", _deep_term(Elem("x")))
