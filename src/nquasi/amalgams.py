@@ -3,11 +3,11 @@
 A diagram is a base algebra embedded into each of several factors; after a
 canonical renaming the factor carriers intersect pairwise exactly in the
 base.  Elements of the free product are represented by terms over the
-union of the carriers, reduced by two kinds of step: ordinary rewrite
-steps of the variety's confluent rule system, and collapse steps that
-replace a subterm all of whose leaves lie in one factor by its value
-there.  Irreducible terms are the normal forms; their uniqueness and the
-strong amalgamation property are checkable rather than assumed.
+union of the carriers and reduced by ordinary rewriting with two kinds of
+rule: the variety's complete rules, and one ground rule
+op(a1, ..., an) -> v for each entry of each factor's operation tables.
+Irreducible terms are the normal forms; their uniqueness and the strong
+amalgamation property are checkable rather than assumed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .rewriting import (
     explore_reducts,
     index_rules,
     normalize,
+    reducts,
     rewrite_steps,
     rule_steps,
     step_key,
@@ -36,12 +37,12 @@ from .terms import (
     iter_variables,
     parse_term,
     positions,
-    replace_at,
 )
 
-# Rule steps match in `rewriting`; this stays bound here so that the
-# per-layer tracer of perfbench/tracing.py can rebind it in this module.
-from .terms import match  # noqa: F401
+# Rule steps match and replace in `rewriting`; these stay bound here so
+# that the per-layer tracer of perfbench/tracing.py can rebind them in
+# this module.
+from .terms import match, replace_at  # noqa: F401
 from .varieties import generate_trs, VarietySpec
 
 
@@ -67,13 +68,14 @@ class AmalgamDiagram:
     """Base algebra, renamed factors, and the rewrite machinery for the
     matching variety.  Built by build_amalgam.
 
-    As a reduction system (see `rewriting`) it gives, at each position, the
-    collapse step first and then the rule steps of the variety's complete
-    rules with the identity constant resolved.
+    As a reduction system (see `rewriting`) it rewrites with one ground
+    rule op(a1, ..., an) -> v, labelled "collapse", per table entry of the
+    factors, followed by the variety's complete rules with the identity
+    constant resolved.
     """
 
-    # The complete rules pass the size-decrease check and a collapse step
-    # replaces a subterm of size >= 2 by a leaf, so every step shrinks the term.
+    # The complete rules pass the size-decrease check and each ground rule
+    # maps a term of size n+1 to a leaf, so every step shrinks the term.
     terminates = True
 
     def __init__(self, base, factors, renamings):
@@ -84,13 +86,23 @@ class AmalgamDiagram:
         self.kind = base.kind
         self.trs = generate_trs(VarietySpec(self.kind, self.n, complete=True))
         self.signature = self.trs.signature
+        self.operations = tuple(s for s, k in self.signature.symbols.items() if k == self.n)
         self.identity_leaf = Elem(base.identity) if self.kind == "loop" else None
+        # The factors agree on the shared base (the embeddings are
+        # validated), so its entries are kept once.
+        ground = dict.fromkeys(
+            (App(symbol, tuple(map(Elem, args))), Elem(value), "collapse")
+            for factor in self.factors
+            for symbol, table in zip(self.operations, (factor.table_f,) + factor.tables_g)
+            for args, value in table.items()
+        )
         # Rule sides with the identity constant resolved to the base's
         # identity element, so rules fire on element-only terms.
-        self._index = index_rules(
+        resolved = [
             (_resolve_e(r.lhs, self.identity_leaf), _resolve_e(r.rhs, self.identity_leaf), r.label)
             for r in self.trs.rules
-        )
+        ]
+        self._index = index_rules([*ground, *resolved])
         self.membership = {}
         for i, factor in enumerate(self.factors):
             for a in factor.carrier:
@@ -101,12 +113,7 @@ class AmalgamDiagram:
         )
 
     def steps_at(self, t: Term, pos, sub: App) -> list:
-        steps = rule_steps(self._index, t, pos, sub)
-        eligible = _leaf_factors(self, sub)
-        if eligible:
-            value = self.factors[min(eligible)].eval_term(sub)
-            steps.insert(0, (replace_at(t, pos, Elem(value)), "collapse", pos))
-        return steps
+        return rule_steps(self._index, t, pos, sub)
 
     def owns(self, element: str) -> frozenset:
         try:
@@ -177,20 +184,7 @@ def build_amalgam(base, factors, embeddings) -> AmalgamDiagram:
 
 
 # ---------------------------------------------------------------------------
-# the reduction relation: rule steps + pure-subterm collapse
-
-
-def _leaf_factors(d: AmalgamDiagram, t: Term) -> frozenset:
-    """Factors containing every element leaf of t (empty when mixed)."""
-    if isinstance(t, Elem):
-        return d.owns(t.name)
-    acc = None
-    for a in t.args:
-        s = _leaf_factors(d, a)
-        acc = s if acc is None else acc & s
-        if not acc:
-            return frozenset()
-    return acc if acc is not None else frozenset()
+# element terms and their normal forms
 
 
 def _check_element_term(d: AmalgamDiagram, t: Term) -> None:
@@ -223,7 +217,7 @@ def normalize_element(
 
 def apply_op(d: AmalgamDiagram, symbol: str, args) -> AmalgamElement:
     """Apply f or g_i to amalgam elements and normalize the result."""
-    if symbol not in d.signature or d.signature.arity(symbol) != d.n:
+    if symbol not in d.operations:
         raise AmalgamError("%r is not an n-ary operation of this variety" % (symbol,))
     arg_terms = tuple(a.normal_form if isinstance(a, AmalgamElement) else a for a in args)
     if len(arg_terms) != d.n:
@@ -278,19 +272,17 @@ class UnfCounterexample:
 
 def enumerate_element_terms(d: AmalgamDiagram, max_size: int) -> list:
     """All terms over the carrier union of size <= max_size."""
-    symbols = [(s, k) for s, k in d.signature.symbols.items() if k == d.n]
+    symbols = [(s, d.n) for s in d.operations]
     return terms_up_to([Elem(a) for a in d.carrier_union], symbols, max_size)
 
 
-def reduct_graph(d: AmalgamDiagram, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
-    """All terms reachable from t, including t."""
-    return explore_reducts(d, t, cap)[0]
+reduct_graph = reducts
 
 
 def random_element_term(d: AmalgamDiagram, rng: Random, max_depth: int) -> Term:
     if max_depth <= 0 or rng.random() < 0.3:
         return Elem(rng.choice(d.carrier_union))
-    symbol = rng.choice(sorted(s for s, k in d.signature.symbols.items() if k == d.n))
+    symbol = rng.choice(sorted(d.operations))
     return App(symbol, tuple(random_element_term(d, rng, max_depth - 1) for _ in range(d.n)))
 
 

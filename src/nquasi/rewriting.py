@@ -28,6 +28,7 @@ from .terms import (
     check_well_formed,
     has_elem,
     match,
+    parse_term,
     positions,
     positions_postorder,
     rename_apart,
@@ -185,8 +186,6 @@ def parse_trs(text: str) -> Trs:
             if "->" not in rest:
                 raise ParseError("line %d: missing '->'" % lineno)
             lhs_text, _, rhs_text = rest.partition("->")
-            from .terms import parse_term
-
             try:
                 lhs = parse_term(lhs_text, sig)
                 rhs = parse_term(rhs_text, sig)

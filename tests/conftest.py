@@ -36,3 +36,30 @@ def steiner3(name="St3"):
 @pytest.fixture
 def steiner():
     return steiner3()
+
+
+def _dihedral8(i, j):
+    # element k + 4*b stands for r^k s^b; (r^k s^b)(r^l s^c) = r^(k + (-1)^b l) s^(b + c)
+    b, k = divmod(i, 4)
+    c, l = divmod(j, 4)
+    return (k + (-1) ** b * l) % 4 + 4 * (b ^ c)
+
+
+def klein_in_dihedral8(subgroup, n=2, kind="quasigroup"):
+    """(source, target, map) of a non-central Klein four-subgroup of D4,
+    {0,2,4,6} = {1, r^2, s, r^2 s} or {0,2,5,7} = {1, r^2, rs, r^3 s},
+    relabelled 0..3 in that order, with f the n-fold product."""
+
+    def product(*ix):
+        acc = 0
+        for i in ix:
+            acc = _dihedral8(acc, i)
+        return acc
+
+    identity = "0" if kind == "loop" else None
+    target = algebra_from_function("D4", n, kind, [str(i) for i in range(8)], product, identity)
+    source = algebra_from_function(
+        "V4", n, kind, ["0", "1", "2", "3"],
+        lambda *ix: subgroup.index(product(*(subgroup[i] for i in ix))), identity,
+    )
+    return source, target, {str(i): str(a) for i, a in enumerate(subgroup)}

@@ -258,6 +258,16 @@ class TestSharedSubalgebra:
             values = {f.eval_term(App("f", (Elem(args[0]), Elem(args[1])))) for f in d.factors}
             assert len(values) == 1
 
+    def test_each_table_entry_is_one_collapse_step(self):
+        # entries on the shared base are in both factors' tables, but give one rule
+        d = z4_twice_over_z2()
+        for factor in d.factors:
+            for symbol, table in zip(d.operations, (factor.table_f,) + factor.tables_g):
+                for args, value in table.items():
+                    t = App(symbol, tuple(map(Elem, args)))
+                    collapses = [step for step in d.steps_at(t, (), t) if step[1] == "collapse"]
+                    assert collapses == [(Elem(value), "collapse", ())]
+
     def test_collapse_of_base_pure_terms_lands_in_base(self):
         d = z4_twice_over_z2()
         t = App("f", (Elem("0"), App("f", (Elem("1"), Elem("1")))))

@@ -9,6 +9,8 @@ import nquasi
 from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
 from nquasi.cli import main
 
+from conftest import klein_in_dihedral8
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -360,6 +362,19 @@ class TestCodescent:
         path.write_text(json.dumps(payload), encoding="utf-8")
         code, _, err = run_cli(capsys, "codescent", "--embedding", str(path))
         assert code == 2 and "error" in err
+
+    def test_klein_subgroup_of_dihedral_group_is_not_effective(self, capsys, tmp_path):
+        source, target, mapping = klein_in_dihedral8((0, 2, 4, 6))
+        payload = {"source": algebra_to_json(source), "target": algebra_to_json(target), "map": mapping}
+        path = tmp_path / "klein.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "codescent", "--embedding", str(path))
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == "not an effective codescent morphism"
+        code, out, _ = run_cli(capsys, "codescent", "--embedding", str(path), "--json")
+        report = json.loads(out)
+        assert code == 1 and report["verdict"] == "not-effective"
+        assert report["details"]["failing"] == "{0,2} | {1,3}"
 
     def test_source_by_relative_path(self, capsys, tmp_path):
         (tmp_path / "z2.json").write_text(

@@ -1,7 +1,14 @@
 import pytest
 
 from nquasi import codescent
-from nquasi.algebras import Embedding, FiniteAlgebra, algebra_from_function, cyclic_loop, permutation_quasigroup
+from nquasi.algebras import (
+    Embedding,
+    FiniteAlgebra,
+    algebra_from_function,
+    cyclic_loop,
+    permutation_quasigroup,
+    validate,
+)
 from nquasi.codescent import (
     cep_by_enumeration,
     check_cep,
@@ -15,6 +22,9 @@ from nquasi.codescent import (
     sub_permutation_embeddings,
     verify_prop_3_6,
 )
+
+from conftest import klein_in_dihedral8
+
 
 def doubling(source_order, target_order, factor):
     return Embedding(
@@ -53,6 +63,27 @@ class TestCheckCep:
     def test_effective_codescent_uses_full_scope(self, z4):
         report = is_effective_codescent(identity_embedding(z4))
         assert report.scope == "full" and report.verdict
+
+
+class TestKnownFailure:
+    """A non-central Klein four-subgroup V4 of D4 does not have the CEP: the
+    congruence of V4 by <s> generates on D4 the congruence by the normal
+    closure of <s>, which is V4 itself, so it restricts to the full one."""
+
+    @pytest.mark.parametrize("subgroup", [(0, 2, 4, 6), (0, 2, 5, 7)])
+    @pytest.mark.parametrize("n, kind", [(2, "quasigroup"), (2, "loop"), (3, "quasigroup")])
+    def test_klein_subgroup_of_dihedral_group_fails(self, subgroup, n, kind):
+        source, target, mapping = klein_in_dihedral8(subgroup, n, kind)
+        assert validate(source) is None and validate(target) is None
+        emb = Embedding(source, target, mapping)
+        report = check_cep(emb)
+        assert not report.verdict
+        assert report.failing.blocks == (("0", "2"), ("1", "3"))
+        back = {cong: restricted for cong, _extension, restricted in report.witnesses}
+        assert back[report.failing].is_full
+        verdict, per_congruence = cep_by_enumeration(emb)
+        assert not verdict
+        assert next(cong for cong, ok in per_congruence if not ok) == report.failing
 
 
 class TestOracleEquivalence:
