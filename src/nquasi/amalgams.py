@@ -3,7 +3,7 @@
 A diagram is a base algebra embedded into each of several factors; after a
 canonical renaming the factor carriers intersect pairwise exactly in the
 base.  Elements of the free product are represented by terms over the
-union of the carriers and reduced by ordinary rewriting with two kinds of
+union of the carriers and reduced by an ordinary `Trs` with two kinds of
 rule: the variety's complete rules, and one ground rule
 op(a1, ..., an) -> v for each entry of each factor's operation tables.
 Irreducible terms are the normal forms; their uniqueness and the strong
@@ -19,12 +19,12 @@ from random import Random
 from .algebras import Embedding, validate, validate_embedding
 from .rewriting import (
     DEFAULT_REDUCT_CAP,
+    Rule,
+    Trs,
     explore_reducts,
-    index_rules,
     normalize,
     reducts,
     rewrite_steps,
-    rule_steps,
     step_key,
     terms_up_to,
 )
@@ -64,19 +64,15 @@ class AmalgamElement:
         return str(self.normal_form)
 
 
-class AmalgamDiagram:
-    """Base algebra, renamed factors, and the rewrite machinery for the
-    matching variety.  Built by build_amalgam.
+class AmalgamDiagram(Trs):
+    """Base algebra, renamed factors, and the rewrite system of their
+    amalgamated free product.  Built by build_amalgam.
 
-    As a reduction system (see `rewriting`) it rewrites with one ground
-    rule op(a1, ..., an) -> v, labelled "collapse", per table entry of the
-    factors, followed by the variety's complete rules with the identity
-    constant resolved.
+    The rules are one ground rule op(a1, ..., an) -> v, labelled
+    collapse[op(a1,...,an)], per table entry of the factors, followed by
+    the variety's complete rules with the identity constant resolved.
+    Element leaves are rigid constants, so this is an ordinary `Trs`.
     """
-
-    # The complete rules pass the size-decrease check and each ground rule
-    # maps a term of size n+1 to a leaf, so every step shrinks the term.
-    terminates = True
 
     def __init__(self, base, factors, renamings):
         self.base = base
@@ -84,25 +80,27 @@ class AmalgamDiagram:
         self.renamings = tuple(renamings)  # original name -> shared name, per factor
         self.n = base.n
         self.kind = base.kind
-        self.trs = generate_trs(VarietySpec(self.kind, self.n, complete=True))
-        self.signature = self.trs.signature
-        self.operations = tuple(s for s, k in self.signature.symbols.items() if k == self.n)
+        variety = generate_trs(VarietySpec(self.kind, self.n, complete=True))
+        self.operations = tuple(s for s, k in variety.signature.symbols.items() if k == self.n)
         self.identity_leaf = Elem(base.identity) if self.kind == "loop" else None
         # The factors agree on the shared base (the embeddings are
         # validated), so its entries are kept once.
         ground = dict.fromkeys(
-            (App(symbol, tuple(map(Elem, args))), Elem(value), "collapse")
+            Rule(lhs, Elem(value), "collapse[%s]" % lhs)
             for factor in self.factors
             for symbol, table in zip(self.operations, (factor.table_f,) + factor.tables_g)
             for args, value in table.items()
+            for lhs in [App(symbol, tuple(map(Elem, args)))]
         )
-        # Rule sides with the identity constant resolved to the base's
-        # identity element, so rules fire on element-only terms.
+        # The identity constant is resolved to the base's identity element,
+        # so the rules fire on element-only terms.  A ground rule from e to
+        # that element instead would not shrink terms, and the diagram
+        # would fail the size-decrease check that certifies termination.
         resolved = [
-            (_resolve_e(r.lhs, self.identity_leaf), _resolve_e(r.rhs, self.identity_leaf), r.label)
-            for r in self.trs.rules
+            Rule(_resolve_e(r.lhs, self.identity_leaf), _resolve_e(r.rhs, self.identity_leaf), r.label)
+            for r in variety.rules
         ]
-        self._index = index_rules([*ground, *resolved])
+        super().__init__(variety.signature, [*ground, *resolved])
         self.membership = {}
         for i, factor in enumerate(self.factors):
             for a in factor.carrier:
@@ -111,9 +109,6 @@ class AmalgamDiagram:
         self.carrier_union = tuple(
             sorted(self.membership, key=lambda a: (a not in set(base.carrier), a))
         )
-
-    def steps_at(self, t: Term, pos, sub: App) -> list:
-        return rule_steps(self._index, t, pos, sub)
 
     def owns(self, element: str) -> frozenset:
         try:

@@ -230,6 +230,18 @@ def search_noncep_monomorphism(max_order: int = 5):
     when none exists at these sizes.  Finite subsets closed under the
     product are automatically closed under both divisions, so closure
     under f alone identifies the subquasigroups.
+
+    No failure exists at orders <= 7.  For n >= 2 the blocks of a
+    congruence (in either scope) of a finite n-quasigroup all have the same
+    size: given blocks B and C and elements a in B, c in C, fixing all but
+    one argument of f gives a bijection that sends a to c and, by
+    compatibility, maps B into C, so |B| <= |C| and by symmetry |B| = |C|.
+    Hence a quasigroup of prime order has only the trivial and the full
+    congruence, and both always extend.  A proper subquasigroup has at
+    most m/2 elements (see `_closed_subsets`), so below order 8 every
+    source has 2 or 3 elements.  For n = 1 the argument fails, since f is
+    one fixed permutation: the identity on {0,1,2} has the congruence
+    {0,1} | {2}.
     """
     stats = {"squares": 0, "embeddings": 0}
     for order in range(2, max_order + 1):

@@ -26,7 +26,6 @@ from .terms import (
     apply_substitution,
     canonical_renaming,
     check_well_formed,
-    has_elem,
     match,
     parse_term,
     positions,
@@ -81,10 +80,9 @@ class Rule:
     label: str
 
     def __post_init__(self):
-        if isinstance(self.lhs, Var):
-            raise ValueError("rule %s: left-hand side is a variable" % self.label)
-        if has_elem(self.lhs) or has_elem(self.rhs):
-            raise ValueError("rule %s: element leaves are not allowed" % self.label)
+        if not isinstance(self.lhs, App):
+            leaf = "a variable" if isinstance(self.lhs, Var) else "an element"
+            raise ValueError("rule %s: left-hand side is %s" % (self.label, leaf))
         extra = variables(self.rhs) - variables(self.lhs)
         if extra:
             raise ValueError(
@@ -111,7 +109,7 @@ class Trs:
             check_well_formed(signature, r.rhs)
         self.signature = signature
         self.rules = rules
-        self._index = index_rules((r.lhs, r.rhs, r.label) for r in rules)
+        self._index = index_rules(rules)
         self.conditions = ConditionsReport(  # returned by check_conditions
             star={r.label: _rule_star(r) for r in rules},
             star2="holds" if len(signature.constants()) <= 1 else "undetermined",
@@ -123,7 +121,18 @@ class Trs:
         return self.conditions.star_ok
 
     def steps_at(self, t: Term, pos: Position, sub: App) -> list:
-        return rule_steps(self._index, t, pos, sub)
+        """The one-step successors (result, rule label, pos) of t at the
+        position pos of its subterm sub, in rule order.
+
+        Rules apply left to right only, by one-sided matching of the
+        left-hand side against the subterm.
+        """
+        out = []
+        for rule in self._index[(sub.symbol, *map(_head, sub.args))]:
+            bindings = match(rule.lhs, sub)
+            if bindings is not None:
+                out.append((replace_at(t, pos, apply_substitution(bindings, rule.rhs)), rule.label, pos))
+        return out
 
     def rule(self, label: str) -> Rule:
         for r in self.rules:
@@ -203,14 +212,6 @@ def parse_trs(text: str) -> Trs:
 # the rewrite relation
 
 
-# This section works on any reduction system: a Trs or an amalgam
-# diagram.  Its steps_at(t, pos, sub) lists the one-step successors
-# (result, step label, pos) of t at the position pos of an application
-# sub in preference order, a leftmost strategy taking the first; its
-# `terminates` is true when every reduction sequence is finite.
-# Variables and elements have no steps.
-
-
 def _head(t: Term):
     """The symbol of an application, an element leaf itself, or None for a
     variable (which a rule's variable argument matches like any other)."""
@@ -220,8 +221,8 @@ def _head(t: Term):
 
 
 class _RuleIndex(dict):
-    """(root symbol, head of each argument) -> the rules (lhs, rhs, label)
-    that may match an application with that key, in rule order.
+    """(root symbol, head of each argument) -> the rules that may match an
+    application with that key, in rule order.
 
     A rule is a candidate when each non-variable argument of its left side
     has the key's head; `match` still checks deeper levels, repeated
@@ -244,25 +245,11 @@ class _RuleIndex(dict):
 
 
 def index_rules(rules) -> dict:
-    """Index rules (lhs, rhs, label) by root symbol and argument heads."""
+    """Index rules by root symbol and argument heads."""
     by_root = {}
-    for lhs, rhs, label in rules:
-        by_root.setdefault(lhs.symbol, []).append((tuple(map(_head, lhs.args)), (lhs, rhs, label)))
+    for rule in rules:
+        by_root.setdefault(rule.lhs.symbol, []).append((tuple(map(_head, rule.lhs.args)), rule))
     return _RuleIndex(by_root)
-
-
-def rule_steps(index: dict, t: Term, pos: Position, sub: App) -> list:
-    """Steps of the indexed rules at one position, in rule order.
-
-    Rules apply left to right only, by one-sided matching of the left-hand
-    side against the subterm.
-    """
-    out = []
-    for lhs, rhs, label in index[(sub.symbol, *map(_head, sub.args))]:
-        bindings = match(lhs, sub)
-        if bindings is not None:
-            out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
-    return out
 
 
 def _successors(system, t: Term):
@@ -365,8 +352,9 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
 def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
     """Whether t1 and t2 have a common reduct; returns (bool, witness).
 
-    The witness is the size-minimal common reduct (ties broken by the term
-    ordering), or None.
+    The witness is t2 itself when t2 is a reduct of t1, even if a smaller
+    common reduct exists; otherwise it is the size-minimal common reduct
+    (ties broken by the term ordering), or None.
     """
     r1 = reducts(system, t1, cap)
     if t2 in r1:  # cheap hit before building the second graph

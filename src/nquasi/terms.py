@@ -4,11 +4,13 @@ and syntactic unification.
 A term is an immutable tree.  Leaves are variables (`Var`) or, in amalgam
 contexts, elements of finite algebras (`Elem`); inner nodes apply a
 signature symbol to argument terms (`App`, constants being zero-argument
-applications).  The concrete syntax used throughout the package is `name`
-for a leaf, `sym(t1,...,tk)` for an application and bare `sym` for a
-constant; whitespace is insignificant and `#` starts a comment running to
-the end of the line.  Any identifier that is not a declared symbol parses
-as a variable, which keeps the symbol and variable namespaces disjoint.
+applications).  An element leaf is a rigid constant: substitution fixes
+it, matching and unification pair it only with itself or a variable.  The
+concrete syntax used throughout the package is `name` for a leaf,
+`sym(t1,...,tk)` for an application and bare `sym` for a constant;
+whitespace is insignificant and `#` starts a comment running to the end of
+the line.  Any identifier that is not a declared symbol parses as a
+variable, which keeps the symbol and variable namespaces disjoint.
 """
 
 from __future__ import annotations
@@ -121,18 +123,6 @@ def iter_variables(t: Term) -> Iterator[str]:
             yield from iter_variables(a)
 
 
-def has_elem(t: Term) -> bool:
-    """Whether an element leaf occurs in t."""
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Elem):
-            return True
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return False
-
-
 def subterm_at(t: Term, pos: Position) -> Term:
     """Subterm at a position (sequence of 1-based child indices)."""
     for i in pos:
@@ -187,7 +177,8 @@ def occurs(name: str, t: Term) -> bool:
 def match(pattern: Term, subject: Term) -> Substitution | None:
     """One-sided matching: sigma with sigma(pattern) == subject, or None.
 
-    Elem leaves in the pattern match only the identical Elem.
+    An Elem leaf is a rigid constant: in the pattern it matches only the
+    identical Elem, and a pattern variable may bind to one in the subject.
     """
     bindings = {}
     stack = [(pattern, subject)]
@@ -213,11 +204,10 @@ def unify(s: Term, t: Term) -> Substitution | None:
     """Most general unifier of s and t, or None if they do not unify.
 
     The result is idempotent with domain inside Var(s, t); occurs-check
-    failures and symbol clashes both report no unifier.  Elem leaves are
-    not allowed here.
+    failures and symbol clashes both report no unifier.  An Elem leaf is a
+    rigid constant: it unifies with itself or with a variable, and clashes
+    with any other Elem or application.
     """
-    if has_elem(s) or has_elem(t):
-        raise ValueError("unify does not accept terms with element leaves")
     sub: Substitution = {}
     work = [(s, t)]
     while work:

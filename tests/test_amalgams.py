@@ -19,6 +19,7 @@ from nquasi.amalgams import (
     random_element_term,
     reduct_graph,
 )
+from nquasi.rewriting import Rule, Trs, check_confluence
 from nquasi.terms import App, Elem, Var, size
 
 from conftest import steiner3
@@ -265,14 +266,39 @@ class TestSharedSubalgebra:
             for symbol, table in zip(d.operations, (factor.table_f,) + factor.tables_g):
                 for args, value in table.items():
                     t = App(symbol, tuple(map(Elem, args)))
-                    collapses = [step for step in d.steps_at(t, (), t) if step[1] == "collapse"]
-                    assert collapses == [(Elem(value), "collapse", ())]
+                    collapses = [step for step in d.steps_at(t, (), t) if step[1].startswith("collapse[")]
+                    assert collapses == [(Elem(value), "collapse[%s]" % t, ())]
 
     def test_collapse_of_base_pure_terms_lands_in_base(self):
         d = z4_twice_over_z2()
         t = App("f", (Elem("0"), App("f", (Elem("1"), Elem("1")))))
         nf = normalize_element(d, t).normal_form
         assert nf == Elem("0")  # 2 + 2 = 0 inside either copy
+
+
+class TestCriticalPairs:
+    """The diagram is an ordinary Trs, so its critical pairs decide unique
+    normal forms for all terms."""
+
+    @pytest.mark.parametrize(
+        "build, pairs",
+        [(two_z3_over_trivial, 263), (z4_twice_over_z2, 374), (steiner_twice_over_singleton, 171)],
+        ids=["Z3*Z3/T", "Z4*Z4/Z2", "St3*St3/S1"],
+    )
+    def test_diagrams_are_confluent(self, build, pairs):
+        d = build()
+        assert isinstance(d, Trs) and d.terminates
+        verdict = check_confluence(d)
+        assert (verdict.status, verdict.pairs_total) == ("confluent", pairs)
+
+    def test_wrong_table_value_is_not_confluent(self):
+        d = two_z3_over_trivial()
+        rules = list(d.rules)
+        i = rules.index(Rule(App("f", (Elem("1@1"), Elem("1@1"))), Elem("2@1"), "collapse[f(1@1,1@1)]"))
+        rules[i] = Rule(rules[i].lhs, Elem("0"), rules[i].label)
+        verdict = check_confluence(Trs(d.signature, rules))
+        assert verdict.status == "not-confluent"
+        assert verdict.nonjoinable
 
 
 class TestUniqueNormalForms:

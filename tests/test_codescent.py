@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from nquasi import codescent
@@ -6,6 +9,7 @@ from nquasi.algebras import (
     FiniteAlgebra,
     algebra_from_function,
     cyclic_loop,
+    enumerate_congruences,
     permutation_quasigroup,
     validate,
 )
@@ -152,6 +156,73 @@ class TestProp36:
         monkeypatch.setattr(codescent, "permutation_quasigroup", shifted_division)
         found = verify_prop_3_6(3)
         assert (found.order, found.permutation, found.blocks) == (3, (1, 0, 2), ((0, 1), (2,)))
+
+
+def random_latin_square(order, rng):
+    """A Latin square built row by row from shuffled permutations, with
+    backtracking."""
+    perms = list(itertools.permutations(range(order)))
+    rows = []
+
+    def extend():
+        if len(rows) == order:
+            return True
+        for perm in rng.sample(perms, len(perms)):
+            if all(perm[c] != row[c] for row in rows for c in range(order)):
+                rows.append(perm)
+                if extend():
+                    return True
+                rows.pop()
+        return False
+
+    extend()
+    return tuple(rows)
+
+
+def block_sizes(alg, scope):
+    return [{len(b) for b in cong.blocks} for cong in enumerate_congruences(alg, scope)]
+
+
+class TestUniformBlocks:
+    """For n >= 2 every congruence of a finite n-quasigroup has blocks of
+    one size, so a prime-order quasigroup has only the trivial and the full
+    congruence (the lemma in `search_noncep_monomorphism`)."""
+
+    @pytest.mark.parametrize("scope", ["f", "full"])
+    def test_every_order_4_square(self, scope):
+        for square in latin_squares(4):
+            assert all(len(sizes) == 1 for sizes in block_sizes(quasigroup_from_square(square, "Q"), scope))
+
+    @pytest.mark.parametrize("scope", ["f", "full"])
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_seeded_squares(self, order, scope):
+        rng = random.Random(order)
+        for _ in range(20):
+            alg = quasigroup_from_square(random_latin_square(order, rng), "Q")
+            sizes = block_sizes(alg, scope)
+            assert all(len(s) == 1 for s in sizes)
+            if order == 5:
+                assert len(sizes) == 2
+
+    @pytest.mark.parametrize("scope", ["f", "full"])
+    def test_cyclic_loops(self, scope):
+        # random order-6 squares rarely have a proper congruence; Z6 has two
+        assert sorted(map(sorted, block_sizes(cyclic_loop(6), scope))) == [[1], [2], [3], [6]]
+        assert block_sizes(cyclic_loop(3, 3), scope) == [{3}, {1}]
+        assert sorted(map(sorted, block_sizes(cyclic_loop(4, 3), scope))) == [[1], [2], [4]]
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_prime_order_squares_have_two_congruences(self, order):
+        for square in latin_squares(order):
+            alg = quasigroup_from_square(square, "Q")
+            for scope in ("f", "full"):
+                assert len(enumerate_congruences(alg, scope)) == 2
+
+    def test_unary_counterexample(self):
+        alg = permutation_quasigroup([0, 1, 2])
+        for scope in ("f", "full"):
+            blocks = {c.blocks for c in enumerate_congruences(alg, scope)}
+            assert (("0", "1"), ("2",)) in blocks
 
 
 class TestUnaryEffectiveness:

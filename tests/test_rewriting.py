@@ -56,16 +56,25 @@ def cl2(text):
 
 class TestRuleInvariants:
     def test_variable_lhs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             Rule(Var("x"), Var("x"), "bad")
+        assert str(caught.value) == "rule bad: left-hand side is a variable"
 
     def test_fresh_rhs_variable_rejected(self):
         with pytest.raises(ValueError):
             Rule(bq2("f(x,y)"), bq2("g1(x,z)"), "bad")
 
-    def test_element_leaves_rejected(self):
-        with pytest.raises(ValueError):
-            Rule(App("f", (Elem("a"), Var("x"))), Var("x"), "bad")
+    def test_element_leaves_are_rigid_constants(self):
+        rule = Rule(App("f", (Elem("a"), Var("x"))), Var("x"), "r")
+        trs = Trs(BQ2.signature, [rule, Rule(App("g1", (Elem("a"), Elem("b"))), Elem("a"), "ground")])
+        assert trs.terminates
+        assert rewrite_steps(trs, App("f", (Elem("a"), Elem("b")))) == {(Elem("b"), "r", ())}
+        assert rewrite_steps(trs, App("f", (Elem("b"), Elem("b")))) == set()
+        assert rewrite_steps(trs, App("g1", (Elem("a"), Elem("b")))) == {(Elem("a"), "ground", ())}
+
+    def test_element_lhs_rejected(self):
+        with pytest.raises(ValueError, match="rule bad: left-hand side is an element"):
+            Rule(Elem("a"), Elem("b"), "bad")
 
     def test_duplicate_labels_rejected(self):
         rule = Rule(bq2("f(x,y)"), Var("x"), "r")
@@ -148,7 +157,7 @@ def _all_keys(signature, heads):
 
 
 def _labels(index, key):
-    return [label for _lhs, _rhs, label in index[key]]
+    return [r.label for r in index[key]]
 
 
 class TestRuleIndex:
@@ -159,20 +168,20 @@ class TestRuleIndex:
         "trs", [BQ2, CQ2, BL2, CL2, complete_loop(3)], ids=["bq2", "cq2", "bl2", "cl2", "cl3"]
     )
     def test_candidates_agree_with_argument_heads_in_rule_order(self, trs):
-        index = index_rules((r.lhs, r.rhs, r.label) for r in trs.rules)
+        index = index_rules(trs.rules)
         order = [r.label for r in trs.rules]
         for key in _all_keys(trs.signature, [None] + list(trs.signature.symbols)):
             candidates = index[key]
-            positions_in_order = [order.index(label) for _lhs, _rhs, label in candidates]
+            positions_in_order = [order.index(r.label) for r in candidates]
             assert positions_in_order == sorted(positions_in_order)
             for r in trs.rules:
                 fits = r.lhs.symbol == key[0] and all(
                     isinstance(arg, Var) or arg.symbol == head for arg, head in zip(r.lhs.args, key[1:])
                 )
-                assert ((r.lhs, r.rhs, r.label) in candidates) == fits, (key, r.label)
+                assert (r in candidates) == fits, (key, r.label)
 
     def test_variable_argument_never_selects_an_application_argument(self):
-        index = index_rules((r.lhs, r.rhs, r.label) for r in CQ2.rules)
+        index = index_rules(CQ2.rules)
         assert _labels(index, ("f", None, None)) == []
         assert _labels(index, ("f", "g1", None)) == ["2.3[i=1]"]
         assert _labels(index, ("g1", None, None)) == []
@@ -182,7 +191,7 @@ class TestRuleIndex:
     def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
         lhs = App("g1", (Var("x"), Var("x")))
         trs = Trs(Signature({"g1": 2}), [Rule(lhs, Var("x"), "idem")])
-        index = index_rules((r.lhs, r.rhs, r.label) for r in trs.rules)
+        index = index_rules(trs.rules)
         for a, b, key in [
             (Var("a"), Var("b"), ("g1", None, None)),
             (Elem("a"), Elem("b"), ("g1", Elem("a"), Elem("b"))),
@@ -204,7 +213,7 @@ class TestRuleIndex:
             assert ("2.2[i=2]" in _labels(d._index, ("f", a, None))) == expected
             assert ("2.9[i=1]" in _labels(d._index, ("g1", None, a))) == expected
             assert ("2.9[i=2]" in _labels(d._index, ("g2", a, None))) == expected
-        identity_rules = {r.label for r in d.trs.rules if r.label.startswith(("2.2", "2.9"))}
+        identity_rules = {r.label for r in d.rules if r.label.startswith(("2.2", "2.9"))}
         for key in _all_keys(d.signature, [None, Elem("1")]):
             assert identity_rules.isdisjoint(_labels(d._index, key))
 
@@ -295,6 +304,15 @@ class TestJoinable:
         # overlap of a cancellation with a derived rule: rejoins at the variable
         ok, witness = joinable(CQ2, Var("y2"), bq2("f(y1, g2(y1, y2))"))
         assert ok and witness == Var("y2")
+
+    def test_reduct_of_first_term_is_its_own_witness(self):
+        # t2 is a reduct of t1, so t2 is returned although b, a smaller
+        # common reduct, exists
+        t1, t2 = bq2("g1(f(f(a,g2(a,b)),c),c)"), bq2("f(a,g2(a,b))")
+        assert t2 in reducts(CQ2, t1)
+        assert Var("b") in reducts(CQ2, t1) & reducts(CQ2, t2)
+        assert joinable(CQ2, t1, t2) == (True, t2)
+        assert joinable(CQ2, t2, t1) == (True, Var("b"))
 
     def test_nonjoinable_identity_pair(self):
         # identity constant against a duplicated-argument division, without

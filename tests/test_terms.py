@@ -10,7 +10,6 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
-    has_elem,
     occurs,
     parse_term,
     positions,
@@ -193,9 +192,13 @@ class TestUnify:
         for t in [t2("f(x,y)"), t2("g2(x, g1(x,y))"), Var("x")]:
             assert size(apply_substitution(sigma, t)) >= size(t)
 
-    def test_rejects_element_leaves(self):
-        with pytest.raises(ValueError):
-            unify(App("f", (Elem("a"), Var("x"))), Var("y"))
+    def test_element_leaves_are_rigid_constants(self):
+        a, b = Elem("a"), Elem("b")
+        assert unify(App("f", (a, Var("x"))), App("f", (a, b))) == {"x": b}
+        assert unify(App("f", (a, Var("x"))), App("f", (b, Var("x")))) is None
+        assert unify(a, Var("x")) == {"x": a}
+        assert unify(a, a) == {}
+        assert unify(a, App("f", (a, a))) is None
 
 
 class TestRenameApart:
@@ -279,11 +282,6 @@ def _deep_term(leaf, depth=5000):
     for _ in range(depth):
         t = App("f", (t, Var("y")))
     return t
-
-
-def test_has_elem_on_a_deep_term():
-    assert has_elem(_deep_term(Elem("a")))
-    assert not has_elem(_deep_term(Var("x")))
 
 
 def test_occurs_on_a_deep_term():
