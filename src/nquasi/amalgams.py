@@ -6,27 +6,28 @@ base.  Elements of the free product are represented by terms over the
 union of the carriers and reduced by an ordinary `Trs` with two kinds of
 rule: the variety's complete rules, and one ground rule
 op(a1, ..., an) -> v for each entry of each factor's operation tables.
-Irreducible terms are the normal forms; their uniqueness and the strong
-amalgamation property are checkable rather than assumed.
+Irreducible terms are the normal forms.  Their uniqueness is decided for
+all terms at once by the critical pairs of that system, and the strong
+amalgamation property is checked on the factor images; neither is
+assumed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from random import Random
 
 from .algebras import Embedding, validate, validate_embedding
 from .rewriting import (
     DEFAULT_REDUCT_CAP,
     Rule,
+    TerminationNotVerified,
     Trs,
-    explore_reducts,
+    check_confluence,
     normalize,
     reducts,
     rewrite_steps,
     step_key,
-    terms_up_to,
 )
 from .terms import (
     App,
@@ -258,27 +259,14 @@ def _resolve_name(d: AmalgamDiagram, name: str) -> str:
 class UnfCounterexample:
     term: Term
     normal_forms: tuple
-    mode: str  # reduct-graph | strategy
+    mode: str  # critical-pair
 
     def __str__(self) -> str:
         forms = ", ".join(str(t) for t in self.normal_forms)
         return "%s: %s has normal forms {%s}" % (self.mode, self.term, forms)
 
 
-def enumerate_element_terms(d: AmalgamDiagram, max_size: int) -> list:
-    """All terms over the carrier union of size <= max_size."""
-    symbols = [(s, d.n) for s in d.operations]
-    return terms_up_to([Elem(a) for a in d.carrier_union], symbols, max_size)
-
-
 reduct_graph = reducts
-
-
-def random_element_term(d: AmalgamDiagram, rng: Random, max_depth: int) -> Term:
-    if max_depth <= 0 or rng.random() < 0.3:
-        return Elem(rng.choice(d.carrier_union))
-    symbol = rng.choice(sorted(d.operations))
-    return App(symbol, tuple(random_element_term(d, rng, max_depth - 1) for _ in range(d.n)))
 
 
 def check_unique_normal_forms(
@@ -289,27 +277,29 @@ def check_unique_normal_forms(
     rand_depth: int = 4,
     cap: int = DEFAULT_REDUCT_CAP,
 ) -> UnfCounterexample | None:
-    """Exhaustively check that every term of size <= depth has exactly one
-    irreducible reduct, then sample random terms and compare the three
-    reduction strategies.  None means no discrepancy."""
-    for t in enumerate_element_terms(d, depth):
-        _graph, irreducible = explore_reducts(d, t, cap)
-        normal_forms = tuple(sorted(irreducible, key=str))
-        if len(normal_forms) != 1:
-            return UnfCounterexample(term=t, normal_forms=normal_forms, mode="reduct-graph")
-    rng = Random(seed)
-    for k in range(trials):
-        t = random_element_term(d, rng, rand_depth)
-        results = {
-            normalize_element(d, t, "leftmost-innermost").normal_form,
-            normalize_element(d, t, "leftmost-outermost").normal_form,
-            normalize_element(d, t, "random", seed=seed + k).normal_form,
-        }
-        if len(results) != 1:
-            return UnfCounterexample(
-                term=t, normal_forms=tuple(sorted(results, key=str)), mode="strategy"
-            )
-    return None
+    """Decide whether every term over the carrier union has exactly one
+    normal form.  None means it has.
+
+    The diagram's rules shrink terms, so by Newman's lemma this holds
+    exactly when every critical pair is joinable.  Otherwise the witness
+    is the peak of the first non-joinable pair, with the normal forms of
+    its two sides.  The peak is an element term: every pair of two
+    variety rules is joinable, because the complete system is confluent,
+    and in a pair with a ground rule, condition star3 (every application
+    in a left side holds all of that side's variables) makes the mgu bind
+    every variable to an element.
+
+    `depth`, `trials`, `seed` and `rand_depth` are unused; they remain
+    only because the benchmark's `amalgam` workload passes them.
+    """
+    verdict = check_confluence(d, cap)
+    if verdict.status == "termination-not-verified":
+        raise TerminationNotVerified("unique normal forms need size-decreasing rules")
+    if verdict.confluent:
+        return None
+    cp = verdict.witness
+    normal_forms = sorted((normalize(d, cp.left)[0], normalize(d, cp.right)[0]), key=str)
+    return UnfCounterexample(term=cp.peak, normal_forms=tuple(normal_forms), mode="critical-pair")
 
 
 @dataclass
@@ -328,20 +318,15 @@ class StrongAmalgamationReport:
 
 def check_strong_amalgamation(base, a1, a2, embeddings) -> StrongAmalgamationReport:
     """For the pushout of two embeddings out of the base: the factor
-    injections must stay injective on normal forms, and the factor images
-    must intersect exactly in the base's image."""
+    images must intersect exactly in the base's image.
+
+    Every element leaf is irreducible (a rule's left side is an
+    application), so each element is its own normal form, and the factor
+    injections are injective because normal forms are unique
+    (check_unique_normal_forms)."""
     d = build_amalgam(base, [a1, a2], embeddings)
-    images = []
-    for factor in d.factors:
-        forms = {a: normalize_element(d, Elem(a)).normal_form for a in factor.carrier}
-        if len(set(forms.values())) != len(forms):
-            return StrongAmalgamationReport(
-                ok=False, detail="factor %s loses elements in the amalgam" % factor.name
-            )
-        images.append(frozenset(str(t) for t in forms.values()))
-    base_image = frozenset(
-        str(normalize_element(d, Elem(b)).normal_form) for b in base.carrier
-    )
+    images = [frozenset(factor.carrier) for factor in d.factors]
+    base_image = frozenset(base.carrier)
     intersection = images[0] & images[1]
     if intersection != base_image:
         return StrongAmalgamationReport(

@@ -277,9 +277,7 @@ def cmd_amalgam(args) -> int:
 
     if args.check_unf:
         diagram = build_amalgam(base, factors, embeddings)
-        bad = check_unique_normal_forms(
-            diagram, depth=args.depth, trials=args.trials, seed=args.seed, cap=_reduct_cap()
-        )
+        bad = check_unique_normal_forms(diagram, cap=_reduct_cap())
         if bad is None:
             report = _report("amalgam", inputs, "unique-normal-forms", {"depth": args.depth}, EXIT_OK)
             return _emit(args, report, ["unique normal forms up to size %d: ok" % args.depth])
@@ -400,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--check-unf", action="store_true")
     action.add_argument("--check-strong-amalgamation", action="store_true")
     ama.add_argument("--depth", type=_count, default=4)
-    ama.add_argument("--trials", type=_count, default=200)
     ama.add_argument("--seed", type=int, default=0)
     ama.add_argument(
         "--strategy",

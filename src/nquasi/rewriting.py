@@ -155,8 +155,13 @@ class Trs:
 
 
 def format_trs(trs: Trs) -> str:
+    """The TRS file format read by parse_trs.  It has no syntax for
+    element leaves (a bare name reads back as a variable), so a rule with
+    one is refused with ValueError."""
     lines = ["sig " + " ".join("%s/%d" % (s, k) for s, k in trs.signature.symbols.items())]
     for r in trs.rules:
+        if any(isinstance(sub, Elem) for side in (r.lhs, r.rhs) for _pos, sub in positions(side)):
+            raise ValueError("rule %s: element leaves have no syntax in the TRS format" % r.label)
         lines.append("rule %s: %s -> %s" % (r.label, r.lhs, r.rhs))
     return "\n".join(lines) + "\n"
 
@@ -224,32 +229,43 @@ class _RuleIndex(dict):
     """(root symbol, head of each argument) -> the rules that may match an
     application with that key, in rule order.
 
-    A rule is a candidate when each non-variable argument of its left side
-    has the key's head; `match` still checks deeper levels, repeated
-    variables and the number of arguments.  Each key's list is filled on
-    first use.
+    A rule is a candidate when the key has one head per argument of its
+    left side and each non-variable argument has the key's head; `match`
+    still checks deeper levels and repeated variables.  Each key's list is
+    filled on first use.  A rule without a variable argument, such as a
+    ground rule, is a candidate for its own key only, so it is looked up
+    rather than tested.
     """
 
-    def __init__(self, by_root: dict):
+    def __init__(self, rules):
         super().__init__()
-        self.by_root = by_root  # root symbol -> [(argument heads, rule)]
+        self.exact = {}  # key of a rule without a variable argument -> [(rule number, rule)]
+        self.general = {}  # root symbol -> [(rule number, key length, fixed key slots, their heads, rule)]
+        for i, rule in enumerate(rules):
+            heads = tuple(map(_head, rule.lhs.args))
+            if None not in heads:
+                self.exact.setdefault((rule.lhs.symbol, *heads), []).append((i, rule))
+                continue
+            fixed = tuple(k for k, h in enumerate(heads, start=1) if h is not None)
+            entry = (i, len(heads) + 1, fixed, tuple(heads[k - 1] for k in fixed), rule)
+            self.general.setdefault(rule.lhs.symbol, []).append(entry)
 
     def __missing__(self, key):
-        symbol, heads = key[0], key[1:]
-        found = self[key] = [
-            rule
-            for rule_heads, rule in self.by_root.get(symbol, ())
-            if all(h is None or h == k for h, k in zip(rule_heads, heads))
+        found = [
+            (i, rule)
+            for i, length, fixed, heads, rule in self.general.get(key[0], ())
+            if len(key) == length and tuple(map(key.__getitem__, fixed)) == heads
         ]
+        exact = self.exact.get(key)
+        if exact:
+            found = sorted(found + exact)  # rule numbers are distinct
+        self[key] = found = [rule for _i, rule in found]
         return found
 
 
 def index_rules(rules) -> dict:
     """Index rules by root symbol and argument heads."""
-    by_root = {}
-    for rule in rules:
-        by_root.setdefault(rule.lhs.symbol, []).append((tuple(map(_head, rule.lhs.args)), rule))
-    return _RuleIndex(by_root)
+    return _RuleIndex(rules)
 
 
 def _successors(system, t: Term):

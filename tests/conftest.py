@@ -1,6 +1,10 @@
+import copy
+
 import pytest
 
 from nquasi.algebras import algebra_from_function, cyclic_loop
+from nquasi.rewriting import Trs, terms_up_to
+from nquasi.terms import App, Elem
 
 
 @pytest.fixture
@@ -36,6 +40,28 @@ def steiner3(name="St3"):
 @pytest.fixture
 def steiner():
     return steiner3()
+
+
+def element_terms(d, max_size):
+    """All terms over an amalgam diagram's carrier union of size <= max_size."""
+    symbols = [(s, d.n) for s in d.operations]
+    return terms_up_to([Elem(a) for a in d.carrier_union], symbols, max_size)
+
+
+def diagram_with_rules(d, rules):
+    """A copy of an amalgam diagram whose reduction system has the given
+    rules, such as a mutant with a wrong table value."""
+    mutant = copy.copy(d)
+    Trs.__init__(mutant, d.signature, rules)
+    return mutant
+
+
+def random_element_term(d, rng, max_depth):
+    """A random term over the carrier union, at most max_depth applications deep."""
+    if max_depth <= 0 or rng.random() < 0.3:
+        return Elem(rng.choice(d.carrier_union))
+    symbol = rng.choice(sorted(d.operations))
+    return App(symbol, tuple(random_element_term(d, rng, max_depth - 1) for _ in range(d.n)))
 
 
 def _dihedral8(i, j):

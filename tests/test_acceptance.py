@@ -266,9 +266,7 @@ def _fixture_diagrams():
 def test_ac08_unique_normal_forms():
     start = time.monotonic()
     for name, diagram in _fixture_diagrams():
-        counterexample = check_unique_normal_forms(
-            diagram, depth=5, trials=1000, seed=2026, rand_depth=4
-        )
+        counterexample = check_unique_normal_forms(diagram)
         assert counterexample is None, "%s: %s" % (name, counterexample)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

@@ -13,16 +13,14 @@ from nquasi.amalgams import (
     build_amalgam,
     check_strong_amalgamation,
     check_unique_normal_forms,
-    enumerate_element_terms,
     normalize_element,
     parse_element_term,
-    random_element_term,
     reduct_graph,
 )
-from nquasi.rewriting import Rule, Trs, check_confluence
+from nquasi.rewriting import Rule, TerminationNotVerified, Trs, check_confluence
 from nquasi.terms import App, Elem, Var, size
 
-from conftest import steiner3
+from conftest import diagram_with_rules, element_terms, random_element_term, steiner3
 
 
 def two_z3_over_trivial():
@@ -304,11 +302,26 @@ class TestCriticalPairs:
 class TestUniqueNormalForms:
     def test_exhaustive_small_universe(self):
         d = two_z3_over_trivial()
-        assert check_unique_normal_forms(d, depth=4, trials=150, seed=2) is None
+        assert check_unique_normal_forms(d) is None
 
     def test_quasigroup_diagram(self):
         d = steiner_twice_over_singleton()
-        assert check_unique_normal_forms(d, depth=4, trials=150, seed=3) is None
+        assert check_unique_normal_forms(d) is None
+
+    def test_wrong_table_value_gives_a_critical_pair_witness(self):
+        d = two_z3_over_trivial()
+        rules = list(d.rules)
+        i = rules.index(Rule(App("f", (Elem("1@1"), Elem("1@1"))), Elem("2@1"), "collapse[f(1@1,1@1)]"))
+        rules[i] = Rule(rules[i].lhs, Elem("0"), rules[i].label)
+        bad = check_unique_normal_forms(diagram_with_rules(d, rules))
+        # f(g1(2,1),1) -> 2 by division, and g1(2,1) = 1 with f(1,1) now 0
+        assert str(bad) == "critical-pair: f(g1(2@1,1@1),1@1) has normal forms {0, 2@1}"
+
+    def test_unverified_termination_is_raised(self):
+        d = two_z3_over_trivial()
+        swap = Rule(App("f", (Var("x"), Var("y"))), App("f", (Var("y"), Var("x"))), "swap")
+        with pytest.raises(TerminationNotVerified):
+            check_unique_normal_forms(diagram_with_rules(d, [*d.rules, swap]))
 
     def test_single_factor_amalgam_reproduces_the_factor(self):
         # with one factor the free product is the factor itself: applying an
@@ -326,7 +339,7 @@ class TestUniqueNormalForms:
     def test_single_factor_normal_forms_are_leaves(self):
         base = cyclic_loop(2)
         d = build_amalgam(base, [cyclic_loop(4, name="Z4")], [{"0": "0", "1": "2"}])
-        for t in enumerate_element_terms(d, 3):
+        for t in element_terms(d, 3):
             graph = reduct_graph(d, t)
             normal_forms = [u for u in graph if not amalgam_steps(d, u)]
             assert len(normal_forms) == 1
@@ -334,7 +347,7 @@ class TestUniqueNormalForms:
 
     def test_enumeration_counts(self):
         d = two_z3_over_trivial()
-        terms = enumerate_element_terms(d, 5)
+        terms = element_terms(d, 5)
         assert len(terms) == 5 + 3 * 25 + 3 * 2 * 5 * 75
         assert all(size(t) <= 5 for t in terms)
 

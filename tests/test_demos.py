@@ -20,7 +20,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 STDOUT_SHA256 = {
     "01_rewriting_basics.py": "e1c2bd12bda61503d9eb753a61ca2d20fe7aaee73d96d5b78a6b8ce9efd0a06d",
     "02_variety_presentations.py": "a870b81b3e0e631cc8e5fbbf3191d0a1a41fcd5a161dc4896e628550de70897b",
-    "03_amalgamated_products.py": "6436a9bd644ad12c4af10e61cbbddd17fe7b0150e71c04365bb19c3461bfe238",
+    "03_amalgamated_products.py": "ebb3cfae14e195396a2d9f0526efbea3e5915b428a873caff24fd7037923113e",
     "04_codescent.py": "c46c905e4ae4b6458f9d78e3550db9da503c5bb5c3e33dbcc50da9b5d2ecbcf2",
 }
 

@@ -28,7 +28,7 @@ from nquasi.algebras import (
 from nquasi.amalgams import (
     _resolve_e,
     build_amalgam,
-    enumerate_element_terms,
+    check_unique_normal_forms,
     normalize_element,
     reduct_graph,
 )
@@ -62,7 +62,7 @@ from nquasi.terms import (
 )
 from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
 
-from conftest import steiner3
+from conftest import diagram_with_rules, element_terms, random_element_term, steiner3
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,7 @@ def test_amalgam_reduction_matches_reference(name):
     build, max_size = AMALGAM_CASES[name]
     d = build()
     by_root = reference_rules_by_root(d)
-    terms = enumerate_element_terms(d, max_size)
+    terms = element_terms(d, max_size)
     assert terms == reference_element_terms(d, max_size)
     for t in terms:
         reference = reference_reduct_graph(d, by_root, t)
@@ -515,6 +515,74 @@ def test_amalgam_reduction_matches_reference(name):
                 assert got == expected  # the whole path: innermost takes the same steps
             assert got[0] == expected[0]
             assert normalize_element(d, t, strategy, seed).normal_form == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# unique normal forms: the term enumeration and random sampling that the
+# critical-pair decision replaced
+
+
+def reference_check_unique_normal_forms(d, depth=5, trials=200, seed=0, rand_depth=4):
+    """Every term of size <= depth has exactly one irreducible reduct, and
+    the three strategies agree on random terms: None, or (mode, term,
+    normal forms)."""
+    for t in element_terms(d, depth):
+        _graph, irreducible = explore_reducts(d, t)
+        if len(irreducible) != 1:
+            return "reduct-graph", t, tuple(sorted(irreducible, key=str))
+    rng = random.Random(seed)
+    for k in range(trials):
+        t = random_element_term(d, rng, rand_depth)
+        results = {
+            normalize_element(d, t, "leftmost-innermost").normal_form,
+            normalize_element(d, t, "leftmost-outermost").normal_form,
+            normalize_element(d, t, "random", seed=seed + k).normal_form,
+        }
+        if len(results) != 1:
+            return "strategy", t, tuple(sorted(results, key=str))
+    return None
+
+
+UNF_CASES = dict(
+    AMALGAM_CASES,
+    **{"Z5*Z5/T": (lambda: build_amalgam(_trivial(2, "loop"), [cyclic_loop(5, name="Z5a"), cyclic_loop(5, name="Z5b")], [{"0": "0"}] * 2), 5)},
+)
+
+
+@pytest.mark.parametrize("name", sorted(UNF_CASES))
+def test_unique_normal_forms_match_reference(name):
+    d = UNF_CASES[name][0]()
+    assert check_unique_normal_forms(d) is None
+    assert reference_check_unique_normal_forms(d) is None
+
+
+def table_value_mutants(d, count, seed):
+    """`count` copies of the diagram, each with one ground rule sent to a
+    wrong element of the same factor."""
+    rng = random.Random(seed)
+    ground = [i for i, r in enumerate(d.rules) if r.label.startswith("collapse[")]
+    mutants = []
+    for i in rng.sample(ground, count):
+        rule = d.rules[i]
+        factor = next(f for f in d.factors if all(a.name in f.carrier for a in rule.lhs.args))
+        wrong = rng.choice([a for a in factor.carrier if Elem(a) != rule.rhs])
+        rules = list(d.rules)
+        rules[i] = Rule(rule.lhs, Elem(wrong), rule.label)
+        mutants.append(diagram_with_rules(d, rules))
+    return mutants
+
+
+@pytest.mark.parametrize("name", ["St3*St3/S1", "Z3*Z3/T", "Z4*Z4/Z2", "Z5*Z5/T"])
+def test_table_value_mutants_are_flagged(name):
+    for mutant in table_value_mutants(UNF_CASES[name][0](), 3, seed=name):
+        bad = check_unique_normal_forms(mutant)
+        assert bad is not None and bad.mode == "critical-pair"
+        assert all(not isinstance(sub, Var) for _pos, sub in positions(bad.term))
+        first, second = bad.normal_forms
+        assert first != second
+        assert not rewrite_steps(mutant, first) and not rewrite_steps(mutant, second)
+        assert {first, second} <= explore_reducts(mutant, bad.term)[1]
+        assert reference_check_unique_normal_forms(mutant) is not None
 
 
 # ---------------------------------------------------------------------------

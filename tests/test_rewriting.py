@@ -1,8 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nquasi.algebras import cyclic_loop
+from nquasi.algebras import algebra_from_function, cyclic_loop
 from nquasi.amalgams import build_amalgam
 from nquasi.rewriting import (
     CapExceeded,
@@ -38,7 +39,7 @@ from nquasi.terms import (
     size,
     subterm_at,
 )
-from nquasi.varieties import base_loop, base_quasigroup, complete_loop, complete_quasigroup
+from nquasi.varieties import VarietySpec, base_loop, base_quasigroup, complete_loop, complete_quasigroup, generate_trs
 
 BQ2 = base_quasigroup(2)
 CQ2 = complete_quasigroup(2)
@@ -93,6 +94,30 @@ class TestTrsFileFormat:
         again = parse_trs(text)
         assert again == CL2
         assert format_trs(again) == text
+
+    @pytest.mark.parametrize(
+        "spec",
+        [VarietySpec(kind, n, complete) for kind in ("quasigroup", "loop") for n in range(1, 6) for complete in (False, True)],
+        ids=lambda spec: "%s-%d-%s" % (spec.kind, spec.n, "complete" if spec.complete else "base"),
+    )
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_round_trip_of_generated_systems(self, spec, rng):
+        trs = generate_trs(spec)
+        rules = list(trs.rules)
+        rng.shuffle(rules)
+        for system in (trs, Trs(trs.signature, rules)):
+            assert parse_trs(format_trs(system)) == system
+
+    def test_element_leaves_are_refused(self):
+        trivial = algebra_from_function("T", 2, "loop", ["0"], lambda a, b: 0, identity="0")
+        d = build_amalgam(trivial, [cyclic_loop(3, name="Z3a"), cyclic_loop(3, name="Z3b")], [{"0": "0"}] * 2)
+        # unrefused, the text would not parse: in f(1@1,1@1) -> 2@1, 2@1 reads as a fresh variable
+        with pytest.raises(ValueError, match=r"^rule collapse\[f\(0,0\)\]: element leaves"):
+            format_trs(d)
+        # read back, f(0,0) -> 0 would be the idempotence rule f(x,x) -> x
+        with pytest.raises(ValueError, match=r"^rule collapse\[f\(0,0\)\]: element leaves"):
+            format_trs(Trs(d.signature, [d.rule("collapse[f(0,0)]")]))
 
     def test_crlf_and_comments(self):
         text = "# header\r\nsig f/1 g1/1\r\nrule a: f(g1(x)) -> x # inverse\r\n"
@@ -187,6 +212,19 @@ class TestRuleIndex:
         assert _labels(index, ("g1", None, None)) == []
         assert _labels(index, ("g1", None, "g2")) == ["2.7[i=1,j=2]"]
         assert rewrite_steps(CQ2, bq2("f(x1,x2)")) == set()
+
+    def test_wrong_number_of_arguments_selects_no_rule(self):
+        # a term built without the signature's check; the rules of its
+        # root symbol all have two arguments
+        index = index_rules(CQ2.rules)
+        g1 = App("g1", (Var("x"), Var("y")))
+        for args, key in [
+            ((Var("x"),), ("f", None)),
+            ((g1,), ("f", "g1")),
+            ((g1, Var("y"), Var("z")), ("f", "g1", None, None)),
+        ]:
+            assert index[key] == []
+            assert rewrite_steps(CQ2, App("f", args)) == set()
 
     def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
         lhs = App("g1", (Var("x"), Var("x")))
