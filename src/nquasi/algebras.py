@@ -1,12 +1,12 @@
 """Finite n-quasigroups and n-loops as operation tables.
 
 An algebra carries a total n-ary table for f and one for each division
-operation g_i (derived from f when not supplied).  Validation checks the
-Latin-hypercube property (each one-unknown equation in f has exactly one
-solution), the defining identities tying f to the g_i, and the identity
-element law for loops.  Congruences are plain partitions filtered or
-closed for compatibility, with an explicit scope: f alone, or f together
-with every division.
+operation g_i (derived from f when not supplied).  Algebras and
+embeddings are valid by construction: the constructors raise
+`InvalidAlgebraError` when an axiom fails, so no caller checks them
+again.  Congruences are plain partitions filtered or closed for
+compatibility, with an explicit scope: f alone, or f together with every
+division.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class CarrierTooLargeError(AlgebraError):
 
 
 class InvalidAlgebraError(AlgebraError):
-    """Tables that break an axiom; the message names the algebra and the
+    """Tables that break an axiom, or a map that is not an embedding; the
+    message names the algebra (or says "invalid embedding") and the
     violation."""
 
 
@@ -48,7 +49,15 @@ class Violation:
 
 
 class FiniteAlgebra:
-    """Carrier plus total tables for f and g_1..g_n (names, not indices)."""
+    """Carrier plus total tables for f and g_1..g_n (names, not indices).
+
+    Supplied division tables must satisfy identity 2.3,
+    f(.., g_i(a), ..) = a_i in slot i.  On a finite carrier that is all
+    there is to check: each one-slot map of f then has a right inverse,
+    so it is a bijection, g_i is its inverse and identity 2.4 holds too.
+    Derived tables need no check, since `derive_divisions` inverts each
+    one-slot map or raises.  A loop must satisfy the identity law.
+    """
 
     def __init__(self, name, n, kind, carrier, table_f, tables_g=None, identity=None):
         if kind not in ("quasigroup", "loop"):
@@ -63,7 +72,8 @@ class FiniteAlgebra:
         self.kind = kind
         self.carrier = carrier
         self.table_f = _check_total(n, carrier, table_f, "f")
-        if tables_g is None:
+        supplied = tables_g is not None
+        if not supplied:
             tables_g = derive_divisions(n, carrier, self.table_f)
         if len(tables_g) != n:
             raise AlgebraError("expected %d division tables, got %d" % (n, len(tables_g)))
@@ -81,6 +91,10 @@ class FiniteAlgebra:
                     raise InvalidAlgebraError("%s is not a valid loop: %s" % (name, bad))
         elif identity is not None:
             raise AlgebraError("a quasigroup has no identity element, got %r" % (identity,))
+        if supplied:
+            bad = _division_violation(self.table_f, self.tables_g)
+            if bad:
+                raise InvalidAlgebraError("%s is not a valid %s: %s" % (name, kind, bad))
         self.identity = identity
         self._index = {a: i for i, a in enumerate(carrier)}
         self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
@@ -151,7 +165,7 @@ def _check_total(n, carrier, table, opname):
     if len(table) != expected:
         raise AlgebraError("%s table has %d entries, expected %d" % (opname, len(table), expected))
     for key, value in table.items():
-        if len(key) != n or any(a not in elems for a in key) or value not in elems:
+        if len(key) != n or not elems.issuperset(key) or value not in elems:
             raise AlgebraError("%s table entry %r -> %r is out of carrier" % (opname, key, value))
     return table
 
@@ -203,44 +217,19 @@ def derive_divisions(n, carrier, table_f) -> list:
     return tables
 
 
-def validate(alg: FiniteAlgebra) -> Violation | None:
-    """None when all axioms hold; otherwise the first violation found."""
-    n, carrier = alg.n, alg.carrier
-    for i in range(1, n + 1):
-        for context in itertools.product(carrier, repeat=n - 1):
-            seen = {}
-            for b in carrier:
-                args = context[: i - 1] + (b,) + context[i - 1 :]
-                value = alg.table_f[args]
-                if value in seen:
-                    return Violation(
-                        "unique-solution",
-                        args,
-                        "slot %d: f repeats value %r (also at %r)" % (i, value, seen[value]),
-                    )
-                seen[value] = args
-    for i in range(1, n + 1):
-        for args in alg.tuples():
-            b = alg.tables_g[i - 1][args]
-            got = alg.table_f[args[: i - 1] + (b,) + args[i:]]
-            if got != args[i - 1]:
+def _division_violation(table_f, tables_g) -> Violation | None:
+    """The first failure of identity 2.3, f(.., g_i(a), ..) = a_i, in slot
+    order and then in the order of the g_i table, or None; n*m^n table
+    lookups."""
+    for i, gi in enumerate(tables_g):
+        for args, b in gi.items():
+            got = table_f[args[:i] + (b,) + args[i + 1 :]]
+            if got != args[i]:
                 return Violation(
                     "f-of-division",
                     args,
-                    "f(.., g%d(..) ,..) gave %r, expected %r" % (i, got, args[i - 1]),
+                    "f(.., g%d(..) ,..) gave %r, expected %r" % (i + 1, got, args[i]),
                 )
-            fv = alg.table_f[args]
-            got = alg.tables_g[i - 1][args[: i - 1] + (fv,) + args[i:]]
-            if got != args[i - 1]:
-                return Violation(
-                    "division-of-f",
-                    args,
-                    "g%d(.., f(..) ,..) gave %r, expected %r" % (i, got, args[i - 1]),
-                )
-    if alg.kind == "loop":
-        if alg.identity is None:
-            return Violation("identity", (), "loop without identity element")
-        return _identity_violation(n, carrier, alg.table_f, alg.identity)
     return None
 
 
@@ -437,12 +426,16 @@ def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congru
 
 
 class Embedding:
-    """An injective map between algebras of the same n and kind."""
+    """An injective homomorphism between algebras of the same n and kind;
+    the constructor raises `InvalidAlgebraError` for any other map."""
 
     def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, mapping):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
+        bad = validate_embedding(self)
+        if bad:
+            raise InvalidAlgebraError("invalid embedding: %s" % bad)
 
     def __call__(self, element: str) -> str:
         return self.mapping[element]
@@ -462,11 +455,12 @@ def validate_embedding(emb: Embedding) -> Violation | None:
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
     names = ["f"] + ["g%d" % i for i in range(1, src.n + 1)]
+    mapped = [(args, tuple(map(m.__getitem__, args))) for args in src.tuples()]
     for name, table, image in zip(
         names, (src.table_f,) + src.tables_g, (tgt.table_f,) + tgt.tables_g
     ):
-        for args in src.tuples():
-            if m[table[args]] != image[tuple(m[a] for a in args)]:
+        for args, image_args in mapped:
+            if m[table[args]] != image[image_args]:
                 return Violation("preserve-" + name, args, "%s is not preserved" % name)
     if src.kind == "loop" and m[src.identity] != tgt.identity:
         return Violation("preserve-identity", (src.identity,), "identity is not preserved")

@@ -330,9 +330,8 @@ def normalize(
             raise StepBoundExceeded("no normal form within %d steps" % max_steps)
 
 
-def explore_reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> tuple:
-    """Breadth-first search of {u | t ->* u}: (every reduct, including t
-    itself; the irreducible ones among them).
+def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
+    """The set {t' | t ->* t'}, including t itself, by breadth-first search.
 
     Requires a terminating system (finiteness then follows from finite
     branching); the cap is a safety net against a non-decreasing system
@@ -341,28 +340,18 @@ def explore_reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> tuple:
     if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
     seen = {t}
-    irreducible = set()
     frontier = [t]
     while frontier:
         fresh = []
         for u in frontier:
-            reducible = False
             for v, _label, _pos in _successors(system, u):
-                reducible = True
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > cap:
                         raise CapExceeded("reduct set exceeded cap %d" % cap)
                     fresh.append(v)
-            if not reducible:
-                irreducible.add(u)
         frontier = fresh
-    return seen, irreducible
-
-
-def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
-    """The set {t' | t ->* t'}, including t itself."""
-    return explore_reducts(system, t, cap)[0]
+    return seen
 
 
 def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from nquasi.algebras import (
     Congruence,
     Embedding,
     FiniteAlgebra,
+    InvalidAlgebraError,
     NotAQuasigroupError,
     algebra_from_function,
     algebra_from_json,
@@ -20,7 +22,6 @@ from nquasi.algebras import (
     partitions,
     permutation_quasigroup,
     restrict,
-    validate,
     validate_embedding,
 )
 from nquasi.varieties import VarietySpec, generate_trs
@@ -38,9 +39,15 @@ def brute_force_division(n, carrier, table_f, i):
     return out
 
 
+def rebuilt(alg):
+    """The algebra built again from all its tables, which the constructor
+    checks because the divisions are supplied."""
+    return FiniteAlgebra(alg.name, alg.n, alg.kind, alg.carrier, alg.table_f, alg.tables_g, alg.identity)
+
+
 class TestValidation:
     def test_cyclic_loop_is_valid(self, z3):
-        assert validate(z3) is None
+        assert rebuilt(z3).tables_g == z3.tables_g
         assert z3.identity == "0"
 
     def test_identity_is_discovered(self):
@@ -52,21 +59,25 @@ class TestValidation:
         carrier = ("a", "b")
         table = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
         tables_g = [dict(table), dict(table)]
-        alg = FiniteAlgebra("bad", 2, "quasigroup", carrier, table, tables_g)
-        violation = validate(alg)
-        assert violation is not None and violation.axiom == "unique-solution"
+        message = r"bad is not a valid quasigroup: f-of-division at \['a', 'b'\]"
+        with pytest.raises(InvalidAlgebraError, match=message):
+            FiniteAlgebra("bad", 2, "quasigroup", carrier, table, tables_g)
 
     def test_inconsistent_division_table(self, z3):
         broken = {k: ("1" if v == "0" else "0" if v == "1" else v)
                   for k, v in z3.tables_g[0].items()}
-        alg = FiniteAlgebra("bad", 2, "quasigroup", z3.carrier, z3.table_f,
-                            [broken, z3.tables_g[1]])
-        violation = validate(alg)
-        assert violation is not None and violation.axiom in ("f-of-division", "division-of-f")
+        with pytest.raises(InvalidAlgebraError, match="bad is not a valid quasigroup: f-of-division"):
+            FiniteAlgebra("bad", 2, "quasigroup", z3.carrier, z3.table_f, [broken, z3.tables_g[1]])
+
+    def test_division_copied_from_f_is_refused(self, z4):
+        message = re.escape("Z4 is not a valid loop: f-of-division at ['0', '1']: "
+                            "f(.., g1(..) ,..) gave '2', expected '0'")
+        with pytest.raises(InvalidAlgebraError, match=message):
+            FiniteAlgebra("Z4", 2, "loop", z4.carrier, z4.table_f, [z4.table_f] * 2, "0")
 
     def test_permutation_is_a_valid_unary_quasigroup(self):
         alg = permutation_quasigroup([1, 2, 0])
-        assert validate(alg) is None
+        assert rebuilt(alg).tables_g == alg.tables_g
 
     def test_missing_identity_rejected(self):
         with pytest.raises(AlgebraError):
@@ -78,10 +89,10 @@ class TestValidation:
         with pytest.raises(AlgebraError, match=message):
             FiniteAlgebra("Z3", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, identity="1")
         again = FiniteAlgebra("Z3", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, identity="0")
-        assert validate(again) is None
+        assert again.identity == "0"
 
     def test_steiner_quasigroup_valid(self, steiner):
-        assert validate(steiner) is None
+        assert rebuilt(steiner).tables_g == steiner.tables_g
 
     def test_tables_must_be_total(self):
         with pytest.raises(AlgebraError):
@@ -224,29 +235,30 @@ class TestEmbeddings:
         assert validate_embedding(emb) is None
 
     def test_non_homomorphism_rejected(self, z4):
-        z2 = cyclic_loop(2)
-        emb = Embedding(z2, z4, {"0": "0", "1": "1"})
-        violation = validate_embedding(emb)
-        assert violation is not None and violation.axiom == "preserve-f"
+        with pytest.raises(InvalidAlgebraError, match="invalid embedding: preserve-f at"):
+            Embedding(cyclic_loop(2), z4, {"0": "0", "1": "1"})
 
     def test_each_division_is_checked(self, z3):
-        # f and g1 are preserved; the source's g2 table is a copy of f
-        bad = FiniteAlgebra("bad", 2, "loop", z3.carrier, z3.table_f, [z3.tables_g[0], z3.table_f], "0")
-        violation = validate_embedding(Embedding(bad, z3, {a: a for a in z3.carrier}))
-        assert (violation.axiom, violation.where, violation.detail) == (
-            "preserve-g2",
-            ("1", "0"),
-            "g2 is not preserved",
-        )
+        # f and g1 are preserved; the source's g2 table is then replaced by
+        # a copy of f, which no constructor would accept
+        bad = FiniteAlgebra("bad", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, "0")
+        bad.tables_g = (z3.tables_g[0], z3.table_f)
+        message = re.escape("invalid embedding: preserve-g2 at ['1', '0']: g2 is not preserved")
+        with pytest.raises(InvalidAlgebraError, match=message):
+            Embedding(bad, z3, {a: a for a in z3.carrier})
 
-    def test_non_injective_rejected(self, z4):
-        z2 = cyclic_loop(2)
-        emb = Embedding(z2, z4, {"0": "0", "1": "0"})
+    def test_violation_of_a_mutated_embedding(self, z4):
+        emb = Embedding(cyclic_loop(2), z4, {"0": "0", "1": "2"})
+        emb.mapping["1"] = "0"
         assert validate_embedding(emb).axiom == "injectivity"
 
+    def test_non_injective_rejected(self, z4):
+        with pytest.raises(InvalidAlgebraError, match="invalid embedding: injectivity"):
+            Embedding(cyclic_loop(2), z4, {"0": "0", "1": "0"})
+
     def test_kind_mismatch_rejected(self, z4, steiner):
-        emb = Embedding(steiner, z4, {"0": "0", "1": "1", "2": "2"})
-        assert validate_embedding(emb).axiom == "shape"
+        with pytest.raises(InvalidAlgebraError, match="invalid embedding: shape"):
+            Embedding(steiner, z4, {"0": "0", "1": "1", "2": "2"})
 
     def test_restrict_identity_and_full(self, z4):
         z2 = cyclic_loop(2)

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from nquasi.algebras import algebra_from_function, cyclic_loop
+from nquasi.algebras import AlgebraError, algebra_from_function, cyclic_loop
 from nquasi.amalgams import (
     AmalgamElement,
     AmalgamError,
@@ -85,8 +85,18 @@ class TestBuild:
 
     def test_invalid_embedding(self):
         base = cyclic_loop(2)
-        with pytest.raises(AmalgamError):
+        with pytest.raises(AlgebraError, match="invalid embedding: preserve-f"):
             build_amalgam(base, [cyclic_loop(4)], [{"0": "0", "1": "1"}])
+
+    def test_private_name_equal_to_a_base_name_collides(self):
+        # factor 2 renames its private 1 to 1@2, a name the base already has
+        base = algebra_from_function("Z2", 2, "loop", ["0", "1@2"], lambda a, b: (a + b) % 2, identity="0")
+        with pytest.raises(AmalgamError, match="renaming collision in factor Z4b"):
+            build_amalgam(
+                base,
+                [cyclic_loop(4, name="Z4a"), cyclic_loop(4, name="Z4b")],
+                [{"0": "0", "1@2": "2"}, {"0": "0", "1@2": "2"}],
+            )
 
     def test_element_named_like_a_symbol_rejected(self):
         weird = algebra_from_function(

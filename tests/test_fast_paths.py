@@ -4,19 +4,23 @@ reduction by ground rules on the shared rewriting engine, checked against
 the separate amalgam engine with its collapse step that it replaced; rule
 selection by argument heads, checked against the root-symbol index it
 replaced; and the rule families, Prop. 3.6 and the square-to-quasigroup
-step, checked against the hand-built code they replaced.  The reference
-implementations below are kept only for these comparisons."""
+step, checked against the hand-built code they replaced; and the one
+identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
+three-pass `validate` it replaced.  The reference implementations below
+are kept only for these comparisons."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nquasi.algebras import (
     Congruence,
     FiniteAlgebra,
+    InvalidAlgebraError,
     NotAQuasigroupError,
+    Violation,
     algebra_from_function,
     cyclic_loop,
     derive_divisions,
@@ -43,7 +47,6 @@ from nquasi.rewriting import (
     Rule,
     Trs,
     enumerate_terms,
-    explore_reducts,
     format_trs,
     normalize,
     parse_trs,
@@ -456,6 +459,10 @@ def reference_reduct_graph(d, by_root, t):
     return seen
 
 
+def irreducible_reducts(d, t):
+    return {u for u in reduct_graph(d, t) if not rewrite_steps(d, u)}
+
+
 def reference_element_terms(d, max_size):
     by_size = {1: [Elem(a) for a in d.carrier_union]}
     symbols = [s for s, k in d.signature.symbols.items() if k == d.n]
@@ -494,9 +501,8 @@ def test_amalgam_reduction_matches_reference(name):
     assert terms == reference_element_terms(d, max_size)
     for t in terms:
         reference = reference_reduct_graph(d, by_root, t)
-        graph, irreducible = explore_reducts(d, t)
-        assert graph == reference == reduct_graph(d, t)
-        assert irreducible == {u for u in reference if not reference_amalgam_steps(d, by_root, u)}
+        assert reduct_graph(d, t) == reference
+        assert irreducible_reducts(d, t) == {u for u in reference if not reference_amalgam_steps(d, by_root, u)}
         # Ground rules collapse only f(a1..an) with element arguments; a
         # pure subterm with an application argument reaches the same
         # element by a chain of such steps, innermost first.
@@ -527,7 +533,7 @@ def reference_check_unique_normal_forms(d, depth=5, trials=200, seed=0, rand_dep
     the three strategies agree on random terms: None, or (mode, term,
     normal forms)."""
     for t in element_terms(d, depth):
-        _graph, irreducible = explore_reducts(d, t)
+        irreducible = irreducible_reducts(d, t)
         if len(irreducible) != 1:
             return "reduct-graph", t, tuple(sorted(irreducible, key=str))
     rng = random.Random(seed)
@@ -581,7 +587,7 @@ def test_table_value_mutants_are_flagged(name):
         first, second = bad.normal_forms
         assert first != second
         assert not rewrite_steps(mutant, first) and not rewrite_steps(mutant, second)
-        assert {first, second} <= explore_reducts(mutant, bad.term)[1]
+        assert {first, second} <= irreducible_reducts(mutant, bad.term)
         assert reference_check_unique_normal_forms(mutant) is not None
 
 
@@ -750,3 +756,110 @@ def test_quasigroups_from_squares_match_reference(order):
         expected = reference_quasigroup_from_square(square, "Q")
         assert (got.name, got.n, got.kind, got.carrier) == (expected.name, expected.n, expected.kind, expected.carrier)
         assert (got.table_f, got.tables_g, got.identity) == (expected.table_f, expected.tables_g, expected.identity)
+
+
+# ---------------------------------------------------------------------------
+# algebra axioms: the three-pass `validate` that the constructor's single
+# identity-2.3 pass replaced
+
+
+def reference_validate(n, kind, carrier, table_f, tables_g, identity):
+    """None when every axiom holds on the raw tables, else the first
+    violation: each one-slot map of f injective, then identities 2.3 and
+    2.4 for each g_i, then the loop identity law."""
+    for i in range(1, n + 1):
+        for context in itertools.product(carrier, repeat=n - 1):
+            seen = {}
+            for b in carrier:
+                args = context[: i - 1] + (b,) + context[i - 1 :]
+                value = table_f[args]
+                if value in seen:
+                    return Violation(
+                        "unique-solution",
+                        args,
+                        "slot %d: f repeats value %r (also at %r)" % (i, value, seen[value]),
+                    )
+                seen[value] = args
+    for i in range(1, n + 1):
+        for args in itertools.product(carrier, repeat=n):
+            b = tables_g[i - 1][args]
+            got = table_f[args[: i - 1] + (b,) + args[i:]]
+            if got != args[i - 1]:
+                return Violation(
+                    "f-of-division",
+                    args,
+                    "f(.., g%d(..) ,..) gave %r, expected %r" % (i, got, args[i - 1]),
+                )
+            fv = table_f[args]
+            got = tables_g[i - 1][args[: i - 1] + (fv,) + args[i:]]
+            if got != args[i - 1]:
+                return Violation(
+                    "division-of-f",
+                    args,
+                    "g%d(.., f(..) ,..) gave %r, expected %r" % (i, got, args[i - 1]),
+                )
+    if kind == "loop":
+        if identity is None:
+            return Violation("identity", (), "loop without identity element")
+        for i in range(n):
+            for a in carrier:
+                args = (identity,) * i + (a,) + (identity,) * (n - 1 - i)
+                if table_f[args] != a:
+                    return Violation("identity", args, "f%s = %r, expected %r" % (args, table_f[args], a))
+    return None
+
+
+def _raw_tables(alg):
+    return alg.n, alg.kind, alg.carrier, alg.table_f, list(alg.tables_g), alg.identity
+
+
+# Derived divisions: every Latin square of order <= 4, a unary and a
+# ternary algebra, and a loop.
+DERIVED_ALGEBRAS = [
+    quasigroup_from_square(square, "Q%d" % order) for order in range(1, 5) for square in latin_squares(order)
+] + [permutation_quasigroup([1, 2, 0]), cyclic_loop(4), cyclic_loop(3, 3)]
+
+# f repeats a value in each row, with f copied into both division tables
+REPEATED_ROW = (
+    2,
+    "quasigroup",
+    ("a", "b"),
+    {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"},
+    [{("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}] * 2,
+    None,
+)
+
+
+def test_derived_algebras_pass_the_reference_check():
+    assert len(DERIVED_ALGEBRAS) == 1 + 2 + 12 + 576 + 3
+    for alg in DERIVED_ALGEBRAS:
+        assert reference_validate(*_raw_tables(alg)) is None, alg
+
+
+@st.composite
+def division_mutants(draw):
+    """A derived algebra's raw tables with at most one entry of one
+    division table replaced by some element (possibly the same one)."""
+    n, kind, carrier, table_f, tables_g, identity = _raw_tables(draw(st.sampled_from(DERIVED_ALGEBRAS)))
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, n - 1))
+        args = draw(st.sampled_from(sorted(tables_g[slot])))
+        tables_g[slot] = {**tables_g[slot], args: draw(st.sampled_from(carrier))}
+    return n, kind, carrier, table_f, tables_g, identity
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=division_mutants())
+@example(case=REPEATED_ROW)
+def test_constructor_raises_exactly_when_the_reference_finds_a_violation(case):
+    n, kind, carrier, table_f, tables_g, identity = case
+    expected = reference_validate(*case)
+    if expected is None:
+        FiniteAlgebra("A", n, kind, carrier, table_f, tables_g, identity)
+        return
+    with pytest.raises(InvalidAlgebraError) as raised:
+        FiniteAlgebra("A", n, kind, carrier, table_f, tables_g, identity)
+    message = str(raised.value)
+    assert message.startswith("A is not a valid %s: f-of-division at " % kind)
+    if expected.axiom == "f-of-division":
+        assert message == "A is not a valid %s: %s" % (kind, expected)
