@@ -4,9 +4,10 @@ An algebra carries a total n-ary table for f and one for each division
 operation g_i (derived from f when not supplied).  Algebras and
 embeddings are valid by construction: the constructors raise
 `InvalidAlgebraError` when an axiom fails, so no caller checks them
-again.  Congruences are plain partitions filtered or closed for
-compatibility, with an explicit scope: f alone, or f together with every
-division.
+again.  Congruences carry an explicit scope: f alone, or f together with
+every division.  One closure kernel on an integer union-find builds the
+congruence generated by any set of pairs; the whole lattice is the set of
+joins of the principal congruences it builds, one per pair.
 """
 
 from __future__ import annotations
@@ -322,14 +323,15 @@ def _union(parent: list, x: int, y: int) -> bool:
     return True
 
 
-def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list):
+def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list) -> tuple:
     """Congruence closure on an integer union-find over carrier indices.
 
     `parent` holds the classes; `pending` holds pairs already in one class
-    whose images under the one-slot maps have not been merged yet.  Yields
-    each pair whose classes it merges; when exhausted, the classes form the
-    least scope-congruence containing the classes it started from.  One
-    slot at a time suffices: transitivity chains cover full tuples."""
+    whose images under the one-slot maps have not been merged yet.  Merges
+    until the classes form the least scope-congruence containing the
+    classes it started from, and returns each index's class label, the
+    least index of its class.  One slot at a time suffices: transitivity
+    chains cover full tuples."""
     maps = _slot_rows(alg, scope)
     while pending:
         a, b = pending.pop()
@@ -337,7 +339,7 @@ def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list)
             for x, y in zip(rows[a], rows[b]):
                 if _union(parent, x, y):
                     pending.append((x, y))
-                    yield x, y
+    return tuple(_find(parent, a) for a in range(len(parent)))
 
 
 def _congruence(alg: FiniteAlgebra, labels, scope: str) -> Congruence:
@@ -349,58 +351,40 @@ def _congruence(alg: FiniteAlgebra, labels, scope: str) -> Congruence:
     return Congruence(algebra=alg, blocks=tuple(map(tuple, groups.values())), scope=scope)
 
 
-def _growth_strings(m: int):
-    """Restricted growth strings of length m >= 1: the block label of each
-    of m items, labels numbered by first use.  The same list is yielded
-    each time, updated in place between yields."""
-    rgs = [0] * m
-    maxes = [0] * m
-    while True:
-        yield rgs
-        i = m - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, m):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
+def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
+    """All scope-congruences of the carrier, fewest blocks first.
 
-
-def partitions(items):
-    """All set partitions, by restricted growth strings."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    for rgs in _growth_strings(len(items)):
-        blocks = {}
-        for item, b in zip(items, rgs):
-            blocks.setdefault(b, []).append(item)
-        yield list(blocks.values())
-
-
-def _compatible(alg: FiniteAlgebra, labels: list, scope: str) -> bool:
-    """Whether the partition of carrier indices by `labels` is a
-    scope-congruence, i.e. closing it merges no two of its blocks."""
-    first = {}
-    parent = [first.setdefault(label, a) for a, label in enumerate(labels)]
-    pending = [(b, a) for a, b in enumerate(parent) if a != b]
-    return next(_closing_merges(alg, scope, parent, pending), None) is None
-
-
-def enumerate_congruences(alg: FiniteAlgebra, scope="full", bound=DEFAULT_CARRIER_BOUND) -> list:
-    """All scope-compatible partitions of the carrier, in a stable order."""
-    if alg.order > bound:
+    Every congruence is the join of the principal congruences Cg(a, b) of
+    its pairs, and a join of congruences is their join as equivalence
+    relations.  So each pair is closed once, and the lattice is generated
+    from the trivial congruence by union-find joins with the principal
+    congruences, with no further closure; a principal congruence whose
+    generating pair is already related adds nothing."""
+    m = alg.order
+    if m > DEFAULT_CARRIER_BOUND:
         raise CarrierTooLargeError(
-            "carrier of size %d exceeds the enumeration bound %d" % (alg.order, bound)
+            "carrier of size %d exceeds the enumeration bound %d" % (m, DEFAULT_CARRIER_BOUND)
         )
-    out = []
-    for labels in _growth_strings(alg.order):
-        if _compatible(alg, labels, scope):
-            out.append(_congruence(alg, labels, scope))
+    principal = {}  # labels of Cg(a, b) -> one generating pair (a, b)
+    for a, b in itertools.combinations(range(m), 2):
+        parent = list(range(m))
+        _union(parent, a, b)
+        principal.setdefault(_closing_merges(alg, scope, parent, [(a, b)]), (a, b))
+    found = {tuple(range(m))}
+    frontier = list(found)
+    while frontier:
+        labels = frontier.pop()
+        for other, (a, b) in principal.items():
+            if labels[a] == labels[b]:
+                continue
+            parent = list(labels)
+            for x, y in enumerate(other):
+                _union(parent, x, y)
+            joined = tuple(_find(parent, x) for x in range(m))
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    out = [_congruence(alg, labels, scope) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
     return out
 
@@ -416,9 +400,7 @@ def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congru
         pair = (alg._index[a], alg._index[b])
         if _union(parent, *pair):
             pending.append(pair)
-    for _ in _closing_merges(alg, scope, parent, pending):
-        pass
-    return _congruence(alg, [_find(parent, a) for a in range(alg.order)], scope)
+    return _congruence(alg, _closing_merges(alg, scope, parent, pending), scope)
 
 
 # ---------------------------------------------------------------------------

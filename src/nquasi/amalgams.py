@@ -156,6 +156,8 @@ def build_amalgam(base, factors, embeddings) -> AmalgamDiagram:
                 "factor %s does not match the base (n=%d %s)" % (factor.name, base.n, base.kind)
             )
         emb = mapping if isinstance(mapping, Embedding) else Embedding(base, factor, mapping)
+        if emb.source is not base or emb.target is not factor:
+            raise AmalgamError("embedding %d does not map the base into factor %s" % (i, factor.name))
         image = {emb(b): b for b in base.carrier}
         renaming = {a: image.get(a, "%s@%d" % (a, i)) for a in factor.carrier}
         if len(set(renaming.values())) != len(renaming):

@@ -16,6 +16,7 @@ import sys
 
 from .algebras import (
     AlgebraError,
+    CarrierTooLargeError,
     Embedding,
     InvalidAlgebraError,
     algebra_from_json,
@@ -80,7 +81,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _InputError("cannot read %s: %s" % (path, exc)) from None
 
 
@@ -419,15 +420,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
+    except (CarrierTooLargeError, CapExceeded, StepBoundExceeded, MaxRoundsExceeded) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
     except (_InputError, ParseError, AlgebraError, AmalgamError, TerminationNotVerified) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except UnorientableError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
-    except (CapExceeded, StepBoundExceeded, MaxRoundsExceeded) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_RESOURCE
     except RecursionError:
         # the term walkers recurse once per level of nesting
         print("error: term is nested too deeply", file=sys.stderr)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .algebras import (
     Congruence,
-    DEFAULT_CARRIER_BOUND,
     Embedding,
     FiniteAlgebra,
     algebra_from_function,
@@ -54,7 +53,7 @@ class CepReport:
         return out
 
 
-def check_cep(emb: Embedding, scope: str = "full", bound: int = DEFAULT_CARRIER_BOUND) -> CepReport:
+def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
     """For every scope-congruence R on the source, extend least and
     restrict back; the verdict is the conjunction over all R.
 
@@ -62,7 +61,7 @@ def check_cep(emb: Embedding, scope: str = "full", bound: int = DEFAULT_CARRIER_
     """
     witnesses = []
     failing = None
-    for cong in enumerate_congruences(emb.source, scope, bound):
+    for cong in enumerate_congruences(emb.source, scope):
         seeds = [(emb(a), emb(b)) for a, b in cong.pairs()]
         extension = generated_congruence(emb.target, seeds, scope)
         back = restrict(extension, emb)
@@ -78,20 +77,20 @@ def check_cep(emb: Embedding, scope: str = "full", bound: int = DEFAULT_CARRIER_
     )
 
 
-def is_effective_codescent(emb: Embedding, bound: int = DEFAULT_CARRIER_BOUND) -> CepReport:
+def is_effective_codescent(emb: Embedding) -> CepReport:
     """Effective codescent for a monomorphism of these varieties is the
     full-scope congruence extension property."""
-    return check_cep(emb, scope="full", bound=bound)
+    return check_cep(emb, scope="full")
 
 
-def cep_by_enumeration(emb: Embedding, scope: str = "full", bound: int = DEFAULT_CARRIER_BOUND):
+def cep_by_enumeration(emb: Embedding, scope: str = "full"):
     """Independent oracle: enumerate every congruence on the target and ask
     for each source congruence whether some restriction matches.  Returns
     (verdict, per-source-congruence booleans)."""
-    target_congs = enumerate_congruences(emb.target, scope, bound)
+    target_congs = enumerate_congruences(emb.target, scope)
     restrictions = [restrict(c, emb).blocks for c in target_congs]
     per_congruence = []
-    for cong in enumerate_congruences(emb.source, scope, bound):
+    for cong in enumerate_congruences(emb.source, scope):
         per_congruence.append((cong, cong.blocks in restrictions))
     return all(ok for _, ok in per_congruence), tuple(per_congruence)
 

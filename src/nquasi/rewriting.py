@@ -189,7 +189,10 @@ def parse_trs(text: str) -> Trs:
                     symbols[name] = int(arity)
                 except ValueError:
                     raise ParseError("line %d: bad arity in %r" % (lineno, chunk)) from None
-            sig = Signature(symbols)
+            try:
+                sig = Signature(symbols)
+            except ValueError as exc:
+                raise ParseError("line %d: %s" % (lineno, exc)) from None
         elif line.startswith("rule "):
             if sig is None:
                 raise ParseError("line %d: rule before sig line" % lineno)
@@ -197,13 +200,16 @@ def parse_trs(text: str) -> Trs:
             if ":" not in body:
                 raise ParseError("line %d: missing ':' after rule label" % lineno)
             label, _, rest = body.partition(":")
+            label = label.strip()
             if "->" not in rest:
                 raise ParseError("line %d: missing '->'" % lineno)
+            if any(r.label == label for r in rules):
+                raise ParseError("line %d: duplicate rule label %r" % (lineno, label))
             lhs_text, _, rhs_text = rest.partition("->")
             try:
                 lhs = parse_term(lhs_text, sig)
                 rhs = parse_term(rhs_text, sig)
-                rules.append(Rule(lhs, rhs, label.strip()))
+                rules.append(Rule(lhs, rhs, label))
             except ValueError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc)) from None
         else:

@@ -19,7 +19,6 @@ from nquasi.algebras import (
     derive_divisions,
     enumerate_congruences,
     generated_congruence,
-    partitions,
     permutation_quasigroup,
     restrict,
     validate_embedding,
@@ -161,15 +160,19 @@ class TestModelsSatisfyGeneratedRules:
 
 
 class TestPartitions:
+    """Every partition of the carrier is an f-congruence of the identity
+    permutation's 1-quasigroup."""
+
     def test_bell_numbers(self):
-        assert sum(1 for _ in partitions(range(4))) == 15
-        assert sum(1 for _ in partitions(range(5))) == 52
-        assert sum(1 for _ in partitions([])) == 1
+        counts = [len(enumerate_congruences(permutation_quasigroup(list(range(m))), "f")) for m in range(1, 8)]
+        assert counts == [1, 2, 5, 15, 52, 203, 877]
 
     def test_blocks_cover_exactly(self):
-        for blocks in partitions("abcd"):
-            flat = sorted(x for b in blocks for x in b)
-            assert flat == ["a", "b", "c", "d"]
+        alg = permutation_quasigroup([0, 1, 2, 3])
+        congs = enumerate_congruences(alg, "f")
+        assert len({c.blocks for c in congs}) == 15
+        for cong in congs:
+            assert sorted(x for b in cong.blocks for x in b) == ["0", "1", "2", "3"]
 
 
 class TestCongruences:

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from nquasi.algebras import AlgebraError, algebra_from_function, cyclic_loop
+from nquasi.algebras import AlgebraError, Embedding, algebra_from_function, cyclic_loop
 from nquasi.amalgams import (
     AmalgamElement,
     AmalgamError,
@@ -87,6 +87,17 @@ class TestBuild:
         base = cyclic_loop(2)
         with pytest.raises(AlgebraError, match="invalid embedding: preserve-f"):
             build_amalgam(base, [cyclic_loop(4)], [{"0": "0", "1": "1"}])
+
+    def test_embedding_object_into_another_algebra_rejected(self):
+        # renaming Z4 by the images of a Z2 -> Z6 map would give Z4's 3 the base name 1
+        z2 = cyclic_loop(2)
+        with pytest.raises(AmalgamError, match="embedding 1 does not map the base into factor Z4"):
+            build_amalgam(z2, [cyclic_loop(4)], [Embedding(z2, cyclic_loop(6), {"0": "0", "1": "3"})])
+        with pytest.raises(AmalgamError, match="embedding 1 does not map the base into factor Z4"):
+            build_amalgam(z2, [cyclic_loop(4)], [Embedding(cyclic_loop(2), cyclic_loop(4), {"0": "0", "1": "2"})])
+        z4 = cyclic_loop(4)
+        d = build_amalgam(z2, [z4], [Embedding(z2, z4, {"0": "0", "1": "2"})])
+        assert set(d.factors[0].carrier) == {"0", "1", "1@1", "3@1"}
 
     def test_private_name_equal_to_a_base_name_collides(self):
         # factor 2 renames its private 1 to 1@2, a name the base already has

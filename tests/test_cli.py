@@ -395,6 +395,15 @@ class TestCodescent:
         assert code == 0
 
 
+def test_carrier_above_the_enumeration_bound_is_a_resource_exit(capsys, tmp_path):
+    z9 = algebra_to_json(cyclic_loop(9))
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps({"source": z9, "target": z9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "codescent", "--embedding", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: carrier of size 9 exceeds the enumeration bound 8\n"
+
+
 class TestHostileInput:
     """Bad input exits 2 with an error line, never with a traceback."""
 
@@ -502,6 +511,30 @@ class TestHostileInput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "error: argument %s: must be at least" % argv[-2] in err
+
+    @pytest.mark.parametrize("subcommand", ["check", "amalgam", "codescent"])
+    def test_non_utf8_file(self, capsys, tmp_path, subcommand):
+        path = tmp_path / "bin.trs"
+        path.write_bytes(b"\xff\xfe")
+        flag = {"check": "--trs", "amalgam": "--diagram", "codescent": "--embedding"}[subcommand]
+        argv = [subcommand, flag, str(path)] + (["--check-unf"] if subcommand == "amalgam" else [])
+        err = self._assert_rejected(capsys, *argv)
+        assert err.startswith("error: cannot read %s: " % path) and "utf-8" in err
+
+    @pytest.mark.parametrize("entry", ["f/-1", "f$/2", "/2"])
+    @pytest.mark.parametrize("subcommand", ["check", "normalize", "complete"])
+    def test_bad_sig_entry(self, capsys, tmp_path, subcommand, entry):
+        path = tmp_path / "sig.trs"
+        path.write_text("sig %s\n" % entry, encoding="utf-8")
+        argv = [subcommand, "--trs", str(path)] + (["--term", "x"] if subcommand == "normalize" else [])
+        err = self._assert_rejected(capsys, *argv)
+        assert err.startswith("error: line 1: bad ")
+
+    def test_duplicate_rule_labels(self, capsys, tmp_path):
+        path = tmp_path / "dup.trs"
+        path.write_text("sig f/2\nrule r: f(x,y) -> x\nrule r: f(x,y) -> y\n", encoding="utf-8")
+        err = self._assert_rejected(capsys, "check", "--trs", str(path))
+        assert err == "error: line 3: duplicate rule label 'r'\n"
 
     def test_map_of_lists(self, capsys, tmp_path):
         payload = {

@@ -1,13 +1,14 @@
 """Each fast path of the CEP scan and the congruence layer, checked
-against the straightforward string-keyed code it replaced; amalgam
-reduction by ground rules on the shared rewriting engine, checked against
-the separate amalgam engine with its collapse step that it replaced; rule
-selection by argument heads, checked against the root-symbol index it
-replaced; and the rule families, Prop. 3.6 and the square-to-quasigroup
-step, checked against the hand-built code they replaced; and the one
-identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
-three-pass `validate` it replaced.  The reference implementations below
-are kept only for these comparisons."""
+against the straightforward string-keyed code it replaced (congruences
+found as joins of principal ones against a filter over every set
+partition); amalgam reduction by ground rules on the shared rewriting
+engine, checked against the separate amalgam engine with its collapse
+step that it replaced; rule selection by argument heads, checked against
+the root-symbol index it replaced; and the rule families, Prop. 3.6 and
+the square-to-quasigroup step, checked against the hand-built code they
+replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
+constructor, checked against the three-pass `validate` it replaced.  The
+reference implementations below are kept only for these comparisons."""
 
 import itertools
 import random
@@ -26,7 +27,6 @@ from nquasi.algebras import (
     derive_divisions,
     enumerate_congruences,
     generated_congruence,
-    partitions,
     permutation_quasigroup,
 )
 from nquasi.amalgams import (
@@ -65,7 +65,7 @@ from nquasi.terms import (
 )
 from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
 
-from conftest import diagram_with_rules, element_terms, random_element_term, steiner3
+from conftest import diagram_with_rules, element_terms, klein_in_dihedral8, random_element_term, steiner3
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,21 @@ def reference_compatible(alg, block_of, scope):
                         if block_of[table[k1]] is not block_of[table[k2]]:
                             return False
     return True
+
+
+def partitions(items):
+    """All set partitions of a sequence, each a list of blocks in which
+    items keep their order: the first item alone or joined to a block of
+    each partition of the rest."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in partitions(items[1:]):
+        yield [[first]] + blocks
+        for i, block in enumerate(blocks):
+            yield blocks[:i] + [[first] + block] + blocks[i + 1 :]
 
 
 def reference_congruences(alg, scope):
@@ -296,6 +311,47 @@ def test_subquasigroup_bound_on_seeded_order_five_squares():
 @pytest.mark.parametrize("alg", CONGRUENCE_ALGEBRAS, ids=lambda alg: alg.name)
 def test_enumerated_congruences_match_reference(alg, scope):
     assert [c.blocks for c in enumerate_congruences(alg, scope)] == reference_congruences(alg, scope)
+
+
+def test_reference_partitions_count_and_cover():
+    assert [sum(1 for _ in partitions(range(m))) for m in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    for blocks in partitions("abcd"):
+        assert sorted(x for b in blocks for x in b) == ["a", "b", "c", "d"]
+    assert len({frozenset(map(frozenset, blocks)) for blocks in partitions("abcde")}) == 52
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_enumerated_congruences_of_every_small_square_match_reference(order, scope):
+    for square in latin_squares(order):
+        alg = quasigroup_from_square(square, "Q")
+        assert [c.blocks for c in enumerate_congruences(alg, scope)] == reference_congruences(alg, scope), square
+
+
+def _ternary_loops_and_dihedral_fixtures():
+    out = [pytest.param(cyclic_loop(order, n=3), id="Z%d:n=3" % order) for order in range(1, 7)]
+    for subgroup in ((0, 2, 4, 6), (0, 2, 5, 7)):
+        for n, kind in ((2, "quasigroup"), (2, "loop"), (3, "quasigroup")):
+            source, target, _ = klein_in_dihedral8(subgroup, n, kind)
+            out.append(pytest.param(source, id="V4=%s:n=%d:%s" % ("".join(map(str, subgroup)), n, kind)))
+            if subgroup == (0, 2, 4, 6):  # the same D4 for both subgroups
+                out.append(pytest.param(target, id="D4:n=%d:%s" % (n, kind)))
+    return out
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+@pytest.mark.parametrize("alg", _ternary_loops_and_dihedral_fixtures())
+def test_enumerated_congruences_of_ternary_loops_and_dihedral_fixtures_match_reference(alg, scope):
+    assert [c.blocks for c in enumerate_congruences(alg, scope)] == reference_congruences(alg, scope)
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+@pytest.mark.parametrize("order", range(1, 8))
+def test_enumerated_congruences_of_every_cycle_type_match_reference(order, scope):
+    # a 1-quasigroup has few principal congruences and many joins of them
+    for cycle_type in integer_partitions(order):
+        alg = permutation_quasigroup(permutation_from_cycle_type(cycle_type))
+        assert [c.blocks for c in enumerate_congruences(alg, scope)] == reference_congruences(alg, scope), cycle_type
 
 
 @pytest.mark.parametrize("scope", ["f", "full"])

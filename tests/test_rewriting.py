@@ -143,6 +143,21 @@ class TestTrsFileFormat:
         with pytest.raises(ParseError):
             parse_trs("sig f/1\nrule a: f(x) = x\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sig f/-1\n", "line 1: bad arity for f: -1"),
+            ("sig g/1 f$/2\n", "line 1: bad symbol name: 'f$'"),
+            ("\nsig /2\n", "line 2: bad symbol name: ''"),
+            ("sig f/1\nrule a: f(x) -> x\nrule b: f(f(x)) -> x\nrule a: x -> f(x)\n", "line 4: duplicate rule label 'a'"),
+        ],
+        ids=["negative-arity", "bad-name", "empty-name", "duplicate-label"],
+    )
+    def test_bad_sig_entry_and_duplicate_label_are_parse_errors(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_trs(text)
+        assert str(info.value) == message
+
 
 class TestRewriteSteps:
     def test_cancellation_at_root(self):
