@@ -4,10 +4,10 @@ An algebra carries a total n-ary table for f and one for each division
 operation g_i (derived from f when not supplied).  Algebras and
 embeddings are valid by construction: the constructors raise
 `InvalidAlgebraError` when an axiom fails, so no caller checks them
-again.  Congruences carry an explicit scope: f alone, or f together with
-every division.  One closure kernel on an integer union-find builds the
-congruence generated by any set of pairs; the whole lattice is the set of
-joins of the principal congruences it builds, one per pair.
+again.  One closure kernel on an integer union-find builds the
+congruence generated by any set of pairs, under f alone (decisions) or
+also under every division (oracles; the same, see `codescent.check_cep`);
+the lattice is the set of joins of the principal congruences, one per pair.
 """
 
 from __future__ import annotations
@@ -240,33 +240,14 @@ def _division_violation(table_f, tables_g) -> Violation | None:
 
 @dataclass(frozen=True)
 class Congruence:
-    """A compatible partition of the carrier; blocks are kept in a canonical
-    order (by first element in carrier order)."""
+    """A compatible partition of the carrier, built by the closure kernel;
+    blocks are kept in a canonical order (by first element in carrier order)."""
 
     algebra: FiniteAlgebra = field(compare=False, hash=False)
     blocks: tuple = ()
-    scope: str = "full"
-
-    def __post_init__(self):
-        if self.scope not in ("f", "full"):
-            raise AlgebraError("scope must be 'f' or 'full'")
-
-    @staticmethod
-    def from_blocks(alg, blocks, scope="full") -> "Congruence":
-        idx = {a: i for i, a in enumerate(alg.carrier)}
-        canon = tuple(
-            sorted((tuple(sorted(b, key=idx.__getitem__)) for b in blocks), key=lambda b: idx[b[0]])
-        )
-        return Congruence(algebra=alg, blocks=canon, scope=scope)
-
-    def block_of(self, element: str) -> tuple:
-        for b in self.blocks:
-            if element in b:
-                return b
-        raise KeyError(element)
 
     def relates(self, a: str, b: str) -> bool:
-        return self.block_of(a) is self.block_of(b)
+        return any(a in block and b in block for block in self.blocks)
 
     def pairs(self):
         for block in self.blocks:
@@ -283,6 +264,12 @@ class Congruence:
 
     def __str__(self) -> str:
         return " | ".join("{" + ",".join(b) + "}" for b in self.blocks)
+
+
+def check_scope(scope: str) -> None:
+    """Closure under f alone ("f") or f and every division ("full")."""
+    if scope not in ("f", "full"):
+        raise AlgebraError("scope must be 'f' or 'full'")
 
 
 def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
@@ -342,13 +329,13 @@ def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list)
     return tuple(_find(parent, a) for a in range(len(parent)))
 
 
-def _congruence(alg: FiniteAlgebra, labels, scope: str) -> Congruence:
+def _congruence(alg: FiniteAlgebra, labels) -> Congruence:
     """The congruence whose blocks group carrier indices by label.  Blocks
     come out in canonical order: members ascending, blocks by first member."""
     groups = {}
     for a, label in zip(alg.carrier, labels):
         groups.setdefault(label, []).append(a)
-    return Congruence(algebra=alg, blocks=tuple(map(tuple, groups.values())), scope=scope)
+    return Congruence(algebra=alg, blocks=tuple(map(tuple, groups.values())))
 
 
 def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
@@ -360,6 +347,7 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
     from the trivial congruence by union-find joins with the principal
     congruences, with no further closure; a principal congruence whose
     generating pair is already related adds nothing."""
+    check_scope(scope)
     m = alg.order
     if m > DEFAULT_CARRIER_BOUND:
         raise CarrierTooLargeError(
@@ -384,7 +372,7 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
-    out = [_congruence(alg, labels, scope) for labels in found]
+    out = [_congruence(alg, labels) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
     return out
 
@@ -392,6 +380,7 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
 def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congruence:
     """Least scope-congruence containing the seed pairs: the seeds merged
     in an integer union-find, then closed under one-slot compatibility."""
+    check_scope(scope)
     parent = list(range(alg.order))
     pending = []
     for a, b in seed_pairs:
@@ -400,7 +389,7 @@ def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congru
         pair = (alg._index[a], alg._index[b])
         if _union(parent, *pair):
             pending.append(pair)
-    return _congruence(alg, _closing_merges(alg, scope, parent, pending), scope)
+    return _congruence(alg, _closing_merges(alg, scope, parent, pending))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +416,9 @@ class Embedding:
 
 
 def validate_embedding(emb: Embedding) -> Violation | None:
+    """The first failure, or None.  Preserving f preserves each g_i: b =
+    g_i(a) solves f(..b..) = a_i in slot i, so m(b) solves it at m(a).  The
+    loop identity is checked, as it need not be unique once n >= 3."""
     src, tgt, m = emb.source, emb.target, emb.mapping
     if src.n != tgt.n or src.kind != tgt.kind:
         return Violation("shape", (), "source and target differ in n or kind")
@@ -436,14 +428,9 @@ def validate_embedding(emb: Embedding) -> Violation | None:
         return Violation("codomain", (), "map image leaves the target carrier")
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
-    names = ["f"] + ["g%d" % i for i in range(1, src.n + 1)]
-    mapped = [(args, tuple(map(m.__getitem__, args))) for args in src.tuples()]
-    for name, table, image in zip(
-        names, (src.table_f,) + src.tables_g, (tgt.table_f,) + tgt.tables_g
-    ):
-        for args, image_args in mapped:
-            if m[table[args]] != image[image_args]:
-                return Violation("preserve-" + name, args, "%s is not preserved" % name)
+    for args in src.tuples():
+        if m[src.table_f[args]] != tgt.table_f[tuple(map(m.__getitem__, args))]:
+            return Violation("preserve-f", args, "f is not preserved")
     if src.kind == "loop" and m[src.identity] != tgt.identity:
         return Violation("preserve-identity", (src.identity,), "identity is not preserved")
     return None
@@ -452,7 +439,7 @@ def validate_embedding(emb: Embedding) -> Violation | None:
 def restrict(cong: Congruence, emb: Embedding) -> Congruence:
     """Pull a target congruence back along an embedding."""
     label = {x: k for k, block in enumerate(cong.blocks) for x in block}
-    return _congruence(emb.source, [label[emb(a)] for a in emb.source.carrier], cong.scope)
+    return _congruence(emb.source, [label[emb(a)] for a in emb.source.carrier])
 
 
 # ---------------------------------------------------------------------------

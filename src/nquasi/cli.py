@@ -314,17 +314,16 @@ def cmd_codescent(args) -> int:
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise _InputError("bad embedding file: map must be an object of element names")
     emb = Embedding(source, target, mapping)
-    scope = "f" if args.scope == "f" else "full"
-    report = check_cep(emb, scope=scope)
+    report = check_cep(emb, scope=args.scope)
     inputs = {"embedding": _digest(text)}
     details = {
-        "scope": scope,
+        "scope": args.scope,
         "congruences_checked": len(report.witnesses),
         "failing": str(report.failing) if report.failing is not None else None,
     }
     verdict = "effective" if report.verdict else "not-effective"
     human = [str(report)]
-    if scope == "full":
+    if args.scope == "full":
         human.insert(0, "effective codescent morphism" if report.verdict
                      else "not an effective codescent morphism")
     code = EXIT_OK if report.verdict else EXIT_FAIL

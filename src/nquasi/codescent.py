@@ -2,12 +2,13 @@
 n-quasigroups and n-loops.
 
 For these varieties a monomorphism is an effective codescent morphism
-exactly when every congruence (compatible with f and with every division)
-on the source is the restriction of one on the target.  The decision uses
-least extensions: the congruence generated on the target by the image
-pairs is contained in every extension, so an extension exists iff that
-generated congruence restricts back to the original.  A full-enumeration
-oracle over all target congruences provides the independent cross-check.
+exactly when every congruence on the source is the restriction of one on
+the target; on a finite carrier, compatibility with f implies it with
+every division (see `check_cep`).  The decision uses least extensions:
+the congruence generated on the target by the image pairs is contained
+in every extension, so an extension exists iff that generated congruence
+restricts back to the original.  A full-enumeration oracle over all
+target congruences provides the independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .algebras import (
     Embedding,
     FiniteAlgebra,
     algebra_from_function,
+    check_scope,
     enumerate_congruences,
     generated_congruence,
     permutation_quasigroup,
@@ -54,16 +56,25 @@ class CepReport:
 
 
 def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
-    """For every scope-congruence R on the source, extend least and
-    restrict back; the verdict is the conjunction over all R.
+    """For every congruence R on the source, extend least and restrict
+    back; the verdict is the conjunction over all R.  The embedding and its
+    algebras were checked when they were built.
 
-    The embedding and its algebras were checked when they were built.
+    Both scopes close under f alone, and `scope` only labels the report:
+    Cg_f(S) = Cg_full(S) for every set S of pairs.  A one-slot translation
+    t of f is a bijection mapping blocks into blocks, and onto them: for
+    n >= 2 blocks have one size (see `search_noncep_monomorphism`); for
+    n = 1, t^-1 = t^(k-1) for the order k of t.  So t^-1, which is g_i in
+    slot i, maps blocks onto blocks.  In a slot j != i, if a ~ a' differ
+    only there, f(a'[i := g_i(a)]) ~ f(a[i := g_i(a)]) = a_i =
+    f(a'[i := g_i(a')]), so g_i(a) ~ g_i(a').
     """
+    check_scope(scope)
     witnesses = []
     failing = None
-    for cong in enumerate_congruences(emb.source, scope):
+    for cong in enumerate_congruences(emb.source, "f"):
         seeds = [(emb(a), emb(b)) for a, b in cong.pairs()]
-        extension = generated_congruence(emb.target, seeds, scope)
+        extension = generated_congruence(emb.target, seeds, "f")
         back = restrict(extension, emb)
         witnesses.append((cong, extension, back))
         if failing is None and back.blocks != cong.blocks:
@@ -79,7 +90,7 @@ def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
 
 def is_effective_codescent(emb: Embedding) -> CepReport:
     """Effective codescent for a monomorphism of these varieties is the
-    full-scope congruence extension property."""
+    congruence extension property, decided under f alone by `check_cep`."""
     return check_cep(emb, scope="full")
 
 

@@ -1,8 +1,17 @@
 import copy
+import itertools
+import random
 
 import pytest
 
-from nquasi.algebras import algebra_from_function, cyclic_loop
+from nquasi.algebras import Congruence, Embedding, algebra_from_function, cyclic_loop
+from nquasi.codescent import (
+    identity_embedding,
+    latin_squares,
+    permutation_from_cycle_type,
+    quasigroup_from_square,
+    sub_permutation_embeddings,
+)
 from nquasi.rewriting import Trs, terms_up_to
 from nquasi.terms import App, Elem
 
@@ -89,3 +98,84 @@ def klein_in_dihedral8(subgroup, n=2, kind="quasigroup"):
         lambda *ix: subgroup.index(product(*(subgroup[i] for i in ix))), identity,
     )
     return source, target, {str(i): str(a) for i, a in enumerate(subgroup)}
+
+
+def congruence_from_blocks(alg, blocks):
+    """A `Congruence` with the given blocks in canonical order, without any
+    check that they partition the carrier or are compatible: reference
+    code hands its partitions over in this form."""
+    idx = {a: i for i, a in enumerate(alg.carrier)}
+    canon = sorted((tuple(sorted(b, key=idx.__getitem__)) for b in blocks), key=lambda b: idx[b[0]])
+    return Congruence(algebra=alg, blocks=tuple(canon))
+
+
+def random_latin_square(order, rng):
+    """A seeded Latin square built row by row.  Every Latin rectangle
+    extends by a row (Hall's theorem), so a random fitting row never
+    leads to a dead end."""
+    rows = []
+    while len(rows) < order:
+        fitting = [
+            perm
+            for perm in itertools.permutations(range(order))
+            if all(perm[c] != row[c] for row in rows for c in range(order))
+        ]
+        rows.append(rng.choice(fitting))
+    return tuple(rows)
+
+
+def congruence_test_algebras():
+    rng = random.Random(20240327)
+    algebras = [cyclic_loop(6), cyclic_loop(3, n=3, name="Z3:n=3"), cyclic_loop(4, n=3, name="Z4:n=3")]
+    for order, count in ((5, 6), (6, 4)):
+        for k in range(count):
+            square = random_latin_square(order, rng)
+            algebras.append(quasigroup_from_square(square, "L%d.%d" % (order, k)))
+    return algebras
+
+
+CONGRUENCE_ALGEBRAS = congruence_test_algebras()
+
+
+def order8_quasigroups(count, seed):
+    """Seeded order-8 quasigroups with a subquasigroup on {0..3}: an order-4
+    square S and three 4x4 Latin quadrants, S.T = A, T.S = B and T.T = C
+    for T = {4..7}.  A 4-element subquasigroup of an order-8 one forces
+    this form."""
+    squares = list(latin_squares(4))
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        s, a, b, c = (rng.choice(squares) for _ in range(4))
+        rows = [list(s[x]) + [4 + v for v in a[x]] for x in range(4)]
+        rows += [[4 + v for v in b[x]] + list(c[x]) for x in range(4)]
+        out.append(quasigroup_from_square(rows, "O8.%d" % k))
+    return out
+
+
+def cep_fixtures():
+    """(label, embedding) for every embedding the CEP tests decide: identity
+    and doubling maps of cyclic loops, singleton sources, unary cycle
+    unions, and the Klein four-subgroups of D4 in their binary, loop and
+    ternary forms."""
+    trivial_loop = algebra_from_function("T", 2, "loop", ["0"], lambda a, b: 0, identity="0")
+    singleton = algebra_from_function("S1", 2, "quasigroup", ["0"], lambda a, b: 0)
+    out = [("id:" + a.name, identity_embedding(a)) for a in (cyclic_loop(3), cyclic_loop(4), steiner3())]
+    out += [
+        ("T->Z3", Embedding(trivial_loop, cyclic_loop(3), {"0": "0"})),
+        ("T->Z4", Embedding(trivial_loop, cyclic_loop(4), {"0": "0"})),
+        ("S1->St3", Embedding(singleton, steiner3(), {"0": "0"})),
+    ]
+    for source, target in ((2, 4), (2, 6), (3, 6)):
+        emb = Embedding(
+            cyclic_loop(source), cyclic_loop(target), {str(i): str(i * (target // source)) for i in range(source)}
+        )
+        out.append(("Z%d->Z%d" % (source, target), emb))
+    for cycle_type in ((2, 2), (3, 1), (2, 1, 1), (4, 2)):
+        for k, emb in enumerate(sub_permutation_embeddings(permutation_from_cycle_type(cycle_type))):
+            out.append(("perm%s#%d" % ("".join(map(str, cycle_type)), k), emb))
+    for subgroup in ((0, 2, 4, 6), (0, 2, 5, 7)):
+        for n, kind in ((2, "quasigroup"), (2, "loop"), (3, "quasigroup")):
+            label = "V4=%s->D4:n=%d:%s" % ("".join(map(str, subgroup)), n, kind)
+            out.append((label, Embedding(*klein_in_dihedral8(subgroup, n, kind))))
+    return out

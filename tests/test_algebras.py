@@ -7,7 +7,6 @@ import pytest
 from nquasi.algebras import (
     AlgebraError,
     CarrierTooLargeError,
-    Congruence,
     Embedding,
     FiniteAlgebra,
     InvalidAlgebraError,
@@ -23,9 +22,18 @@ from nquasi.algebras import (
     restrict,
     validate_embedding,
 )
+from nquasi.codescent import (
+    check_cep,
+    identity_embedding,
+    integer_partitions,
+    latin_squares,
+    permutation_from_cycle_type,
+    quasigroup_from_square,
+    sub_permutation_embeddings,
+)
 from nquasi.varieties import VarietySpec, generate_trs
 
-from conftest import steiner3
+from conftest import CONGRUENCE_ALGEBRAS, order8_quasigroups, steiner3
 
 
 def brute_force_division(n, carrier, table_f, i):
@@ -195,11 +203,34 @@ class TestCongruences:
         with pytest.raises(CarrierTooLargeError):
             enumerate_congruences(big)
 
-    def test_full_scope_congruences_are_f_congruences(self, z4, z6):
-        for alg in (z4, z6):
-            f_blocks = {c.blocks for c in enumerate_congruences(alg, scope="f")}
-            for cong in enumerate_congruences(alg, scope="full"):
-                assert cong.blocks in f_blocks
+    def test_full_scope_congruences_are_f_congruences(self):
+        # On a finite carrier every f-congruence is compatible with every
+        # division (the proof is in `check_cep`), so both scopes generate
+        # the same congruence from every pair and have the same lattice.
+        algebras = [
+            quasigroup_from_square(square, "Q%d" % order)
+            for order in range(1, 5)
+            for square in latin_squares(order)
+        ]
+        algebras += CONGRUENCE_ALGEBRAS + order8_quasigroups(30, seed=8)
+        algebras += [cyclic_loop(order, n) for order in range(1, 7) for n in range(1, 5)]
+        for alg in algebras:
+            for pair in itertools.combinations(alg.carrier, 2):
+                f_cong = generated_congruence(alg, [pair], "f")
+                assert f_cong.blocks == generated_congruence(alg, [pair], "full").blocks, (alg, pair)
+            if alg.order <= 6:
+                full = enumerate_congruences(alg, "full")
+                assert [c.blocks for c in enumerate_congruences(alg, "f")] == [c.blocks for c in full]
+
+    @pytest.mark.parametrize("alg", [cyclic_loop(1), cyclic_loop(3)], ids=["order1", "order3"])
+    def test_unknown_scope_rejected_at_entry(self, alg):
+        for call in (
+            lambda: enumerate_congruences(alg, "g"),
+            lambda: generated_congruence(alg, [], "g"),
+            lambda: check_cep(identity_embedding(alg), "g"),
+        ):
+            with pytest.raises(AlgebraError, match="scope must be 'f' or 'full'"):
+                call()
 
     def test_generated_empty_seed_is_identity(self, z4):
         assert generated_congruence(z4, []).is_identity
@@ -241,14 +272,41 @@ class TestEmbeddings:
         with pytest.raises(InvalidAlgebraError, match="invalid embedding: preserve-f at"):
             Embedding(cyclic_loop(2), z4, {"0": "0", "1": "1"})
 
-    def test_each_division_is_checked(self, z3):
-        # f and g1 are preserved; the source's g2 table is then replaced by
-        # a copy of f, which no constructor would accept
-        bad = FiniteAlgebra("bad", 2, "loop", z3.carrier, z3.table_f, z3.tables_g, "0")
-        bad.tables_g = (z3.tables_g[0], z3.table_f)
-        message = re.escape("invalid embedding: preserve-g2 at ['1', '0']: g2 is not preserved")
-        with pytest.raises(InvalidAlgebraError, match=message):
-            Embedding(bad, z3, {a: a for a in z3.carrier})
+    def test_every_embedding_preserves_every_division(self):
+        # `validate_embedding` checks f only: a map preserving f preserves
+        # each g_i by uniqueness of solutions.  Every map that builds is
+        # compared against the division tables directly.
+        def built(source, target):
+            for images in itertools.permutations(target.carrier, source.order):
+                try:
+                    yield Embedding(source, target, dict(zip(source.carrier, images)))
+                except InvalidAlgebraError:
+                    pass
+
+        squares2 = [quasigroup_from_square(sq, "Q2") for sq in latin_squares(2)]
+        squares4 = [quasigroup_from_square(sq, "Q4") for sq in latin_squares(4)]
+        binary = [e for s in squares2 for t in squares4 for e in built(s, t)]
+        ternary = [
+            e
+            for order in range(2, 7)
+            for k in range(1, order)
+            if order % k == 0
+            for e in built(cyclic_loop(k, 3), cyclic_loop(order, 3))
+        ]
+        unary = [
+            e
+            for order in range(2, 7)
+            for perm in map(permutation_from_cycle_type, integer_partitions(order))
+            for e in sub_permutation_embeddings(perm)
+        ]
+        for family in (binary, ternary, unary):
+            assert family
+            for emb in family:
+                m = emb.mapping
+                for source_g, target_g in zip(emb.source.tables_g, emb.target.tables_g):
+                    for args, value in source_g.items():
+                        assert target_g[tuple(map(m.__getitem__, args))] == m[value], (emb, args)
+        assert (len(binary), len(ternary), len(unary)) == (192, 9, 238)
 
     def test_violation_of_a_mutated_embedding(self, z4):
         emb = Embedding(cyclic_loop(2), z4, {"0": "0", "1": "2"})
@@ -266,15 +324,17 @@ class TestEmbeddings:
     def test_restrict_identity_and_full(self, z4):
         z2 = cyclic_loop(2)
         emb = Embedding(z2, z4, {"0": "0", "1": "2"})
-        identity = Congruence.from_blocks(z4, [("0",), ("1",), ("2",), ("3",)])
-        full = Congruence.from_blocks(z4, [tuple(z4.carrier)])
+        identity = generated_congruence(z4, [])
+        full = generated_congruence(z4, [("0", "1")])
+        assert identity.is_identity and full.is_full
         assert restrict(identity, emb).is_identity
         assert restrict(full, emb).is_full
 
     def test_restrict_pullback(self, z4):
         z2 = cyclic_loop(2)
         emb = Embedding(z2, z4, {"0": "0", "1": "2"})
-        half = Congruence.from_blocks(z4, [("0", "2"), ("1", "3")])
+        half = generated_congruence(z4, [("1", "3")])
+        assert half.blocks == (("0", "2"), ("1", "3"))
         assert restrict(half, emb).is_full
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nquasi import codescent
 from nquasi.algebras import (
@@ -29,7 +30,9 @@ from nquasi.codescent import (
     verify_prop_3_6,
 )
 
-from conftest import klein_in_dihedral8
+from conftest import cep_fixtures, klein_in_dihedral8
+
+CEP_FIXTURES = cep_fixtures()
 
 
 def doubling(source_order, target_order, factor):
@@ -90,6 +93,53 @@ class TestKnownFailure:
         verdict, per_congruence = cep_by_enumeration(emb)
         assert not verdict
         assert next(cong for cong, ok in per_congruence if not ok) == report.failing
+
+
+def witness_blocks(report):
+    return [(cong.blocks, ext.blocks, back.blocks) for cong, ext, back in report.witnesses]
+
+
+@pytest.mark.parametrize("emb", [emb for _, emb in CEP_FIXTURES], ids=[label for label, _ in CEP_FIXTURES])
+def test_both_scopes_give_the_same_report(emb):
+    f_report, full_report = check_cep(emb, "f"), check_cep(emb, "full")
+    assert (f_report.scope, full_report.scope) == ("f", "full")
+    assert f_report.verdict == full_report.verdict
+    assert f_report.failing == full_report.failing
+    assert witness_blocks(f_report) == witness_blocks(full_report)
+
+
+def relabelled(alg, perm):
+    """The algebra with element k renamed str(perm[k]) and the carrier
+    listed in the new names' order, so enumeration order follows too."""
+    names = {a: str(perm[k]) for k, a in enumerate(alg.carrier)}
+    move = lambda table: {tuple(names[a] for a in key): names[v] for key, v in table.items()}
+    identity = None if alg.identity is None else names[alg.identity]
+    carrier = [str(k) for k in range(alg.order)]
+    return FiniteAlgebra(alg.name, alg.n, alg.kind, carrier, move(alg.table_f), list(map(move, alg.tables_g)), identity), names
+
+
+def failing_partitions(report, rename=lambda a: a):
+    return {
+        frozenset(frozenset(map(rename, block)) for block in cong.blocks)
+        for cong, _extension, back in report.witnesses
+        if back.blocks != cong.blocks
+    }
+
+
+@pytest.mark.parametrize("emb", [emb for _, emb in CEP_FIXTURES], ids=[label for label, _ in CEP_FIXTURES])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_relabelling_keeps_the_decision(emb, data):
+    # V4 -> D4 fails, so its failing set is non-empty; the set, not the first
+    # failure, is compared, because enumeration order follows the names
+    source, s_names = relabelled(emb.source, data.draw(st.permutations(range(emb.source.order))))
+    target, t_names = relabelled(emb.target, data.draw(st.permutations(range(emb.target.order))))
+    moved = Embedding(source, target, {s_names[a]: t_names[b] for a, b in emb.mapping.items()})
+    original = failing_partitions(check_cep(emb), s_names.__getitem__)
+    for scope in ("f", "full"):
+        report = check_cep(moved, scope)
+        assert report.verdict == (not original)
+        assert failing_partitions(report) == original
 
 
 class TestOracleEquivalence:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nquasi.algebras import (
-    Congruence,
     FiniteAlgebra,
     InvalidAlgebraError,
     NotAQuasigroupError,
@@ -65,7 +64,15 @@ from nquasi.terms import (
 )
 from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
 
-from conftest import diagram_with_rules, element_terms, klein_in_dihedral8, random_element_term, steiner3
+from conftest import (
+    CONGRUENCE_ALGEBRAS,
+    congruence_from_blocks,
+    diagram_with_rules,
+    element_terms,
+    klein_in_dihedral8,
+    random_element_term,
+    steiner3,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +160,7 @@ def reference_congruences(alg, scope):
         interned = [tuple(b) for b in blocks]
         block_of = {a: blk for blk in interned for a in blk}
         if reference_compatible(alg, block_of, scope):
-            out.append(Congruence.from_blocks(alg, interned, scope))
+            out.append(congruence_from_blocks(alg, interned))
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
     return [c.blocks for c in out]
 
@@ -202,7 +209,7 @@ def reference_generated_congruence(alg, seed_pairs, scope):
                             v1 = table[context[:slot] + (members[0],) + context[slot:]]
                             v2 = table[context[:slot] + (other,) + context[slot:]]
                             changed |= uf.union(v1, v2)
-    return Congruence.from_blocks(alg, uf.blocks(), scope).blocks
+    return congruence_from_blocks(alg, uf.blocks()).blocks
 
 
 def reference_divisions(n, carrier, table_f):
@@ -223,21 +230,6 @@ def reference_divisions(n, carrier, table_f):
 # inputs
 
 
-def random_latin_square(order, rng):
-    """A seeded Latin square built row by row.  Every Latin rectangle
-    extends by a row (Hall's theorem), so a random fitting row never
-    leads to a dead end."""
-    rows = []
-    while len(rows) < order:
-        fitting = [
-            perm
-            for perm in itertools.permutations(range(order))
-            if all(perm[c] != row[c] for row in rows for c in range(order))
-        ]
-        rows.append(rng.choice(fitting))
-    return tuple(rows)
-
-
 def isotope_of_cyclic(order, alpha, beta, gamma, name="iso"):
     """x * y = gamma(alpha(x) + beta(y) mod order)."""
     return algebra_from_function(
@@ -249,17 +241,6 @@ def isotope_of_cyclic(order, alpha, beta, gamma, name="iso"):
     )
 
 
-def congruence_test_algebras():
-    rng = random.Random(20240327)
-    algebras = [cyclic_loop(6), cyclic_loop(3, n=3, name="Z3:n=3"), cyclic_loop(4, n=3, name="Z4:n=3")]
-    for order, count in ((5, 6), (6, 4)):
-        for k in range(count):
-            square = random_latin_square(order, rng)
-            algebras.append(quasigroup_from_square(square, "L%d.%d" % (order, k)))
-    return algebras
-
-
-CONGRUENCE_ALGEBRAS = congruence_test_algebras()
 
 
 # ---------------------------------------------------------------------------
