@@ -13,6 +13,7 @@ target congruences provides the independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -200,9 +201,42 @@ def latin_squares(order: int):
     yield from extend(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _subset_table(order):
+    """The candidates of `_closed_subsets` for one order, and its row table.
+
+    The candidates are the subsets of 2 to order/2 elements, by size and
+    then lexicographically; candidate k is bit k of a mask.  The table is
+    filled as rows are met: it maps a row permutation p to the masks, one
+    per row index a, of the candidates S that row a keeps closed, meaning
+    a is not in S or p maps S into S."""
+    candidates = tuple(
+        subset
+        for k in range(2, order // 2 + 1)
+        for subset in itertools.combinations(range(order), k)
+    )
+    return candidates, {}
+
+
+def _row_masks(row, candidates):
+    """One table entry of `_subset_table`: the masks for row permutation
+    `row` at each row index."""
+    kept = [0] * len(row)
+    for k, subset in enumerate(candidates):
+        into = all(row[b] in subset for b in subset)
+        for a in range(len(row)):
+            if into or a not in subset:
+                kept[a] |= 1 << k
+    return tuple(kept)
+
+
 def _closed_subsets(square, order):
     """Proper subsets of at least two elements closed under the table
-    product, by size and then lexicographically.
+    product, by size and then lexicographically.  Rows are tuples.
+
+    S is closed when every row a in S maps S into S, so the closed
+    candidates are the bits that survive the AND of the square's row masks
+    (see `_subset_table`).
 
     Only sizes up to order/2 need testing.  If S is closed and b is outside
     S, the products s*b for s in S are |S| distinct elements (b's column
@@ -210,17 +244,19 @@ def _closed_subsets(square, order):
     the unique solution of s*x = t, which S already holds because x -> s*x
     permutes the finite closed set S.  So S and S*b are disjoint, and
     2|S| <= order."""
-    diagonal = [1 << row[a] for a, row in enumerate(square)]
-    for k in range(2, order // 2 + 1):
-        for subset in itertools.combinations(range(order), k):
-            members = squared = 0
-            for a in subset:
-                members |= 1 << a
-                squared |= diagonal[a]
-            if not squared & ~members and all(
-                members >> square[a][b] & 1 for a in subset for b in subset
-            ):
-                yield subset
+    candidates, table = _subset_table(order)
+    mask = (1 << len(candidates)) - 1
+    for a, row in enumerate(square):
+        if not mask:
+            return
+        masks = table.get(row)
+        if masks is None:
+            masks = table[row] = _row_masks(row, candidates)
+        mask &= masks[a]
+    while mask:
+        low = mask & -mask
+        yield candidates[low.bit_length() - 1]
+        mask ^= low
 
 
 def quasigroup_from_square(square, name: str) -> FiniteAlgebra:
@@ -230,13 +266,18 @@ def quasigroup_from_square(square, name: str) -> FiniteAlgebra:
 
 
 def search_noncep_monomorphism(max_order: int = 5):
-    """Scan every quasigroup of order <= max_order and every proper
-    subquasigroup for a full-scope congruence that fails to extend.
+    """Scan every quasigroup of order <= max_order and every subquasigroup
+    of at least two elements for a full-scope congruence that fails to
+    extend.  A one-element source needs no check: its only congruence is
+    both trivial and full, and it always extends.
 
     Returns (embedding, report) for the first failure, or (None, stats)
     when none exists at these sizes.  Finite subsets closed under the
     product are automatically closed under both divisions, so closure
-    under f alone identifies the subquasigroups.
+    under f alone identifies the subquasigroups.  Each distinct source
+    table is built once per call; every embedding is still built, which
+    checks it, and decided.  Orders above 5 are refused: order 6 alone has
+    812,851,200 Latin squares.
 
     No failure exists at orders <= 7.  For n >= 2 the blocks of a
     congruence (in either scope) of a finite n-quasigroup all have the same
@@ -250,7 +291,10 @@ def search_noncep_monomorphism(max_order: int = 5):
     one fixed permutation: the identity on {0,1,2} has the congruence
     {0,1} | {2}.
     """
+    if max_order > 5:
+        raise ValueError("max_order above 5 is out of enumeration range")
     stats = {"squares": 0, "embeddings": 0}
+    sources = {}  # sub-square -> its quasigroup
     for order in range(2, max_order + 1):
         for square in latin_squares(order):
             stats["squares"] += 1
@@ -259,8 +303,13 @@ def search_noncep_monomorphism(max_order: int = 5):
                 continue
             target = quasigroup_from_square(square, "Q%d" % order)
             for subset in subsets:
-                sub_square = [[subset.index(square[a][b]) for b in subset] for a in subset]
-                source = quasigroup_from_square(sub_square, "S%d" % len(subset))
+                sub_square = tuple(
+                    tuple(subset.index(square[a][b]) for b in subset) for a in subset
+                )
+                source = sources.get(sub_square)
+                if source is None:
+                    source = quasigroup_from_square(sub_square, "S%d" % len(subset))
+                    sources[sub_square] = source
                 emb = Embedding(
                     source, target, {str(i): str(a) for i, a in enumerate(subset)}
                 )

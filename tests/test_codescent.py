@@ -312,6 +312,14 @@ class TestSearch:
         assert stats["squares"] == 2 + 12 + 576
         assert stats["embeddings"] > 0
 
+    def test_search_refuses_order_six_before_enumerating(self, monkeypatch):
+        def no_squares(order):
+            raise AssertionError("order-%d squares enumerated" % order)
+
+        monkeypatch.setattr(codescent, "latin_squares", no_squares)
+        with pytest.raises(ValueError, match="max_order above 5 is out of enumeration range"):
+            search_noncep_monomorphism(6)
+
     def test_steiner_subquasigroup_is_found_and_passes(self, steiner):
         # {0} is closed under f(a,b) = -(a+b); its embedding trivially extends
         sub = algebra_from_function("S1", 2, "quasigroup", ["0"], lambda a, b: 0)

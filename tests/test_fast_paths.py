@@ -35,12 +35,14 @@ from nquasi.amalgams import (
     normalize_element,
     reduct_graph,
 )
+from nquasi import codescent
 from nquasi.codescent import (
     _closed_subsets,
     integer_partitions,
     latin_squares,
     permutation_from_cycle_type,
     quasigroup_from_square,
+    search_noncep_monomorphism,
 )
 from nquasi.rewriting import (
     Rule,
@@ -71,6 +73,7 @@ from conftest import (
     element_terms,
     klein_in_dihedral8,
     random_element_term,
+    random_latin_square,
     steiner3,
 )
 
@@ -282,6 +285,112 @@ def test_subquasigroup_bound_on_seeded_order_five_squares():
         assert closed == list(reference_closed_subsets(square, 5))
         found += bool(closed)
     assert found > 0
+
+
+def _s3_product(a, b):
+    perms = list(itertools.permutations(range(3)))
+    return perms.index(tuple(perms[a][perms[b][i]] for i in range(3)))
+
+
+def _steiner_in_six(a, b):
+    # the idempotent order-3 square -(x + y) on {0, 1, 2}, completed by
+    # cyclic quadrants; {0, 1, 2} is a subsquare and {0}, {1}, {2} are
+    # closed one-element sets
+    (p, x), (q, y) = divmod(a, 3), divmod(b, 3)
+    if p == q == 0:
+        return (-x - y) % 3
+    return (x + y) % 3 + (3 if p != q else 0)
+
+
+FANO_LINES = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+
+
+def _fano(a, b):
+    # the Steiner quasigroup of the Fano plane: each line is a closed 3-subset
+    if a == b:
+        return a
+    line = next(line for line in FANO_LINES if {a, b} <= line)
+    return (line - {a, b}).pop()
+
+
+PLANTED = [
+    (6, lambda a, b: (a + b) % 6),  # Z6
+    (6, lambda a, b: (a // 3 + b // 3) % 2 * 3 + (a + b) % 3),  # Z2 x Z3
+    (6, _s3_product),
+    (6, _steiner_in_six),
+    (7, _fano),
+]
+
+
+def relabelled_table(order, product, rng):
+    """The Cayley table of `product` on {0..order-1} renamed by a seeded
+    permutation, which maps closed subsets onto closed subsets."""
+    name = list(range(order))
+    rng.shuffle(name)
+    rows = [[None] * order for _ in range(order)]
+    for a, b in itertools.product(range(order), repeat=2):
+        rows[name[a]][name[b]] = name[product(a, b)]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("order, count", [(6, 150), (7, 30)])
+def test_subquasigroup_bound_on_seeded_order_six_and_seven_squares(order, count):
+    # 3-subsets first occur here; most random squares end on a zero mask
+    rng = random.Random(order)
+    squares = [random_latin_square(order, rng) for _ in range(count)]
+    squares += [relabelled_table(m, product, rng) for m, product in PLANTED if m == order for _ in range(4)]
+    sizes, empty = [], 0
+    for square in squares:
+        closed = list(_closed_subsets(square, order))
+        assert closed == list(reference_closed_subsets(square, order))
+        sizes += map(len, closed)
+        empty += not closed
+    assert 3 in sizes and empty > 0
+
+
+def reference_scan(max_order):
+    """(target f table, source f table, map) of each embedding the CEP scan
+    decides, in its order, from the reference squares and subsets."""
+    for order in range(2, max_order + 1):
+        for square in reference_latin_squares(order):
+            for subset in reference_closed_subsets(square, order):
+                yield (
+                    {(str(a), str(b)): str(square[a][b]) for a in range(order) for b in range(order)},
+                    {
+                        (str(i), str(j)): str(subset.index(square[a][b]))
+                        for i, a in enumerate(subset)
+                        for j, b in enumerate(subset)
+                    },
+                    {str(i): str(a) for i, a in enumerate(subset)},
+                )
+
+
+@pytest.mark.parametrize("max_order, k", [(4, 1), (4, 2), (4, 41), (4, 96), (5, 97), (5, 98), (5, 150)])
+def test_scan_stops_at_the_kth_embedding_of_the_reference_scan(monkeypatch, max_order, k):
+    decided = []
+
+    def fail_kth(emb, scope="full"):
+        decided.append(emb)
+        return codescent.CepReport(embedding=emb, scope=scope, verdict=len(decided) != k)
+
+    monkeypatch.setattr(codescent, "check_cep", fail_kth)
+    emb, report = search_noncep_monomorphism(max_order)
+    assert len(decided) == k and report.verdict is False
+    expected = next(itertools.islice(reference_scan(max_order), k - 1, None))
+    assert (emb.target.table_f, emb.source.table_f, emb.mapping) == expected
+
+
+def test_scan_builds_each_source_table_once(monkeypatch):
+    names = []
+
+    def counting(square, name):
+        names.append(name)
+        return quasigroup_from_square(square, name)
+
+    monkeypatch.setattr(codescent, "quasigroup_from_square", counting)
+    found, stats = search_noncep_monomorphism(4)
+    assert found is None and stats["embeddings"] == sum(1 for _ in reference_scan(4)) == 96
+    assert len([name for name in names if name.startswith("S")]) <= 2
 
 
 # ---------------------------------------------------------------------------
