@@ -1,7 +1,7 @@
 """Finite n-quasigroups and n-loops as operation tables.
 
-An algebra carries a total n-ary table for f and one for each division
-operation g_i (derived from f when not supplied).  Algebras and
+An algebra is its total n-ary table for f; each division g_i is derived
+from f when first read, unless its table is supplied.  Algebras and
 embeddings are valid by construction: the constructors raise
 `InvalidAlgebraError` when an axiom fails, so no caller checks them
 again.  One closure kernel on an integer union-find builds the
@@ -12,6 +12,7 @@ the lattice is the set of joins of the principal congruences, one per pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -50,15 +51,15 @@ class Violation:
 
 
 class FiniteAlgebra:
-    """Carrier plus total tables for f and g_1..g_n (names, not indices).
+    """Carrier plus a total table for f; the division tables g_1..g_n
+    (names, not indices) are derived from f when first read.
 
-    Supplied division tables must satisfy identity 2.3,
-    f(.., g_i(a), ..) = a_i in slot i.  On a finite carrier that is all
-    there is to check: each one-slot map of f then has a right inverse,
-    so it is a bijection, g_i is its inverse and identity 2.4 holds too.
-    Derived tables need no check, since `derive_divisions` inverts each
-    one-slot map or raises.  A loop must satisfy the identity law.
-    """
+    Built from f alone, every one-slot map of f must be a bijection (a
+    failure raises from `derive_divisions`).  Supplied division tables are
+    kept and must satisfy identity 2.3, f(.., g_i(a), ..) = a_i in slot i:
+    on a finite carrier each one-slot map of f then has a right inverse, so
+    it is a bijection, g_i is its inverse and identity 2.4 holds too.  A
+    loop must satisfy the identity law."""
 
     def __init__(self, name, n, kind, carrier, table_f, tables_g=None, identity=None):
         if kind not in ("quasigroup", "loop"):
@@ -73,14 +74,17 @@ class FiniteAlgebra:
         self.kind = kind
         self.carrier = carrier
         self.table_f = _check_total(n, carrier, table_f, "f")
-        supplied = tables_g is not None
-        if not supplied:
-            tables_g = derive_divisions(n, carrier, self.table_f)
-        if len(tables_g) != n:
+        self._index = {a: i for i, a in enumerate(carrier)}
+        self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
+        if tables_g is None:
+            if any(len(set(col)) < len(carrier) for rows in _slot_rows(self, "f") for col in zip(*rows)):
+                derive_divisions(n, carrier, self.table_f)  # a column is no permutation: raises
+        elif len(tables_g) != n:
             raise AlgebraError("expected %d division tables, got %d" % (n, len(tables_g)))
-        self.tables_g = tuple(
-            _check_total(n, carrier, tg, "g%d" % (i + 1)) for i, tg in enumerate(tables_g)
-        )
+        else:
+            self.tables_g = tuple(
+                _check_total(n, carrier, tg, "g%d" % (i + 1)) for i, tg in enumerate(tables_g)
+            )
         if kind == "loop":
             if identity is None:
                 identity = _discover_identity(n, carrier, self.table_f)
@@ -92,13 +96,15 @@ class FiniteAlgebra:
                     raise InvalidAlgebraError("%s is not a valid loop: %s" % (name, bad))
         elif identity is not None:
             raise AlgebraError("a quasigroup has no identity element, got %r" % (identity,))
-        if supplied:
+        if tables_g is not None:
             bad = _division_violation(self.table_f, self.tables_g)
             if bad:
                 raise InvalidAlgebraError("%s is not a valid %s: %s" % (name, kind, bad))
         self.identity = identity
-        self._index = {a: i for i, a in enumerate(carrier)}
-        self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
+
+    @functools.cached_property
+    def tables_g(self) -> tuple:
+        return tuple(derive_divisions(self.n, self.carrier, self.table_f))
 
     def f(self, *args) -> str:
         return self.table_f[args]
@@ -149,9 +155,6 @@ class FiniteAlgebra:
             kind=self.kind,
             carrier=[remap(a) for a in self.carrier],
             table_f={tuple(map(remap, k)): remap(v) for k, v in self.table_f.items()},
-            tables_g=[
-                {tuple(map(remap, k)): remap(v) for k, v in tg.items()} for tg in self.tables_g
-            ],
             identity=None if self.identity is None else remap(self.identity),
         )
 

@@ -138,6 +138,19 @@ class TestDeriveDivisions:
         with pytest.raises(NotAQuasigroupError):
             derive_divisions(2, carrier, table)
 
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            cyclic_loop(4),
+            algebra_from_function("T3", 3, "quasigroup", ["0", "1", "2"], lambda a, b, c: (a - b + 2 * c) % 3),
+        ],
+        ids=["loop", "ternary"],
+    )
+    def test_renamed_algebra_has_the_remapped_divisions(self, alg):
+        mapping = {a: "x" + alg.carrier[(k + 1) % alg.order] for k, a in enumerate(alg.carrier)}
+        remapped = [{tuple(map(mapping.get, args)): mapping[b] for args, b in tg.items()} for tg in alg.tables_g]
+        assert list(alg.rename(mapping).tables_g) == remapped
+
 
 class TestModelsSatisfyGeneratedRules:
     """Validated algebras must satisfy every rule of their variety's

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -30,7 +29,7 @@ from nquasi.codescent import (
     verify_prop_3_6,
 )
 
-from conftest import cep_fixtures, klein_in_dihedral8
+from conftest import cep_fixtures, klein_in_dihedral8, random_latin_square
 
 CEP_FIXTURES = cep_fixtures()
 
@@ -206,27 +205,6 @@ class TestProp36:
         monkeypatch.setattr(codescent, "permutation_quasigroup", shifted_division)
         found = verify_prop_3_6(3)
         assert (found.order, found.permutation, found.blocks) == (3, (1, 0, 2), ((0, 1), (2,)))
-
-
-def random_latin_square(order, rng):
-    """A Latin square built row by row from shuffled permutations, with
-    backtracking."""
-    perms = list(itertools.permutations(range(order)))
-    rows = []
-
-    def extend():
-        if len(rows) == order:
-            return True
-        for perm in rng.sample(perms, len(perms)):
-            if all(perm[c] != row[c] for row in rows for c in range(order)):
-                rows.append(perm)
-                if extend():
-                    return True
-                rows.pop()
-        return False
-
-    extend()
-    return tuple(rows)
 
 
 def block_sizes(alg, scope):

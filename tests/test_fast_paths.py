@@ -35,7 +35,7 @@ from nquasi.amalgams import (
     normalize_element,
     reduct_graph,
 )
-from nquasi import codescent
+from nquasi import algebras, codescent
 from nquasi.codescent import (
     _closed_subsets,
     integer_partitions,
@@ -387,9 +387,13 @@ def test_scan_builds_each_source_table_once(monkeypatch):
         names.append(name)
         return quasigroup_from_square(square, name)
 
+    def no_divisions(n, carrier, table_f):
+        raise AssertionError("a division table was derived")
+
     monkeypatch.setattr(codescent, "quasigroup_from_square", counting)
-    found, stats = search_noncep_monomorphism(4)
-    assert found is None and stats["embeddings"] == sum(1 for _ in reference_scan(4)) == 96
+    monkeypatch.setattr(algebras, "derive_divisions", no_divisions)  # the scan reads only f
+    assert search_noncep_monomorphism(4) == (None, {"squares": 590, "embeddings": 96})
+    assert sum(1 for _ in reference_scan(4)) == 96
     assert len([name for name in names if name.startswith("S")]) <= 2
 
 
@@ -510,8 +514,11 @@ def _division_cases():
 @pytest.mark.parametrize("case", _division_cases()[0], ids=lambda case: "n=%d" % case[0])
 def test_divisions_match_reference(case):
     n, carrier, table = case
-    got, expected = derive_divisions(n, carrier, table), reference_divisions(n, carrier, table)
-    assert [list(t.items()) for t in got] == [list(t.items()) for t in expected]
+    expected = [list(t.items()) for t in reference_divisions(n, carrier, table)]
+    assert [list(t.items()) for t in derive_divisions(n, carrier, table)] == expected
+    # the constructor keeps f only; its division view is derived on first read
+    alg = FiniteAlgebra("A", n, "quasigroup", carrier, table, tables_g=None)
+    assert [list(t.items()) for t in alg.tables_g] == expected
 
 
 @pytest.mark.parametrize("case", _division_cases()[1], ids=lambda case: "n=%d" % case[0])
@@ -522,6 +529,10 @@ def test_division_errors_match_reference(case):
     with pytest.raises(NotAQuasigroupError) as got:
         derive_divisions(n, carrier, table)
     assert str(got.value) == str(expected.value)
+    # the constructor checks f's one-slot rows and raises the same message
+    with pytest.raises(NotAQuasigroupError) as built:
+        FiniteAlgebra("A", n, "quasigroup", carrier, table, tables_g=None)
+    assert str(built.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nquasi.terms import (
     App,
@@ -10,6 +11,7 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
+    match,
     occurs,
     parse_term,
     positions,
@@ -289,3 +291,41 @@ def test_occurs_on_a_deep_term():
     assert occurs("x", t) and occurs("y", t)
     assert not occurs("z", t)
     assert not occurs("x", _deep_term(Elem("x")))
+
+
+# ---------------------------------------------------------------------------
+# properties over random terms: variables, two elements, the constant e and
+# the binary f, g1, g2
+
+LEAVES = st.sampled_from([Var("x"), Var("y"), Var("z"), Elem("a"), Elem("b"), App("e")])
+TERMS = st.recursive(
+    LEAVES,
+    lambda inner: st.builds(lambda op, l, r: App(op, (l, r)), st.sampled_from(["f", "g1", "g2"]), inner, inner),
+    max_leaves=8,
+)
+SUBSTITUTIONS = st.dictionaries(st.sampled_from(["x", "y", "z"]), TERMS, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pattern=TERMS, subject=TERMS, sigma=SUBSTITUTIONS, instance=st.booleans())
+def test_match_is_sound(pattern, subject, sigma, instance):
+    if instance:  # so that about half the cases match
+        subject = apply_substitution(sigma, pattern)
+    found = match(pattern, subject)
+    if found is not None:
+        assert apply_substitution(found, pattern) == subject
+    assert found is not None or not instance
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=TERMS, t=TERMS, sigma=SUBSTITUTIONS, instance=st.booleans())
+def test_unify_gives_an_idempotent_unifier(s, t, sigma, instance):
+    if instance:  # t an instance of s, which often unifies with it
+        t = apply_substitution(sigma, s)
+    found = unify(s, t)
+    if found is None:
+        return
+    assert apply_substitution(found, s) == apply_substitution(found, t)
+    for u in (s, t, *found.values()):
+        once = apply_substitution(found, u)
+        assert apply_substitution(found, once) == once
