@@ -268,6 +268,22 @@ class _RuleIndex(dict):
         self[key] = found = [rule for _i, rule in found]
         return found
 
+    def overlapping(self, key) -> list:
+        """The rules whose left side may unify with an application with this
+        key, in no set order: a variable argument is a wildcard on either
+        side, so a key without one gets its match candidates."""
+        if None not in key:
+            return self[key]
+        found = [
+            rule
+            for _i, length, fixed, heads, rule in self.general.get(key[0], ())
+            if len(key) == length and all(key[k] in (None, h) for k, h in zip(fixed, heads))
+        ]
+        for other, entries in self.exact.items():
+            if len(other) == len(key) and all(a is None or a == b for a, b in zip(key, other)):
+                found += [rule for _i, rule in entries]
+        return found
+
 
 def index_rules(rules) -> dict:
     """Index rules by root symbol and argument heads."""
@@ -424,16 +440,29 @@ def critical_pairs(trs: Trs) -> tuple:
 
     Pairs whose two sides are syntactically equal (always the case for the
     root overlap of a rule with its own copy) come out flagged trivial.
+
+    Only the rules the index offers for a subterm's root symbol and
+    argument heads are tried there, with a variable argument on either
+    side as a wildcard.  That loses no pair: a unifier agrees on the root
+    symbol, the arity and every argument head where neither side has a
+    variable, and renaming apart maps variables to variables, so it keeps
+    every head.  Sorting by rule labels and position makes the order
+    independent of the order in which pairs are found.
     """
     out = []
     for rule1 in trs.rules:
-        for rule2 in trs.rules:
-            renaming = rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
-            l2 = apply_substitution(renaming, rule2.lhs)
-            r2 = apply_substitution(renaming, rule2.rhs)
-            for pos, sub in positions(rule1.lhs):
-                if not isinstance(sub, App):
-                    continue
+        renamed = {}  # rule2 label -> its sides renamed apart from rule1's
+        for pos, sub in positions(rule1.lhs):
+            if not isinstance(sub, App):
+                continue
+            for rule2 in trs._index.overlapping((sub.symbol, *map(_head, sub.args))):
+                if rule2.label not in renamed:
+                    renaming = rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
+                    renamed[rule2.label] = (
+                        apply_substitution(renaming, rule2.lhs),
+                        apply_substitution(renaming, rule2.rhs),
+                    )
+                l2, r2 = renamed[rule2.label]
                 sigma = unify(sub, l2)
                 if sigma is None:
                     continue

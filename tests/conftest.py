@@ -12,8 +12,8 @@ from nquasi.codescent import (
     quasigroup_from_square,
     sub_permutation_embeddings,
 )
-from nquasi.rewriting import Trs, terms_up_to
-from nquasi.terms import App, Elem
+from nquasi.rewriting import Rule, Trs, check_conditions, terms_up_to
+from nquasi.terms import App, Elem, Var, apply_substitution, variables
 
 
 @pytest.fixture
@@ -63,6 +63,51 @@ def diagram_with_rules(d, rules):
     mutant = copy.copy(d)
     Trs.__init__(mutant, d.signature, rules)
     return mutant
+
+
+def confluence_mutants(trs, count, seed, label_prefix):
+    """Confluence-exercising variants that keep the size-decrease condition.
+
+    Kinds: `fork` adds a copy of a rule with its right side changed to a
+    different variable of the left side (making the system non-confluent
+    with a divergence no larger than the rule's left side, so the bounded
+    oracle can see it); `rename` rewrites one rule's variables; `shuffle`
+    permutes the rule order.  Right-side replacement is deliberately not
+    used: it can push the smallest divergent peak beyond the oracle's term
+    bound.
+    """
+    rng = random.Random(seed)
+    out = []
+    attempt = 0
+    while len(out) < count:
+        attempt += 1
+        kind = rng.choice(["fork", "rename", "shuffle"])
+        if kind == "fork":
+            rule = rng.choice(trs.rules)
+            options = sorted(v for v in variables(rule.lhs) if Var(v) != rule.rhs)
+            if not options:
+                continue
+            fork = Rule(rule.lhs, Var(rng.choice(options)), "%s%d" % (label_prefix, attempt))
+            mutant = trs.with_rules([fork])
+        elif kind == "rename":
+            index = rng.randrange(len(trs.rules))
+            rule = trs.rules[index]
+            renaming = {
+                v: Var("w%d" % k) for k, v in enumerate(sorted(variables(rule.lhs)), start=1)
+            }
+            renamed = Rule(
+                apply_substitution(renaming, rule.lhs),
+                apply_substitution(renaming, rule.rhs),
+                rule.label,
+            )
+            mutant = Trs(trs.signature, trs.rules[:index] + (renamed,) + trs.rules[index + 1 :])
+        else:
+            order = list(trs.rules)
+            rng.shuffle(order)
+            mutant = Trs(trs.signature, order)
+        if check_conditions(mutant).star_ok:
+            out.append(mutant)
+    return out
 
 
 def random_element_term(d, rng, max_depth):

@@ -5,7 +5,6 @@ lines.  Tolerances and time budgets are pinned here, not configurable.
 """
 
 import time
-from random import Random
 
 from nquasi.algebras import Embedding, algebra_from_function, cyclic_loop
 from nquasi.amalgams import build_amalgam, check_strong_amalgamation, check_unique_normal_forms
@@ -20,7 +19,6 @@ from nquasi.codescent import (
     verify_prop_3_6,
 )
 from nquasi.rewriting import (
-    Rule,
     Trs,
     check_conditions,
     check_confluence,
@@ -28,10 +26,9 @@ from nquasi.rewriting import (
     local_confluence_oracle,
 )
 from nquasi.rewriting import _canonical_rule_body
-from nquasi.terms import Var, apply_substitution, variables
 from nquasi.varieties import base_loop, base_quasigroup, complete_loop, complete_quasigroup
 
-from conftest import steiner3
+from conftest import confluence_mutants, steiner3
 
 
 def criterion(tag, ok, detail=""):
@@ -166,56 +163,11 @@ def test_ac06_conditions_hold_for_generated_systems():
     criterion("AC06 syntactic-conditions", not failures, "%d failures" % len(failures))
 
 
-def _mutants(trs, count, seed, label_prefix):
-    """Confluence-exercising variants that keep the size-decrease condition.
-
-    Kinds: `fork` adds a copy of a rule with its right side changed to a
-    different variable of the left side (making the system non-confluent
-    with a divergence no larger than the rule's left side, so the bounded
-    oracle can see it); `rename` rewrites one rule's variables; `shuffle`
-    permutes the rule order.  Right-side replacement is deliberately not
-    used: it can push the smallest divergent peak beyond the oracle's term
-    bound.
-    """
-    rng = Random(seed)
-    out = []
-    attempt = 0
-    while len(out) < count:
-        attempt += 1
-        kind = rng.choice(["fork", "rename", "shuffle"])
-        if kind == "fork":
-            rule = rng.choice(trs.rules)
-            options = sorted(v for v in variables(rule.lhs) if Var(v) != rule.rhs)
-            if not options:
-                continue
-            fork = Rule(rule.lhs, Var(rng.choice(options)), "%s%d" % (label_prefix, attempt))
-            mutant = trs.with_rules([fork])
-        elif kind == "rename":
-            index = rng.randrange(len(trs.rules))
-            rule = trs.rules[index]
-            renaming = {
-                v: Var("w%d" % k) for k, v in enumerate(sorted(variables(rule.lhs)), start=1)
-            }
-            renamed = Rule(
-                apply_substitution(renaming, rule.lhs),
-                apply_substitution(renaming, rule.rhs),
-                rule.label,
-            )
-            mutant = Trs(trs.signature, trs.rules[:index] + (renamed,) + trs.rules[index + 1 :])
-        else:
-            order = list(trs.rules)
-            rng.shuffle(order)
-            mutant = Trs(trs.signature, order)
-        if check_conditions(mutant).star_ok:
-            out.append(mutant)
-    return out
-
-
 def test_ac07_confluence_oracle_equivalence():
     start = time.monotonic()
     systems = [complete_quasigroup(2), complete_loop(2)]
-    systems += _mutants(complete_quasigroup(2), 10, seed=71, label_prefix="mq")
-    systems += _mutants(complete_loop(2), 10, seed=72, label_prefix="ml")
+    systems += confluence_mutants(complete_quasigroup(2), 10, seed=71, label_prefix="mq")
+    systems += confluence_mutants(complete_loop(2), 10, seed=72, label_prefix="ml")
     assert len(systems) == 22
     agreements = 0
     for trs in systems:

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nquasi
 from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
 from nquasi.cli import main
+from nquasi.rewriting import format_trs
+from nquasi.varieties import VarietySpec, generate_trs
 
 from conftest import klein_in_dihedral8
 
@@ -573,3 +579,161 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sig f/1 g1/1")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv from the real subcommands and options, small file bodies
+
+
+def _mangled(text):
+    """Text with a short slice replaced by a few syntax characters."""
+    cut = st.tuples(st.integers(0, len(text)), st.integers(0, 12), st.text("(),->:/#{}[]\" \n\\fgxe012", max_size=6))
+    return cut.map(lambda c: text[: c[0]] + c[2] + text[c[0] + c[1] :])
+
+
+def _json_bodies(docs):
+    """Valid documents, mostly; else one with a field replaced by any small
+    JSON value, any small JSON value, or mangled document text."""
+    doc = st.sampled_from(docs)
+    replaced = doc.flatmap(
+        lambda d: st.tuples(st.sampled_from(sorted(d)), JSON_VALUES).map(lambda kv: dict(d, **{kv[0]: kv[1]}))
+    )
+    valid = doc.map(json.dumps)
+    return st.one_of(valid, valid, replaced.map(json.dumps), JSON_VALUES.map(json.dumps), valid.flatmap(_mangled))
+
+
+JSON_KEYS = ["name", "n", "kind", "carrier", "f", "g", "e", "base", "factors", "embeddings", "source", "target", "map", "0", "1"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(["0", "1", "2", "loop", "quasigroup", "alg.json", "e"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+_TRIVIAL = algebra_to_json(algebra_from_function("T", 2, "loop", ["0"], lambda a, b: 0, identity="0"))
+_Z2, _Z3, _Z4 = (algebra_to_json(cyclic_loop(k)) for k in (2, 3, 4))
+_TRS = st.sampled_from(
+    [format_trs(generate_trs(VarietySpec(kind, n, complete))) for kind in ("quasigroup", "loop") for n in (1, 2) for complete in (False, True)]
+    + ["sig f/2 c/0\nrule r: f(x,x) -> x\nrule s: f(c,y) -> y\n", "sig f/2\nrule r: f(x,y) -> f(y,x)\n"]
+)
+TRS_BODIES = st.one_of(_TRS, _TRS, _TRS.flatmap(_mangled))
+ALGEBRA_BODIES = _json_bodies([_TRIVIAL, _Z2, _Z3, _Z4, algebra_to_json(cyclic_loop(3, 3))])
+DIAGRAM_BODIES = _json_bodies(
+    [
+        {"base": _TRIVIAL, "factors": [_Z3, _Z3], "embeddings": [{"0": "0"}] * 2},
+        {"base": _Z2, "factors": [_Z4, _Z4], "embeddings": [{"0": "0", "1": "2"}] * 2},
+    ]
+)
+EMBEDDING_BODIES = _json_bodies(
+    [
+        {"source": _Z2, "target": _Z4, "map": {"0": "0", "1": "2"}},
+        {"source": "alg.json", "target": _Z3, "map": {"0": "0"}},
+        {"source": _TRIVIAL, "target": "alg.json", "map": {"0": "0"}},
+    ]
+)
+ANY_BODY = st.one_of(
+    st.text(max_size=20).map(str.encode),
+    st.binary(max_size=12).map(lambda b: b"\xff" + b),  # never valid UTF-8
+    TRS_BODIES.map(str.encode),
+    ALGEBRA_BODIES.map(str.encode),
+)
+
+
+def _file(bodies):
+    """A file argument: ("file", bytes) for a file to write, or a path that
+    does not exist."""
+    own = bodies.map(lambda text: ("file", text.encode()))
+    return st.one_of(own, own, own, ANY_BODY.map(lambda b: ("file", b)), st.just("missing/none.trs"))
+
+
+_int = st.sampled_from(["1", "2", "0", "3", "-1", "x", ""])
+_term = st.sampled_from(["f(g1(x1,x2),x2)", "g2(e,f(e,y))", "f(1,2)", "g1(f(2,0),1)", "x", "f(x,", "0", "e", ""]) | st.text(max_size=8)
+_strategy = st.sampled_from(["leftmost-innermost", "leftmost-outermost", "random", "bogus"])
+
+
+def _flag(name):
+    return st.just([name])
+
+
+def _opt(name, values):
+    return values.map(lambda v: [name, v])
+
+
+# subcommand -> (options it needs, one of which is drawn per group, the
+# rest), as the parser declares them
+OPTIONS = {
+    "gen-trs": (
+        [[_opt("--kind", st.sampled_from(["quasigroup", "loop", "group"]))], [_opt("--n", _int)]],
+        [_flag("--complete")],
+    ),
+    "check": (
+        [[_opt("--trs", _file(TRS_BODIES))]],
+        [_flag("--confluence"), _flag("--conditions"), _flag("--critical-pairs"), _flag("--json")],
+    ),
+    "normalize": (
+        [[_opt("--trs", _file(TRS_BODIES))], [_opt("--term", _term)]],
+        [_opt("--strategy", _strategy), _opt("--seed", _int), _opt("--max-steps", _int), _flag("--trace"), _flag("--json")],
+    ),
+    "complete": ([[_opt("--trs", _file(TRS_BODIES))]], [_opt("--max-rounds", _int), _flag("--json")]),
+    "amalgam": (
+        [
+            [_opt("--diagram", _file(DIAGRAM_BODIES))],
+            [_opt("--normalize", _term), _flag("--check-unf"), _flag("--check-strong-amalgamation")],
+        ],
+        [
+            _opt("--normalize", _term),
+            _flag("--check-unf"),
+            _opt("--depth", _int),
+            _opt("--seed", _int),
+            _opt("--strategy", _strategy),
+            _flag("--json"),
+        ],
+    ),
+    "codescent": (
+        [[_opt("--embedding", _file(EMBEDDING_BODIES))]],
+        [_opt("--scope", st.sampled_from(["f", "full", "x"])), _flag("--json")],
+    ),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv with its file arguments still to write, the body of alg.json,
+    NQ_REDUCT_CAP or None): a subcommand with one option of each needed
+    group, mostly, and some of its other options, in any order; now and
+    then a stray token."""
+    subcommand = draw(st.sampled_from(sorted(OPTIONS)))
+    needed, others = OPTIONS[subcommand]
+    chosen = [draw(st.sampled_from(group)) for group in needed if draw(st.integers(0, 9))]
+    chosen += draw(st.lists(st.sampled_from(others), unique_by=id, max_size=3))
+    parts = [draw(option) for option in draw(st.permutations(chosen))]
+    argv = [subcommand] + [token for part in parts for token in part]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus", "-h", "extra", "--json"])))
+    alg_body = draw(ALGEBRA_BODIES).encode()
+    cap = draw(st.sampled_from([None, None, None, None, "abc", "0", "4", "200"]))
+    return argv, alg_body, cap
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(call=cli_calls())
+def test_fuzzed_calls_keep_the_exit_code_contract(call):
+    argv, alg_body, cap = call
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "alg.json"), "wb") as handle:
+            handle.write(alg_body)
+        args = []
+        for k, arg in enumerate(argv):
+            if isinstance(arg, tuple):
+                path = os.path.join(tmp, "file%d" % k)
+                with open(path, "wb") as handle:
+                    handle.write(arg[1])
+                arg = path
+            args.append(arg)
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.delenv("NQ_REDUCT_CAP", raising=False)
+            if cap is not None:
+                patch.setenv("NQ_REDUCT_CAP", cap)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(args)
+    assert code in (0, 1, 2, 3), (args, code)
+    assert "Traceback" not in err.getvalue()

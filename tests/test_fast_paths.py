@@ -4,7 +4,9 @@ found as joins of principal ones against a filter over every set
 partition); amalgam reduction by ground rules on the shared rewriting
 engine, checked against the separate amalgam engine with its collapse
 step that it replaced; rule selection by argument heads, checked against
-the root-symbol index it replaced; and the rule families, Prop. 3.6 and
+the root-symbol index it replaced; critical pairs from the rules that
+the argument heads let overlap, checked against the loop over every
+ordered rule pair it replaced; and the rule families, Prop. 3.6 and
 the square-to-quasigroup step, checked against the hand-built code they
 replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
 constructor, checked against the three-pass `validate` it replaced.  The
@@ -35,7 +37,7 @@ from nquasi.amalgams import (
     normalize_element,
     reduct_graph,
 )
-from nquasi import algebras, codescent
+from nquasi import algebras, codescent, rewriting
 from nquasi.codescent import (
     _closed_subsets,
     integer_partitions,
@@ -45,8 +47,11 @@ from nquasi.codescent import (
     search_noncep_monomorphism,
 )
 from nquasi.rewriting import (
+    CriticalPair,
     Rule,
     Trs,
+    _pair_sort_key,
+    critical_pairs,
     enumerate_terms,
     format_trs,
     normalize,
@@ -56,18 +61,23 @@ from nquasi.rewriting import (
 from nquasi.terms import (
     App,
     Elem,
+    Signature,
     Var,
     apply_substitution,
+    canonical_renaming,
     match,
     positions,
     positions_postorder,
+    rename_apart,
     replace_at,
     subterm_at,
+    unify,
 )
-from nquasi.varieties import VarietySpec, const_run, generate_trs, var_run, variety_signature
+from nquasi.varieties import VarietySpec, complete_loop, const_run, generate_trs, var_run, variety_signature
 
 from conftest import (
     CONGRUENCE_ALGEBRAS,
+    confluence_mutants,
     congruence_from_blocks,
     diagram_with_rules,
     element_terms,
@@ -735,7 +745,10 @@ def table_value_mutants(d, count, seed):
     return mutants
 
 
-@pytest.mark.parametrize("name", ["St3*St3/S1", "Z3*Z3/T", "Z4*Z4/Z2", "Z5*Z5/T"])
+TABLE_MUTANT_CASES = ["St3*St3/S1", "Z3*Z3/T", "Z4*Z4/Z2", "Z5*Z5/T"]
+
+
+@pytest.mark.parametrize("name", TABLE_MUTANT_CASES)
 def test_table_value_mutants_are_flagged(name):
     for mutant in table_value_mutants(UNF_CASES[name][0](), 3, seed=name):
         bad = check_unique_normal_forms(mutant)
@@ -810,6 +823,149 @@ def test_variety_rule_selection_matches_reference(n, kind, complete):
 
 def test_handmade_rule_selection_matches_reference():
     check_rule_selection(parse_trs(HANDMADE_TRS), 5)
+
+
+# ---------------------------------------------------------------------------
+# critical pairs: the loop over every ordered rule pair that the
+# argument-head filter replaced
+
+
+def reference_critical_pairs(trs):
+    """Every ordered rule pair renamed apart, with `unify` tried at every
+    application position of the first rule's left side."""
+    out = []
+    for rule1 in trs.rules:
+        for rule2 in trs.rules:
+            renaming = rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
+            l2 = apply_substitution(renaming, rule2.lhs)
+            r2 = apply_substitution(renaming, rule2.rhs)
+            for pos, sub in positions(rule1.lhs):
+                if not isinstance(sub, App):
+                    continue
+                sigma = unify(sub, l2)
+                if sigma is None:
+                    continue
+                peak = apply_substitution(sigma, rule1.lhs)
+                left = apply_substitution(sigma, rule1.rhs)
+                right = replace_at(peak, pos, apply_substitution(sigma, r2))
+                canon = canonical_renaming((peak, left, right))
+                left_c = apply_substitution(canon, left)
+                right_c = apply_substitution(canon, right)
+                out.append(
+                    CriticalPair(
+                        left=left_c,
+                        right=right_c,
+                        peak=apply_substitution(canon, peak),
+                        rule1=rule1.label,
+                        rule2=rule2.label,
+                        position=pos,
+                        mgu=tuple(sorted(sigma.items())),
+                        trivial=left_c == right_c,
+                    )
+                )
+    out.sort(key=_pair_sort_key)
+    return tuple(out)
+
+
+def _arg_head(t):
+    return t.symbol if isinstance(t, App) else (t if isinstance(t, Elem) else None)
+
+
+def clash(s, t):
+    """Whether two applications differ in root symbol or arity, or in the
+    head of an argument where neither has a variable: then no unifier."""
+    return (s.symbol, len(s.args)) != (t.symbol, len(t.args)) or any(
+        a is not None and b is not None and a != b
+        for a, b in zip(map(_arg_head, s.args), map(_arg_head, t.args))
+    )
+
+
+def spied_critical_pairs(trs):
+    """`critical_pairs` with every `unify` call it makes recorded:
+    (pairs, [(s, t)])."""
+    calls = []
+
+    def spy(s, t):
+        calls.append((s, t))
+        return unify(s, t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewriting, "unify", spy)
+        return critical_pairs(trs), calls
+
+
+@pytest.mark.parametrize("complete", [False, True], ids=["base", "complete"])
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_variety_critical_pairs_match_reference(n, kind, complete):
+    trs = generate_trs(VarietySpec(kind, n, complete))
+    assert critical_pairs(trs) == reference_critical_pairs(trs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+def test_fork_rename_and_shuffle_mutant_critical_pairs_match_reference(kind, n):
+    for mutant in confluence_mutants(generate_trs(VarietySpec(kind, n, True)), 8, seed=10 * n, label_prefix="m"):
+        assert critical_pairs(mutant) == reference_critical_pairs(mutant)
+
+
+@pytest.mark.parametrize("name", sorted(UNF_CASES))
+def test_amalgam_critical_pairs_match_reference(name):
+    d = UNF_CASES[name][0]()
+    mutants = table_value_mutants(d, 3, seed=name) if name in TABLE_MUTANT_CASES else []
+    for system in [d] + mutants:
+        assert critical_pairs(system) == reference_critical_pairs(system)
+
+
+def test_handmade_critical_pairs_match_reference():
+    trs = parse_trs(HANDMADE_TRS)
+    assert critical_pairs(trs) == reference_critical_pairs(trs)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: complete_loop(3), AMALGAM_CASES["Z4*Z4/Z2"][0]], ids=["complete_loop(3)", "Z4*Z4/Z2"]
+)
+def test_critical_pairs_never_unify_sides_that_clash(build):
+    trs = build()
+    pairs, calls = spied_critical_pairs(trs)
+    assert pairs == reference_critical_pairs(trs)
+    assert len(calls) >= len(pairs)
+    assert [(str(s), str(t)) for s, t in calls if clash(s, t)] == []
+
+
+RANDOM_RULE_SIGNATURE = Signature({"f": 2, "h": 2, "u": 1, "t": 3, "c": 0, "d": 0})
+
+# v1 is also the first fresh name of rename_apart
+RULE_LEAVES = [Var("x"), Var("y"), Var("v1"), Elem("a"), Elem("b"), App("c"), App("d")]
+
+
+def _applications(args):
+    symbols = sorted(s for s, k in RANDOM_RULE_SIGNATURE.symbols.items() if k)
+    return st.sampled_from(symbols).flatmap(
+        lambda s: st.tuples(*[args] * RANDOM_RULE_SIGNATURE.arity(s)).map(lambda a: App(s, a))
+    )
+
+
+@st.composite
+def random_rule_sets(draw):
+    """One to five rules over variables shared between rules, element
+    leaves, constants and nested applications; a right side is a subterm
+    of its left side, and left sides may repeat a variable."""
+    arguments = st.recursive(st.sampled_from(RULE_LEAVES), _applications, max_leaves=4)
+    rules = []
+    for k in range(draw(st.integers(1, 5))):
+        lhs = draw(_applications(arguments) | st.sampled_from([App("c"), App("d")]))
+        rhs = draw(st.sampled_from([sub for _pos, sub in positions(lhs)]))
+        rules.append(Rule(lhs, rhs, "r%d" % k))
+    return Trs(RANDOM_RULE_SIGNATURE, rules)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trs=random_rule_sets())
+def test_critical_pairs_of_random_rule_sets_match_reference(trs):
+    pairs, calls = spied_critical_pairs(trs)
+    assert pairs == reference_critical_pairs(trs)
+    assert not any(clash(s, t) for s, t in calls)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nquasi.algebras import algebra_from_function, cyclic_loop
 from nquasi.amalgams import build_amalgam
 from nquasi.rewriting import (
+    STRATEGIES,
     CapExceeded,
     MaxRoundsExceeded,
     Rule,
@@ -33,11 +34,13 @@ from nquasi.terms import (
     ParseError,
     Signature,
     Var,
+    apply_substitution,
     match,
     parse_term,
     positions,
     size,
     subterm_at,
+    variables,
 )
 from nquasi.varieties import VarietySpec, base_loop, base_quasigroup, complete_loop, complete_quasigroup, generate_trs
 
@@ -241,6 +244,34 @@ class TestRuleIndex:
             assert index[key] == []
             assert rewrite_steps(CQ2, App("f", args)) == set()
 
+    def test_overlapping_rules_fit_the_key_with_variables_as_wildcards_on_both_sides(self):
+        # one symbol with two arities, which `index_rules` takes from bare
+        # rules; the key's arity and every head where neither side has a
+        # variable must agree
+        a, b, x, y, z = Elem("a"), Elem("b"), Var("x"), Var("y"), Var("z")
+        rules = [
+            Rule(App("f", (x, y)), x, "two"),
+            Rule(App("f", (a, y)), y, "two-a"),
+            Rule(App("f", (App("u", (x,)), y)), y, "two-u"),
+            Rule(App("f", (a, b)), a, "ground-two"),
+            Rule(App("f", (x, y, z)), x, "three"),
+            Rule(App("f", (a, b, a)), a, "ground-three"),
+        ]
+        index = index_rules(rules)
+        assert {r.label for r in index.overlapping(("f", None, None))} == {"two", "two-a", "two-u", "ground-two"}
+        assert {r.label for r in index.overlapping(("f", None, b, None))} == {"three", "ground-three"}
+        heads = lambda t: [None if isinstance(u, Var) else u if isinstance(u, Elem) else u.symbol for u in t.args]
+        for arity in (1, 2, 3, 4):
+            for key_heads in itertools.product([None, a, b, "u"], repeat=arity):
+                fits = [
+                    r.label
+                    for r in rules
+                    if len(r.lhs.args) == arity
+                    and all(k is None or h is None or k == h for k, h in zip(key_heads, heads(r.lhs)))
+                ]
+                got = [r.label for r in index.overlapping(("f",) + key_heads)]
+                assert sorted(got) == sorted(fits), key_heads
+
     def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
         lhs = App("g1", (Var("x"), Var("x")))
         trs = Trs(Signature({"g1": 2}), [Rule(lhs, Var("x"), "idem")])
@@ -271,6 +302,33 @@ class TestRuleIndex:
             assert identity_rules.isdisjoint(_labels(d._index, key))
 
 
+# complete, hence confluent, presentations: every strategy reaches the
+# one normal form
+COMPLETE_SYSTEMS = [generate_trs(VarietySpec(kind, n, True)) for kind in ("quasigroup", "loop") for n in (1, 2, 3)]
+
+
+def redex_terms(trs):
+    """Terms over the signature of trs and the variables x, y, in which any
+    subterm may be an instance of a rule's left side, so that rewriting
+    has work to do at every depth."""
+    leaves = [Var("x"), Var("y")] + [App(c) for c in trs.signature.constants()]
+    symbols = sorted((s, k) for s, k in trs.signature.symbols.items() if k)
+
+    def extend(inner):
+        apps = st.sampled_from(symbols).flatmap(lambda sk: st.tuples(*[inner] * sk[1]).map(lambda args: App(sk[0], args)))
+        redexes = st.sampled_from(trs.rules).flatmap(
+            lambda r: st.fixed_dictionaries({v: inner for v in sorted(variables(r.lhs))}).map(
+                lambda sigma: apply_substitution(sigma, r.lhs)
+            )
+        )
+        return apps | redexes
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
+COMPLETE_SYSTEM_TERMS = st.sampled_from(COMPLETE_SYSTEMS).flatmap(lambda trs: st.tuples(st.just(trs), redex_terms(trs)))
+
+
 class TestNormalize:
     def test_nested_normalization(self):
         t = bq2("f(x1, g2(x1, f(g1(y1,y2), y2)))")
@@ -296,11 +354,25 @@ class TestNormalize:
         assert got == Var("y")
         assert trace == (("2.2[i=2]", (2,)), ("2.9[i=2]", ()))
 
-    def test_idempotent_on_normal_forms(self):
-        for text in ["y1", "g1(x2,x1)", "f(x,y)"]:
-            nf, _ = normalize(BQ2, bq2(text))
-            again, trace = normalize(BQ2, nf)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=COMPLETE_SYSTEM_TERMS)
+    @example(case=(BQ2, bq2("y1")))
+    @example(case=(BQ2, bq2("g1(x2,x1)")))
+    @example(case=(BQ2, bq2("f(x,y)")))
+    def test_idempotent_on_normal_forms(self, case):
+        trs, t = case
+        for strategy in STRATEGIES:
+            nf, _ = normalize(trs, t, strategy, seed=3)
+            again, trace = normalize(trs, nf, strategy, seed=3)
             assert again == nf and trace == ()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=COMPLETE_SYSTEM_TERMS, seed=st.integers(0, 2**16))
+    def test_strategies_agree_on_complete_systems(self, case, seed):
+        trs, t = case
+        innermost, _ = normalize(trs, t, "leftmost-innermost")
+        assert normalize(trs, t, "leftmost-outermost")[0] == innermost
+        assert normalize(trs, t, "random", seed)[0] == innermost
 
     def test_termination_not_verified_without_bound(self):
         sig = Signature({"f": 2})
