@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import Elem, Term, Var
 
@@ -246,8 +246,7 @@ class Congruence:
     """A compatible partition of the carrier, built by the closure kernel;
     blocks are kept in a canonical order (by first element in carrier order)."""
 
-    algebra: FiniteAlgebra = field(compare=False, hash=False)
-    blocks: tuple = ()
+    blocks: tuple
 
     def relates(self, a: str, b: str) -> bool:
         return any(a in block and b in block for block in self.blocks)
@@ -338,7 +337,7 @@ def _congruence(alg: FiniteAlgebra, labels) -> Congruence:
     groups = {}
     for a, label in zip(alg.carrier, labels):
         groups.setdefault(label, []).append(a)
-    return Congruence(algebra=alg, blocks=tuple(map(tuple, groups.values())))
+    return Congruence(blocks=tuple(map(tuple, groups.values())))
 
 
 def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:

@@ -251,11 +251,10 @@ def _resolve_name(d: AmalgamDiagram, name: str) -> str:
 class UnfCounterexample:
     term: Term
     normal_forms: tuple
-    mode: str  # critical-pair
 
     def __str__(self) -> str:
         forms = ", ".join(str(t) for t in self.normal_forms)
-        return "%s: %s has normal forms {%s}" % (self.mode, self.term, forms)
+        return "critical-pair: %s has normal forms {%s}" % (self.term, forms)
 
 
 reduct_graph = reducts
@@ -291,7 +290,7 @@ def check_unique_normal_forms(
         return None
     cp = verdict.witness
     normal_forms = sorted((normalize(d, cp.left)[0], normalize(d, cp.right)[0]), key=str)
-    return UnfCounterexample(term=cp.peak, normal_forms=tuple(normal_forms), mode="critical-pair")
+    return UnfCounterexample(term=cp.peak, normal_forms=tuple(normal_forms))
 
 
 @dataclass

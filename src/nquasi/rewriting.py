@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .terms import (
+    _IDENT_RE,
     App,
     Elem,
     ParseError,
@@ -26,6 +27,7 @@ from .terms import (
     apply_substitution,
     canonical_renaming,
     check_well_formed,
+    iter_variables,
     match,
     parse_term,
     positions,
@@ -109,7 +111,7 @@ class Trs:
             check_well_formed(signature, r.rhs)
         self.signature = signature
         self.rules = rules
-        self._index = index_rules(rules)
+        self._index = _RuleIndex(rules)
         self.conditions = ConditionsReport(  # returned by check_conditions
             star={r.label: _rule_star(r) for r in rules},
             star2="holds" if len(signature.constants()) <= 1 else "undetermined",
@@ -155,13 +157,21 @@ class Trs:
 
 
 def format_trs(trs: Trs) -> str:
-    """The TRS file format read by parse_trs.  It has no syntax for
-    element leaves (a bare name reads back as a variable), so a rule with
-    one is refused with ValueError."""
-    lines = ["sig " + " ".join("%s/%d" % (s, k) for s, k in trs.signature.symbols.items())]
+    """The TRS file format read by parse_trs.  A rule that would not read
+    back as itself is refused with ValueError: one whose label has ':', '#',
+    a line break or surrounding whitespace, one with an element leaf (a
+    bare name reads back as a variable), and one with a variable whose name
+    is a declared symbol or no identifier."""
+    sig = trs.signature
+    lines = ["sig " + " ".join("%s/%d" % (s, k) for s, k in sig.symbols.items())]
     for r in trs.rules:
+        if r.label != r.label.strip() or len(r.label.splitlines()) > 1 or ":" in r.label or "#" in r.label:
+            raise ValueError("rule label %r has no syntax in the TRS format" % r.label)
         if any(isinstance(sub, Elem) for side in (r.lhs, r.rhs) for _pos, sub in positions(side)):
             raise ValueError("rule %s: element leaves have no syntax in the TRS format" % r.label)
+        unreadable = sorted(v for v in variables(r.lhs) if v in sig or not _IDENT_RE.fullmatch(v))
+        if unreadable:
+            raise ValueError("rule %s: variables %s would not read back as variables" % (r.label, unreadable))
         lines.append("rule %s: %s -> %s" % (r.label, r.lhs, r.rhs))
     return "\n".join(lines) + "\n"
 
@@ -175,7 +185,7 @@ def parse_trs(text: str) -> Trs:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("sig "):
+        if line == "sig" or line.startswith("sig "):
             if sig is not None:
                 raise ParseError("line %d: duplicate sig line" % lineno)
             symbols = {}
@@ -233,18 +243,22 @@ def _head(t: Term):
 
 class _RuleIndex(dict):
     """(root symbol, head of each argument) -> the rules that may match an
-    application with that key, in rule order.
+    application with that key; `overlapping(key)` gives the rules that may
+    unify with it.  Both lists are in rule order, filled on first use and
+    cached per key.
 
-    A rule is a candidate when the key has one head per argument of its
-    left side and each non-variable argument has the key's head; `match`
-    still checks deeper levels and repeated variables.  Each key's list is
-    filled on first use.  A rule without a variable argument, such as a
-    ground rule, is a candidate for its own key only, so it is looked up
-    rather than tested.
+    One predicate serves both modes: a rule fits a key of its arity when
+    each non-variable argument of its left side equals the key's head
+    there.  When unifying, a variable of the key becomes `_ANY_HEAD`, which
+    equals every head.  `match` and `unify` still check deeper levels and
+    repeated variables.  A rule without a variable argument, such as a
+    ground rule, is kept by its own key, so only a unifying key with a
+    variable scans those keys.
     """
 
     def __init__(self, rules):
         super().__init__()
+        self.overlaps = {}  # key -> the rules that may unify there
         self.exact = {}  # key of a rule without a variable argument -> [(rule number, rule)]
         self.general = {}  # root symbol -> [(rule number, key length, fixed key slots, their heads, rule)]
         for i, rule in enumerate(rules):
@@ -257,48 +271,45 @@ class _RuleIndex(dict):
             self.general.setdefault(rule.lhs.symbol, []).append(entry)
 
     def __missing__(self, key):
+        self[key] = found = self._fitting(key, False)
+        return found
+
+    def overlapping(self, key) -> list:
+        if key not in self.overlaps:  # a key without a variable unifies as it matches
+            self.overlaps[key] = self._fitting(key, True) if None in key else self[key]
+        return self.overlaps[key]
+
+    def _fitting(self, key, unifying: bool) -> list:
+        exact = self.exact.get(key, [])
+        if unifying:  # a wildcard may stand for any head, so any exact key may fit
+            key = tuple(_ANY_HEAD if h is None else h for h in key)
+            exact = [entry for other, entries in self.exact.items() if other == key for entry in entries]
         found = [
             (i, rule)
             for i, length, fixed, heads, rule in self.general.get(key[0], ())
             if len(key) == length and tuple(map(key.__getitem__, fixed)) == heads
         ]
-        exact = self.exact.get(key)
-        if exact:
-            found = sorted(found + exact)  # rule numbers are distinct
-        self[key] = found = [rule for _i, rule in found]
-        return found
-
-    def overlapping(self, key) -> list:
-        """The rules whose left side may unify with an application with this
-        key, in no set order: a variable argument is a wildcard on either
-        side, so a key without one gets its match candidates."""
-        if None not in key:
-            return self[key]
-        found = [
-            rule
-            for _i, length, fixed, heads, rule in self.general.get(key[0], ())
-            if len(key) == length and all(key[k] in (None, h) for k, h in zip(fixed, heads))
-        ]
-        for other, entries in self.exact.items():
-            if len(other) == len(key) and all(a is None or a == b for a, b in zip(key, other)):
-                found += [rule for _i, rule in entries]
-        return found
+        return [rule for _i, rule in sorted(found + exact)]  # rule numbers are distinct
 
 
-def index_rules(rules) -> dict:
-    """Index rules by root symbol and argument heads."""
-    return _RuleIndex(rules)
+class _AnyHead:
+    def __eq__(self, other):
+        return True
 
 
-def _successors(system, t: Term):
-    for pos, sub in positions(t):
+_ANY_HEAD = _AnyHead()  # equal to every head: a variable of a key when unifying
+
+
+def _successors(system, t: Term, walk):
+    """The steps of t, position by position in the order of `walk`."""
+    for pos, sub in walk(t):
         if isinstance(sub, App):
             yield from system.steps_at(t, pos, sub)
 
 
 def rewrite_steps(system, t: Term) -> set:
     """All one-step successors of t: (result, step label, position)."""
-    return set(_successors(system, t))
+    return set(_successors(system, t, positions))
 
 
 def step_key(step) -> tuple:
@@ -332,18 +343,11 @@ def normalize(
     trace = []
     current = t
     while True:
-        step = None
         if rng is None:
-            for pos, sub in order(current):
-                if isinstance(sub, App):
-                    steps = system.steps_at(current, pos, sub)
-                    if steps:
-                        step = steps[0]
-                        break
+            step = next(_successors(system, current, order), None)
         else:
-            options = sorted(_successors(system, current), key=step_key)
-            if options:
-                step = rng.choice(options)
+            options = sorted(_successors(system, current, order), key=step_key)
+            step = rng.choice(options) if options else None
         if step is None:
             return current, tuple(trace)
         current, label, pos = step
@@ -366,7 +370,7 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     while frontier:
         fresh = []
         for u in frontier:
-            for v, _label, _pos in _successors(system, u):
+            for v, _label, _pos in _successors(system, u, positions):
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > cap:
@@ -543,24 +547,9 @@ class ConditionsReport:
         return self.star_ok and self.star2 == "holds" and self.star3_ok
 
 
-def _occurrence_counts(t: Term) -> dict:
-    counts = {}
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            counts[u.name] = counts.get(u.name, 0) + 1
-        elif isinstance(u, App):
-            stack.extend(u.args)
-    return counts
-
-
 def _rule_star(rule: Rule) -> bool:
-    lc = _occurrence_counts(rule.lhs)
-    rc = _occurrence_counts(rule.rhs)
-    if any(rc[v] > lc.get(v, 0) for v in rc):
-        return False
-    return size(rule.lhs) > size(rule.rhs)
+    lhs_vars, rhs_vars = list(iter_variables(rule.lhs)), list(iter_variables(rule.rhs))
+    return size(rule.lhs) > size(rule.rhs) and all(rhs_vars.count(v) <= lhs_vars.count(v) for v in rhs_vars)
 
 
 def _rule_star3(rule: Rule) -> bool:
@@ -594,8 +583,12 @@ class CompletionResult:
     adopted: tuple = ()  # (Rule, CriticalPair) in adoption order
 
 
-def _canonical_rule_body(lhs: Term, rhs: Term) -> tuple:
-    renaming = canonical_renaming((lhs, rhs))
+def _canonical_rule_body(sig: Signature, lhs: Term, rhs: Term) -> tuple:
+    """lhs and rhs with their variables renamed v1, v2, ... in order of first
+    occurrence, skipping the symbols of sig: a variable so named would read
+    back as the symbol."""
+    fresh = (Var(name) for name in ("v%d" % i for i in itertools.count(1)) if name not in sig)
+    renaming = dict(zip(canonical_renaming((lhs, rhs)), fresh))
     return apply_substitution(renaming, lhs), apply_substitution(renaming, rhs)
 
 
@@ -638,8 +631,8 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
             if size(left_nf) == size(right_nf):
                 raise UnorientableError(cp, "equal sizes after normalization")
             big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
-            lhs, rhs = _canonical_rule_body(big, small)
-            if any(_canonical_rule_body(r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
+            lhs, rhs = _canonical_rule_body(trs.signature, big, small)
+            if any(_canonical_rule_body(trs.signature, r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
                 continue
             if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")

@@ -216,6 +216,8 @@ def unify(s: Term, t: Term) -> Substitution | None:
         b = apply_substitution(sub, b)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a  # the variable to bind goes on the left
         if isinstance(a, Var):
             if occurs(a.name, b):
                 return None
@@ -223,13 +225,6 @@ def unify(s: Term, t: Term) -> Substitution | None:
             for k in sub:
                 sub[k] = apply_substitution(one, sub[k])
             sub[a.name] = b
-        elif isinstance(b, Var):
-            if occurs(b.name, a):
-                return None
-            one = {b.name: a}
-            for k in sub:
-                sub[k] = apply_substitution(one, sub[k])
-            sub[b.name] = a
         elif (
             isinstance(a, App)
             and isinstance(b, App)

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from nquasi.algebras import Congruence, Embedding, algebra_from_function, cyclic_loop
 from nquasi.codescent import (
@@ -110,6 +111,25 @@ def confluence_mutants(trs, count, seed, label_prefix):
     return out
 
 
+def redex_terms(trs):
+    """Terms over the signature of trs and the variables x, y, in which any
+    subterm may be an instance of a rule's left side, so that rewriting
+    has work to do at every depth."""
+    leaves = [Var("x"), Var("y")] + [App(c) for c in trs.signature.constants()]
+    symbols = sorted((s, k) for s, k in trs.signature.symbols.items() if k)
+
+    def extend(inner):
+        apps = st.sampled_from(symbols).flatmap(lambda sk: st.tuples(*[inner] * sk[1]).map(lambda args: App(sk[0], args)))
+        redexes = st.sampled_from(trs.rules).flatmap(
+            lambda r: st.fixed_dictionaries({v: inner for v in sorted(variables(r.lhs))}).map(
+                lambda sigma: apply_substitution(sigma, r.lhs)
+            )
+        )
+        return apps | redexes
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
 def random_element_term(d, rng, max_depth):
     """A random term over the carrier union, at most max_depth applications deep."""
     if max_depth <= 0 or rng.random() < 0.3:
@@ -151,7 +171,7 @@ def congruence_from_blocks(alg, blocks):
     code hands its partitions over in this form."""
     idx = {a: i for i, a in enumerate(alg.carrier)}
     canon = sorted((tuple(sorted(b, key=idx.__getitem__)) for b in blocks), key=lambda b: idx[b[0]])
-    return Congruence(algebra=alg, blocks=tuple(canon))
+    return Congruence(blocks=tuple(canon))
 
 
 def random_latin_square(order, rng):

@@ -37,7 +37,7 @@ def criterion(tag, ok, detail=""):
 
 
 def canonical_rule_set(trs):
-    return {_canonical_rule_body(r.lhs, r.rhs) for r in trs.rules}
+    return {_canonical_rule_body(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 def pair_shapes(verdict):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import nquasi
 from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
 from nquasi.cli import main
-from nquasi.rewriting import format_trs
+from nquasi.rewriting import complete, format_trs, parse_trs
 from nquasi.varieties import VarietySpec, generate_trs
 
 from conftest import klein_in_dihedral8
@@ -247,6 +247,21 @@ class TestComplete:
         assert "confluent after 1 completion round(s), 2 rule(s) added" in out
         assert "adopted cp1: g1(v1,g2(v2,v1)) -> v2" in out
         assert sum(1 for line in out.splitlines() if line.startswith("rule ")) == 6
+
+    def test_adopted_variables_skip_declared_symbols(self, capsys, tmp_path):
+        # v1 is a declared constant, so an adopted rule's variables start at
+        # v2; named v1, the first one would read back as the constant
+        _, base, _ = run_cli(capsys, "gen-trs", "--kind", "quasigroup", "--n", "2")
+        path = tmp_path / "v1.trs"
+        path.write_text(base.replace("sig f/2 g1/2 g2/2\n", "sig f/2 g1/2 g2/2 v1/0\n"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "complete", "--trs", str(path))
+        assert code == 0
+        assert "adopted cp1: g1(v2,g2(v3,v2)) -> v3" in out
+        code, out, _ = run_cli(capsys, "complete", "--trs", str(path), "--json")
+        assert code == 0
+        expected = complete(parse_trs(path.read_text(encoding="utf-8"))).trs
+        assert expected.signature.arity("v1") == 0
+        assert parse_trs(json.loads(out)["details"]["trs"]) == expected
 
     def test_max_rounds_exceeded(self, capsys, base_quasi_file):
         code, _, err = run_cli(capsys, "complete", "--trs", base_quasi_file, "--max-rounds", "0")

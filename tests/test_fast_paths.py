@@ -6,11 +6,15 @@ engine, checked against the separate amalgam engine with its collapse
 step that it replaced; rule selection by argument heads, checked against
 the root-symbol index it replaced; critical pairs from the rules that
 the argument heads let overlap, checked against the loop over every
-ordered rule pair it replaced; and the rule families, Prop. 3.6 and
-the square-to-quasigroup step, checked against the hand-built code they
-replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
-constructor, checked against the three-pass `validate` it replaced.  The
-reference implementations below are kept only for these comparisons."""
+ordered rule pair it replaced; `unify` with one binding branch, the
+leftmost strategies as the first of the position-ordered steps, and the
+one rule-index predicate for matching and unifying, checked against the
+two-branch `unify`, the leftmost loop and the two filters they replaced;
+and the rule families, Prop. 3.6 and the square-to-quasigroup step,
+checked against the hand-built code they replaced; and the one
+identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
+three-pass `validate` it replaced.  The reference implementations below
+are kept only for these comparisons."""
 
 import itertools
 import random
@@ -50,6 +54,7 @@ from nquasi.rewriting import (
     CriticalPair,
     Rule,
     Trs,
+    _RuleIndex,
     _pair_sort_key,
     critical_pairs,
     enumerate_terms,
@@ -72,6 +77,7 @@ from nquasi.terms import (
     replace_at,
     subterm_at,
     unify,
+    variables,
 )
 from nquasi.varieties import VarietySpec, complete_loop, const_run, generate_trs, var_run, variety_signature
 
@@ -84,6 +90,7 @@ from conftest import (
     klein_in_dihedral8,
     random_element_term,
     random_latin_square,
+    redex_terms,
     steiner3,
 )
 
@@ -752,7 +759,7 @@ TABLE_MUTANT_CASES = ["St3*St3/S1", "Z3*Z3/T", "Z4*Z4/Z2", "Z5*Z5/T"]
 def test_table_value_mutants_are_flagged(name):
     for mutant in table_value_mutants(UNF_CASES[name][0](), 3, seed=name):
         bad = check_unique_normal_forms(mutant)
-        assert bad is not None and bad.mode == "critical-pair"
+        assert bad is not None and str(bad).startswith("critical-pair: %s has normal forms {" % bad.term)
         assert all(not isinstance(sub, Var) for _pos, sub in positions(bad.term))
         first, second = bad.normal_forms
         assert first != second
@@ -966,6 +973,217 @@ def test_critical_pairs_of_random_rule_sets_match_reference(trs):
     pairs, calls = spied_critical_pairs(trs)
     assert pairs == reference_critical_pairs(trs)
     assert not any(clash(s, t) for s, t in calls)
+
+
+# ---------------------------------------------------------------------------
+# the rewriting core: the two-branch `unify`, the leftmost loop of
+# `normalize` and the two rule filters that one copy each replaced
+
+
+def reference_unify(s, t):
+    """`unify` with a mirrored branch for a variable on the right."""
+    sub = {}
+    work = [(s, t)]
+    while work:
+        a, b = work.pop()
+        a = apply_substitution(sub, a)
+        b = apply_substitution(sub, b)
+        if a == b:
+            continue
+        if isinstance(a, Var):
+            if a.name in variables(b):
+                return None
+            one = {a.name: b}
+            for k in sub:
+                sub[k] = apply_substitution(one, sub[k])
+            sub[a.name] = b
+        elif isinstance(b, Var):
+            if b.name in variables(a):
+                return None
+            one = {b.name: a}
+            for k in sub:
+                sub[k] = apply_substitution(one, sub[k])
+            sub[b.name] = a
+        elif isinstance(a, App) and isinstance(b, App) and a.symbol == b.symbol and len(a.args) == len(b.args):
+            work.extend(zip(a.args, b.args))
+        else:
+            return None
+    return sub
+
+
+# few shared variables, so that pairs often bind one variable on both sides
+# and fail the occurs check
+UNIFY_LEAVES = [Var("x"), Var("y"), Var("z"), Elem("a"), Elem("b"), App("c"), App("d")]
+unify_terms = st.recursive(st.sampled_from(UNIFY_LEAVES), _applications, max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(s=unify_terms, t=unify_terms)
+@example(s=Var("x"), t=Var("y"))
+@example(s=Var("x"), t=App("u", (Var("x"),)))
+@example(s=App("f", (Var("y"), Var("x"))), t=App("f", (Var("x"), App("u", (Var("y"),)))))
+@example(s=App("f", (Var("x"), Elem("a"))), t=App("f", (Elem("a"), Var("x"))))
+@example(s=App("f", (Var("x"), Elem("a"))), t=App("f", (Elem("b"), Var("x"))))
+@example(s=App("t", (Var("x"), Var("y"), Var("z"))), t=App("t", (Var("y"), Var("z"), App("c"))))
+def test_unify_matches_reference(s, t):
+    sigma = unify(s, t)
+    assert sigma == reference_unify(s, t)
+    assert unify(t, s) == reference_unify(t, s)
+    if sigma is not None:
+        assert apply_substitution(sigma, s) == apply_substitution(sigma, t)
+
+
+def reference_leftmost(system, t, strategy):
+    """(normal form, trace): the first step at the first position of the
+    walk that has one, found by its own loop over positions."""
+    order = positions_postorder if strategy == "leftmost-innermost" else positions
+    trace = []
+    current = t
+    while True:
+        step = None
+        for pos, sub in order(current):
+            if isinstance(sub, App):
+                steps = system.steps_at(current, pos, sub)
+                if steps:
+                    step = steps[0]
+                    break
+        if step is None:
+            return current, tuple(trace)
+        current, label, pos = step
+        trace.append((label, pos))
+
+
+def check_leftmost(system, terms):
+    for t in terms:
+        for strategy in ("leftmost-innermost", "leftmost-outermost"):
+            assert normalize(system, t, strategy) == reference_leftmost(system, t, strategy), (strategy, str(t))
+
+
+# the complete systems for n = 1..3, each followed by eight seeded mutants
+LEFTMOST_SYSTEMS = [
+    system
+    for kind in ("quasigroup", "loop")
+    for n in (1, 2, 3)
+    for trs in [generate_trs(VarietySpec(kind, n, True))]
+    for system in [trs] + confluence_mutants(trs, 8, seed=10 * n, label_prefix="m")
+]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(LEFTMOST_SYSTEMS).flatmap(lambda trs: st.tuples(st.just(trs), redex_terms(trs))))
+def test_leftmost_normal_forms_and_traces_match_reference(case):
+    system, t = case
+    check_leftmost(system, [t])
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAM_CASES))
+def test_amalgam_leftmost_normal_forms_and_traces_match_reference(name):
+    build, max_size = AMALGAM_CASES[name]
+    d = build()
+    check_leftmost(d, element_terms(d, max_size))
+
+
+class ReferenceRuleIndex(dict):
+    """Match candidates filled per key by one predicate, and unify
+    candidates rebuilt on every call by another, in no set order."""
+
+    def __init__(self, rules):
+        super().__init__()
+        self.exact = {}
+        self.general = {}
+        for i, rule in enumerate(rules):
+            heads = tuple(map(_arg_head, rule.lhs.args))
+            if None not in heads:
+                self.exact.setdefault((rule.lhs.symbol, *heads), []).append((i, rule))
+                continue
+            fixed = tuple(k for k, h in enumerate(heads, start=1) if h is not None)
+            entry = (i, len(heads) + 1, fixed, tuple(heads[k - 1] for k in fixed), rule)
+            self.general.setdefault(rule.lhs.symbol, []).append(entry)
+
+    def __missing__(self, key):
+        found = [
+            (i, rule)
+            for i, length, fixed, heads, rule in self.general.get(key[0], ())
+            if len(key) == length and tuple(map(key.__getitem__, fixed)) == heads
+        ]
+        exact = self.exact.get(key)
+        if exact:
+            found = sorted(found + exact)
+        self[key] = found = [rule for _i, rule in found]
+        return found
+
+    def overlapping(self, key):
+        if None not in key:
+            return self[key]
+        found = [
+            rule
+            for _i, length, fixed, heads, rule in self.general.get(key[0], ())
+            if len(key) == length and all(key[k] in (None, h) for k, h in zip(fixed, heads))
+        ]
+        for other, entries in self.exact.items():
+            if len(other) == len(key) and all(a is None or a == b for a, b in zip(key, other)):
+                found += [rule for _i, rule in entries]
+        return found
+
+
+def _index_keys(signature, heads):
+    for symbol, arity in signature.symbols.items():
+        for key_heads in itertools.product(heads, repeat=arity):
+            yield (symbol,) + key_heads
+
+
+def _variety_case(kind, n, complete):
+    trs = generate_trs(VarietySpec(kind, n, complete))
+    return trs.rules, _index_keys(trs.signature, [None] + list(trs.signature.symbols))
+
+
+def _two_arity_case():
+    """One symbol with two arities, element and application arguments."""
+    a, b, x, y, z = Elem("a"), Elem("b"), Var("x"), Var("y"), Var("z")
+    rules = [
+        Rule(App("f", (x, y)), x, "two"),
+        Rule(App("f", (a, y)), y, "two-a"),
+        Rule(App("f", (App("u", (x,)), y)), y, "two-u"),
+        Rule(App("f", (a, b)), a, "ground-two"),
+        Rule(App("f", (x, y, z)), x, "three"),
+        Rule(App("f", (a, b, a)), a, "ground-three"),
+    ]
+    heads = [None, a, b, "u"]
+    return rules, [("f",) + key for arity in (1, 2, 3, 4) for key in itertools.product(heads, repeat=arity)]
+
+
+def _nonlinear_case():
+    rules = [Rule(App("g1", (Var("x"), Var("x"))), Var("x"), "idem")]
+    return rules, _index_keys(Signature({"g1": 2}), [None, Elem("a"), Elem("b")])
+
+
+def _amalgam_case():
+    d = AMALGAM_CASES["Z4*Z4/Z2"][0]()
+    return d.rules, _index_keys(d.signature, [None, "e"] + [Elem(a) for a in d.carrier_union])
+
+
+# the systems whose rule selection TestRuleIndex in tests/test_rewriting.py checks
+INDEX_CASES = {
+    "bq2": lambda: _variety_case("quasigroup", 2, False),
+    "cq2": lambda: _variety_case("quasigroup", 2, True),
+    "bl2": lambda: _variety_case("loop", 2, False),
+    "cl2": lambda: _variety_case("loop", 2, True),
+    "cl3": lambda: _variety_case("loop", 3, True),
+    "two-arities": _two_arity_case,
+    "nonlinear": _nonlinear_case,
+    "Z4*Z4/Z2": _amalgam_case,
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_CASES))
+def test_rule_index_lists_match_reference_filters_in_rule_order(name):
+    rules, keys = INDEX_CASES[name]()
+    index, reference = _RuleIndex(rules), ReferenceRuleIndex(rules)
+    number = {rule.label: i for i, rule in enumerate(rules)}
+    for key in keys:
+        assert index[key] == reference[key], key
+        expected = sorted(reference.overlapping(key), key=lambda rule: number[rule.label])
+        assert index.overlapping(key) == expected, key
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from nquasi.rewriting import (
     TerminationNotVerified,
     Trs,
     UnorientableError,
+    _RuleIndex,
     check_conditions,
     check_confluence,
     complete,
     critical_pairs,
     enumerate_terms,
     format_trs,
-    index_rules,
     joinable,
     local_confluence_oracle,
     normalize,
@@ -43,6 +43,8 @@ from nquasi.terms import (
     variables,
 )
 from nquasi.varieties import VarietySpec, base_loop, base_quasigroup, complete_loop, complete_quasigroup, generate_trs
+
+from conftest import redex_terms
 
 BQ2 = base_quasigroup(2)
 CQ2 = complete_quasigroup(2)
@@ -91,6 +93,34 @@ class TestRuleInvariants:
             Trs(sig, [Rule(bq2("g1(x,y)"), Var("x"), "r")])
 
 
+# labels and variable names that the TRS format can write, and ones that
+# it cannot; "c" and "v1" are declared constants
+AWKWARD_SIGNATURE = Signature({"f": 2, "u": 1, "c": 0, "v1": 0})
+WRITABLE_LABELS = ["r", "2.3[i=1]", "cp1", "", "a b"]
+AWKWARD_LABELS = ["a:b", "a#b", " a", "a ", "a\nb", "a\rb", "a\x85b"]
+WRITABLE_NAMES = ["x", "y", "v2"]
+AWKWARD_NAMES = ["v1", "c", "f", "x y", "x#", "x:", ""]
+
+
+@st.composite
+def awkward_systems(draw):
+    """Up to three rules over AWKWARD_SIGNATURE, each label and variable
+    name writable three times in four; a right side is a subterm of its
+    left side."""
+    names = WRITABLE_NAMES * 7 + AWKWARD_NAMES
+    leaves = st.sampled_from([Var(name) for name in names] + [App("c"), App("v1")])
+    apps = lambda args: st.one_of(
+        st.tuples(args, args).map(lambda a: App("f", a)), args.map(lambda a: App("u", (a,)))
+    )
+    labels = draw(st.lists(st.sampled_from(WRITABLE_LABELS * 4 + AWKWARD_LABELS), unique=True, max_size=3))
+    rules = []
+    for label in labels:
+        lhs = draw(apps(st.recursive(leaves, apps, max_leaves=3)))
+        rhs = draw(st.sampled_from([sub for _pos, sub in positions(lhs)]))
+        rules.append(Rule(lhs, rhs, label))
+    return Trs(AWKWARD_SIGNATURE, rules)
+
+
 class TestTrsFileFormat:
     def test_round_trip(self):
         text = format_trs(CL2)
@@ -121,6 +151,56 @@ class TestTrsFileFormat:
         # read back, f(0,0) -> 0 would be the idempotence rule f(x,x) -> x
         with pytest.raises(ValueError, match=r"^rule collapse\[f\(0,0\)\]: element leaves"):
             format_trs(Trs(d.signature, [d.rule("collapse[f(0,0)]")]))
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (Rule(App("u", (Var("x"),)), Var("x"), "a:b"), "rule label 'a:b' has no syntax"),
+            (Rule(App("u", (Var("x"),)), Var("x"), "a#b"), "rule label 'a#b' has no syntax"),
+            (Rule(App("u", (Var("x"),)), Var("x"), " a"), "rule label ' a' has no syntax"),
+            (Rule(App("u", (Var("x"),)), Var("x"), "a\nb"), "rule label 'a\\nb' has no syntax"),
+            (Rule(App("u", (Var("c"),)), Var("c"), "r"), "rule r: variables ['c'] would not read back"),
+            (Rule(App("u", (Var("x y"),)), Var("x y"), "r"), "rule r: variables ['x y'] would not read back"),
+        ],
+        ids=["colon", "hash", "leading-space", "line-break", "declared-name", "not-an-identifier"],
+    )
+    def test_rules_that_would_not_read_back_are_refused(self, rule, message):
+        with pytest.raises(ValueError) as info:
+            format_trs(Trs(Signature({"u": 1, "c": 0}), [rule]))
+        assert str(info.value).startswith(message)
+
+    def test_empty_signature_round_trip(self):
+        empty = Trs(Signature({}), [])
+        assert parse_trs(format_trs(empty)) == empty
+        assert parse_trs("sig\n") == empty
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trs=awkward_systems())
+    def test_a_system_is_refused_or_reads_back_as_itself(self, trs):
+        try:
+            text = format_trs(trs)
+        except ValueError:
+            # each refusal is needed: written out anyway, the rules do not read back
+            naive = format_trs(Trs(trs.signature, []))
+            naive += "".join("rule %s: %s -> %s\n" % (r.label, r.lhs, r.rhs) for r in trs.rules)
+            try:
+                assert parse_trs(naive) != trs
+            except ValueError:
+                pass
+        else:
+            assert parse_trs(text) == trs
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(labels=st.lists(st.text(st.characters(codec="utf-8"), max_size=4), min_size=1, max_size=4))
+    def test_every_parsed_system_reads_back_as_itself(self, labels):
+        # what parse_trs reads, format_trs writes back: the CLI writes only
+        # parsed or generated systems and the rules that completion adopts
+        lines = ["rule %s: u(x) -> x" % label for label in labels]
+        try:
+            trs = parse_trs("sig u/1 c/0\n" + "\n".join(lines) + "\n")
+        except ParseError:
+            return
+        assert parse_trs(format_trs(trs)) == trs
 
     def test_crlf_and_comments(self):
         text = "# header\r\nsig f/1 g1/1\r\nrule a: f(g1(x)) -> x # inverse\r\n"
@@ -211,7 +291,7 @@ class TestRuleIndex:
         "trs", [BQ2, CQ2, BL2, CL2, complete_loop(3)], ids=["bq2", "cq2", "bl2", "cl2", "cl3"]
     )
     def test_candidates_agree_with_argument_heads_in_rule_order(self, trs):
-        index = index_rules(trs.rules)
+        index = _RuleIndex(trs.rules)
         order = [r.label for r in trs.rules]
         for key in _all_keys(trs.signature, [None] + list(trs.signature.symbols)):
             candidates = index[key]
@@ -224,7 +304,7 @@ class TestRuleIndex:
                 assert (r in candidates) == fits, (key, r.label)
 
     def test_variable_argument_never_selects_an_application_argument(self):
-        index = index_rules(CQ2.rules)
+        index = _RuleIndex(CQ2.rules)
         assert _labels(index, ("f", None, None)) == []
         assert _labels(index, ("f", "g1", None)) == ["2.3[i=1]"]
         assert _labels(index, ("g1", None, None)) == []
@@ -234,7 +314,7 @@ class TestRuleIndex:
     def test_wrong_number_of_arguments_selects_no_rule(self):
         # a term built without the signature's check; the rules of its
         # root symbol all have two arguments
-        index = index_rules(CQ2.rules)
+        index = _RuleIndex(CQ2.rules)
         g1 = App("g1", (Var("x"), Var("y")))
         for args, key in [
             ((Var("x"),), ("f", None)),
@@ -245,7 +325,7 @@ class TestRuleIndex:
             assert rewrite_steps(CQ2, App("f", args)) == set()
 
     def test_overlapping_rules_fit_the_key_with_variables_as_wildcards_on_both_sides(self):
-        # one symbol with two arities, which `index_rules` takes from bare
+        # one symbol with two arities, which `_RuleIndex` takes from bare
         # rules; the key's arity and every head where neither side has a
         # variable must agree
         a, b, x, y, z = Elem("a"), Elem("b"), Var("x"), Var("y"), Var("z")
@@ -257,7 +337,7 @@ class TestRuleIndex:
             Rule(App("f", (x, y, z)), x, "three"),
             Rule(App("f", (a, b, a)), a, "ground-three"),
         ]
-        index = index_rules(rules)
+        index = _RuleIndex(rules)
         assert {r.label for r in index.overlapping(("f", None, None))} == {"two", "two-a", "two-u", "ground-two"}
         assert {r.label for r in index.overlapping(("f", None, b, None))} == {"three", "ground-three"}
         heads = lambda t: [None if isinstance(u, Var) else u if isinstance(u, Elem) else u.symbol for u in t.args]
@@ -272,10 +352,15 @@ class TestRuleIndex:
                 got = [r.label for r in index.overlapping(("f",) + key_heads)]
                 assert sorted(got) == sorted(fits), key_heads
 
+    def test_overlapping_lists_are_cached_per_key(self):
+        index = _RuleIndex(CQ2.rules)
+        for key in [("g1", None, "f"), ("f", "g1", None), ("g1", None, None)]:
+            assert index.overlapping(key) is index.overlapping(key)
+
     def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
         lhs = App("g1", (Var("x"), Var("x")))
         trs = Trs(Signature({"g1": 2}), [Rule(lhs, Var("x"), "idem")])
-        index = index_rules(trs.rules)
+        index = _RuleIndex(trs.rules)
         for a, b, key in [
             (Var("a"), Var("b"), ("g1", None, None)),
             (Elem("a"), Elem("b"), ("g1", Elem("a"), Elem("b"))),
@@ -305,27 +390,6 @@ class TestRuleIndex:
 # complete, hence confluent, presentations: every strategy reaches the
 # one normal form
 COMPLETE_SYSTEMS = [generate_trs(VarietySpec(kind, n, True)) for kind in ("quasigroup", "loop") for n in (1, 2, 3)]
-
-
-def redex_terms(trs):
-    """Terms over the signature of trs and the variables x, y, in which any
-    subterm may be an instance of a rule's left side, so that rewriting
-    has work to do at every depth."""
-    leaves = [Var("x"), Var("y")] + [App(c) for c in trs.signature.constants()]
-    symbols = sorted((s, k) for s, k in trs.signature.symbols.items() if k)
-
-    def extend(inner):
-        apps = st.sampled_from(symbols).flatmap(lambda sk: st.tuples(*[inner] * sk[1]).map(lambda args: App(sk[0], args)))
-        redexes = st.sampled_from(trs.rules).flatmap(
-            lambda r: st.fixed_dictionaries({v: inner for v in sorted(variables(r.lhs))}).map(
-                lambda sigma: apply_substitution(sigma, r.lhs)
-            )
-        )
-        return apps | redexes
-
-    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
-
-
 COMPLETE_SYSTEM_TERMS = st.sampled_from(COMPLETE_SYSTEMS).flatmap(lambda trs: st.tuples(st.just(trs), redex_terms(trs)))
 
 
@@ -589,7 +653,7 @@ class TestCheckConditions:
 def canonical_rule_set(trs):
     from nquasi.rewriting import _canonical_rule_body
 
-    return {_canonical_rule_body(r.lhs, r.rhs) for r in trs.rules}
+    return {_canonical_rule_body(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 class TestComplete:
