@@ -16,6 +16,7 @@ from random import Random
 
 from .terms import (
     _IDENT_RE,
+    _first_occurrences,
     App,
     Elem,
     ParseError,
@@ -25,7 +26,6 @@ from .terms import (
     Term,
     Var,
     apply_substitution,
-    canonical_renaming,
     check_well_formed,
     iter_variables,
     match,
@@ -312,6 +312,31 @@ def rewrite_steps(system, t: Term) -> set:
     return set(_successors(system, t, positions))
 
 
+def _step_memo(system):
+    """`steps(t)`: the one-step successors (result, label, pos) of t, those
+    inside an argument built from that argument's own steps, which are
+    computed once and kept.  With keep=False the steps of t itself are not
+    kept, only those of its arguments."""
+    memo = {}
+
+    def steps(t: Term, keep: bool = True) -> list:
+        if not isinstance(t, App):
+            return []
+        found = memo.get(t)
+        if found is not None:
+            return found
+        found = system.steps_at(t, (), t)
+        symbol, args = t.symbol, t.args
+        for i, arg in enumerate(args):
+            for result, label, pos in steps(arg):
+                found.append((App(symbol, (*args[:i], result, *args[i + 1 :])), label, (i + 1, *pos)))
+        if keep:
+            memo[t] = found
+        return found
+
+    return steps
+
+
 def step_key(step) -> tuple:
     """Total order on the steps from one term: position, label, result."""
     return step[2], step[1], str(step[0])
@@ -365,12 +390,18 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     """
     if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
+    return _reach(lambda u: _successors(system, u, positions), t, cap)
+
+
+def _reach(steps, t: Term, cap: int) -> set:
+    """The terms reachable from t by the one-step relation `steps`, by
+    breadth-first search; CapExceeded once more than cap are seen."""
     seen = {t}
     frontier = [t]
     while frontier:
         fresh = []
         for u in frontier:
-            for v, _label, _pos in _successors(system, u, positions):
+            for v, _label, _pos in steps(u):
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > cap:
@@ -401,14 +432,23 @@ def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
 # critical pairs and confluence
 
 
+def _canonical(sig: Signature, *terms: Term) -> tuple:
+    """The terms with their variables renamed v1, v2, ... in order of first
+    occurrence over all of them, skipping the symbols of sig: a variable so
+    named would read as the symbol."""
+    fresh = (Var(name) for name in ("v%d" % i for i in itertools.count(1)) if name not in sig)
+    renaming = dict(zip(_first_occurrences(terms), fresh))
+    return tuple(apply_substitution(renaming, t) for t in terms)
+
+
 @dataclass(frozen=True)
 class CriticalPair:
     """Two one-step results from a unifiable overlap of rule left sides.
 
     left/right/peak are canonically renamed (v1, v2, ... in first-occurrence
-    order over the peak); mgu is kept in the original rule variables as
-    provenance.  peak rewrites to left by rule1 at the root and to right by
-    rule2 at `position`.
+    order over the peak, skipping the declared symbols); mgu is kept in the
+    original rule variables as provenance.  peak rewrites to left by rule1
+    at the root and to right by rule2 at `position`.
     """
 
     left: Term
@@ -473,14 +513,12 @@ def critical_pairs(trs: Trs) -> tuple:
                 peak = apply_substitution(sigma, rule1.lhs)
                 left = apply_substitution(sigma, rule1.rhs)
                 right = replace_at(peak, pos, apply_substitution(sigma, r2))
-                canon = canonical_renaming((peak, left, right))
-                left_c = apply_substitution(canon, left)
-                right_c = apply_substitution(canon, right)
+                peak_c, left_c, right_c = _canonical(trs.signature, peak, left, right)
                 out.append(
                     CriticalPair(
                         left=left_c,
                         right=right_c,
-                        peak=apply_substitution(canon, peak),
+                        peak=peak_c,
                         rule1=rule1.label,
                         rule2=rule2.label,
                         position=pos,
@@ -583,15 +621,6 @@ class CompletionResult:
     adopted: tuple = ()  # (Rule, CriticalPair) in adoption order
 
 
-def _canonical_rule_body(sig: Signature, lhs: Term, rhs: Term) -> tuple:
-    """lhs and rhs with their variables renamed v1, v2, ... in order of first
-    occurrence, skipping the symbols of sig: a variable so named would read
-    back as the symbol."""
-    fresh = (Var(name) for name in ("v%d" % i for i in itertools.count(1)) if name not in sig)
-    renaming = dict(zip(canonical_renaming((lhs, rhs)), fresh))
-    return apply_substitution(renaming, lhs), apply_substitution(renaming, rhs)
-
-
 def _fresh_label(used: set, counter: int) -> tuple:
     while True:
         label = "cp%d" % counter
@@ -631,8 +660,8 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
             if size(left_nf) == size(right_nf):
                 raise UnorientableError(cp, "equal sizes after normalization")
             big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
-            lhs, rhs = _canonical_rule_body(trs.signature, big, small)
-            if any(_canonical_rule_body(trs.signature, r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
+            lhs, rhs = _canonical(trs.signature, big, small)
+            if any(_canonical(trs.signature, r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
                 continue
             if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")
@@ -704,21 +733,31 @@ def local_confluence_oracle(
     """Independent confluence check: enumerate every peak up to max_size,
     take all pairs of its one-step reducts and test joinability.  Together
     with verified termination this decides confluence by Newman's lemma,
-    without ever looking at critical pairs."""
+    without ever looking at critical pairs.
+
+    One step relation serves the whole call (`_step_memo`): a term's steps
+    are its root steps plus the steps of its arguments, which are computed
+    once and kept, so a subterm is matched against the rules once however
+    many terms contain it.  A peak's own steps are not kept: most peaks
+    have the largest size and are an argument of no other term, so keeping
+    them would grow the memo by most of the universe for almost no hits
+    (peak RSS 31 MB against 21 MB on complete_loop(2) at size 7).  The
+    steps of the reducts that the joinability walks visit are kept."""
     if not check_conditions(trs).star_ok:
         return OracleVerdict(status="termination-not-verified")
+    steps = _step_memo(trs)
     checked = 0
     for peak in enumerate_terms(trs.signature, max_size, num_vars):
-        steps = sorted(rewrite_steps(trs, peak), key=step_key)
-        if len(steps) < 2:
+        found = steps(peak, keep=False)
+        if len(found) < 2:
             continue
         checked += 1
         succs = []
-        for term, _label, _pos in steps:
+        for term, _label, _pos in sorted(found, key=step_key):
             if term not in succs:
                 succs.append(term)
         for t1, t2 in itertools.combinations(succs, 2):
-            ok, _ = joinable(trs, t1, t2, cap)
-            if not ok:
+            reach1 = _reach(steps, t1, cap)
+            if t2 not in reach1 and reach1.isdisjoint(_reach(steps, t2, cap)):
                 return OracleVerdict(status="not-confluent", peak=peak, pair=(t1, t2), peaks_checked=checked)
     return OracleVerdict(status="confluent", peaks_checked=checked)

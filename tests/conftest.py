@@ -111,11 +111,11 @@ def confluence_mutants(trs, count, seed, label_prefix):
     return out
 
 
-def redex_terms(trs):
-    """Terms over the signature of trs and the variables x, y, in which any
-    subterm may be an instance of a rule's left side, so that rewriting
-    has work to do at every depth."""
-    leaves = [Var("x"), Var("y")] + [App(c) for c in trs.signature.constants()]
+def redex_terms(trs, elements=()):
+    """Terms over the signature of trs, the variables x, y and the given
+    element leaves, in which any subterm may be an instance of a rule's
+    left side, so that rewriting has work to do at every depth."""
+    leaves = [Var("x"), Var("y")] + [App(c) for c in trs.signature.constants()] + [Elem(a) for a in elements]
     symbols = sorted((s, k) for s, k in trs.signature.symbols.items() if k)
 
     def extend(inner):

@@ -25,7 +25,7 @@ from nquasi.rewriting import (
     complete,
     local_confluence_oracle,
 )
-from nquasi.rewriting import _canonical_rule_body
+from nquasi.rewriting import _canonical
 from nquasi.varieties import base_loop, base_quasigroup, complete_loop, complete_quasigroup
 
 from conftest import confluence_mutants, steiner3
@@ -37,7 +37,7 @@ def criterion(tag, ok, detail=""):
 
 
 def canonical_rule_set(trs):
-    return {_canonical_rule_body(trs.signature, r.lhs, r.rhs) for r in trs.rules}
+    return {_canonical(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 def pair_shapes(verdict):

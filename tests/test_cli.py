@@ -263,6 +263,23 @@ class TestComplete:
         assert expected.signature.arity("v1") == 0
         assert parse_trs(json.loads(out)["details"]["trs"]) == expected
 
+    def test_pair_variables_skip_declared_symbols(self, capsys, tmp_path):
+        # the source pair of an adopted rule, and a check witness, name their
+        # variables v2, v3, ...: v1 is the declared constant
+        _, base, _ = run_cli(capsys, "gen-trs", "--kind", "quasigroup", "--n", "2")
+        path = tmp_path / "v1.trs"
+        path.write_text(base.replace("sig f/2 g1/2 g2/2\n", "sig f/2 g1/2 g2/2 v1/0\n"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "complete", "--trs", str(path))
+        assert code == 0
+        assert "from pair (v2, g1(v3,g2(v2,v3))) from 2.4[i=1] x 2.3[i=2] at [1]" in out
+        code, out, _ = run_cli(capsys, "complete", "--trs", str(path), "--json")
+        pair = json.loads(out)["details"]["adopted"][0]["source_pair"]
+        assert (pair["left"], pair["right"], pair["peak"]) == ("v2", "g1(v3,g2(v2,v3))", "g1(f(v2,g2(v2,v3)),g2(v2,v3))")
+        code, out, _ = run_cli(capsys, "check", "--trs", str(path))
+        assert code == 1
+        assert "  peak:  g1(f(v2,g2(v2,v3)),g2(v2,v3))" in out
+        assert "v1" not in out
+
     def test_max_rounds_exceeded(self, capsys, base_quasi_file):
         code, _, err = run_cli(capsys, "complete", "--trs", base_quasi_file, "--max-rounds", "0")
         assert code == 3 and "rounds" in err

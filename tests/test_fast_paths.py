@@ -10,7 +10,9 @@ ordered rule pair it replaced; `unify` with one binding branch, the
 leftmost strategies as the first of the position-ordered steps, and the
 one rule-index predicate for matching and unifying, checked against the
 two-branch `unify`, the leftmost loop and the two filters they replaced;
-and the rule families, Prop. 3.6 and the square-to-quasigroup step,
+the local-confluence oracle on one memoized step relation, checked
+against the oracle on `rewrite_steps` and `joinable` it replaced; and the
+rule families, Prop. 3.6 and the square-to-quasigroup step,
 checked against the hand-built code they replaced; and the one
 identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
 three-pass `validate` it replaced.  The reference implementations below
@@ -51,17 +53,25 @@ from nquasi.codescent import (
     search_noncep_monomorphism,
 )
 from nquasi.rewriting import (
+    DEFAULT_REDUCT_CAP,
+    CapExceeded,
     CriticalPair,
+    OracleVerdict,
     Rule,
     Trs,
     _RuleIndex,
     _pair_sort_key,
+    _step_memo,
+    check_conditions,
     critical_pairs,
     enumerate_terms,
     format_trs,
+    joinable,
+    local_confluence_oracle,
     normalize,
     parse_trs,
     rewrite_steps,
+    step_key,
 )
 from nquasi.terms import (
     App,
@@ -1184,6 +1194,120 @@ def test_rule_index_lists_match_reference_filters_in_rule_order(name):
         assert index[key] == reference[key], key
         expected = sorted(reference.overlapping(key), key=lambda rule: number[rule.label])
         assert index.overlapping(key) == expected, key
+
+
+# ---------------------------------------------------------------------------
+# the local-confluence oracle: one memoized step relation per call, against
+# `rewrite_steps` and `joinable` on every term
+
+
+def reference_local_confluence_oracle(trs, max_size=6, num_vars=3, cap=DEFAULT_REDUCT_CAP):
+    if not check_conditions(trs).star_ok:
+        return OracleVerdict(status="termination-not-verified")
+    checked = 0
+    for peak in enumerate_terms(trs.signature, max_size, num_vars):
+        steps = sorted(rewrite_steps(trs, peak), key=step_key)
+        if len(steps) < 2:
+            continue
+        checked += 1
+        succs = []
+        for term, _label, _pos in steps:
+            if term not in succs:
+                succs.append(term)
+        for t1, t2 in itertools.combinations(succs, 2):
+            ok, _ = joinable(trs, t1, t2, cap)
+            if not ok:
+                return OracleVerdict(status="not-confluent", peak=peak, pair=(t1, t2), peaks_checked=checked)
+    return OracleVerdict(status="confluent", peaks_checked=checked)
+
+
+# six seeded mutants of each complete system for n = 2, among them forks,
+# renames and shuffles
+ORACLE_MUTANTS = {
+    kind: confluence_mutants(generate_trs(VarietySpec(kind, 2, True)), 6, seed=2, label_prefix="m")
+    for kind in ("quasigroup", "loop")
+}
+
+
+def _oracle_cases():
+    cases = {}
+    for kind, top in (("quasigroup", 3), ("loop", 2)):
+        for n in range(1, top + 1):
+            cases["complete_%s(%d)@6" % (kind, n)] = (generate_trs(VarietySpec(kind, n, True)), 6)
+    cases["complete_loop(2)@7"] = (complete_loop(2), 7)
+    # no binary quasigroup peak has size 6 or less
+    cases["complete_quasigroup(2)@7"] = (generate_trs(VarietySpec("quasigroup", 2, True)), 7)
+    cases["base_quasigroup(2)@7"] = (generate_trs(VarietySpec("quasigroup", 2)), 7)
+    for kind, size in (("quasigroup", 7), ("loop", 6)):
+        for n in (1, 2, 3):
+            cases["base_%s(%d)@6" % (kind, n)] = (generate_trs(VarietySpec(kind, n)), 6)
+        for i, mutant in enumerate(ORACLE_MUTANTS[kind]):
+            cases["mutant_%s(2)#%d@%d" % (kind, i, size)] = (mutant, size)
+    # three steps at the root, whose labels sort against the rule order, so
+    # that the first divergent pair depends on sorting all steps by step_key
+    x, y = Var("x"), Var("y")
+    rules = [Rule(App("f", (x, y)), App(h, (x,)), label) for h, label in (("g", "z"), ("h", "a"))]
+    rules.append(Rule(App("f", (x, y)), x, "b"))
+    cases["three root steps"] = (Trs(Signature({"f": 2, "g": 1, "h": 1}), rules), 6)
+    swap = Rule(App("f", (x, y)), App("f", (y, x)), "swap")
+    cases["non-terminating swap"] = (Trs(Signature({"f": 2}), [swap]), 6)
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_local_confluence_oracle_matches_reference(name):
+    trs, max_size = ORACLE_CASES[name]
+    assert local_confluence_oracle(trs, max_size) == reference_local_confluence_oracle(trs, max_size)
+
+
+def test_oracle_cases_cover_every_verdict_and_mutant_kind():
+    verdicts = {local_confluence_oracle(trs, size).status for trs, size in ORACLE_CASES.values() if size == 6}
+    assert verdicts == {"confluent", "not-confluent", "termination-not-verified"}
+    for kind, mutants in ORACLE_MUTANTS.items():
+        parent = generate_trs(VarietySpec(kind, 2, True))
+        forks = [m for m in mutants if len(m.rules) > len(parent.rules)]
+        renames = [m for m in mutants if len(m.rules) == len(parent.rules) and set(m.rules) != set(parent.rules)]
+        shuffles = [m for m in mutants if m.rules != parent.rules and set(m.rules) == set(parent.rules)]
+        assert forks and renames and shuffles, kind
+    assert len(_FORK.rules) > len(complete_loop(2).rules)
+
+
+@pytest.mark.parametrize("max_size, cap", [(6, 1), (7, 3)])
+def test_oracle_exceeds_a_small_cap_as_the_reference_does(max_size, cap):
+    trs = complete_loop(2)
+    with pytest.raises(CapExceeded) as raised:
+        local_confluence_oracle(trs, max_size, cap=cap)
+    with pytest.raises(CapExceeded) as expected:
+        reference_local_confluence_oracle(trs, max_size, cap=cap)
+    assert str(raised.value) == str(expected.value)
+
+
+_FORK = ORACLE_MUTANTS["loop"][0]  # complete_loop(2) and a forked rule
+_DIAGRAM = AMALGAM_CASES["Z4*Z4/Z2"][0]()  # element leaves and ground rules
+
+
+def _system_and_term(trs, elements=()):
+    return redex_terms(trs, elements).map(lambda t: (trs, t))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    case=_system_and_term(complete_loop(2))
+    | _system_and_term(_FORK)
+    | _system_and_term(_DIAGRAM, _DIAGRAM.carrier_union)
+)
+def test_memoized_steps_are_the_rewrite_steps(case):
+    trs, t = case
+    steps = _step_memo(trs)
+    expected = rewrite_steps(trs, t)
+    for keep in (False, True, True):  # the last call reads the memo
+        found = steps(t, keep=keep)
+        assert len(found) == len(expected) and set(found) == expected, str(t)
+    for _pos, sub in positions(t):  # each subterm's steps, kept by the calls above
+        assert set(steps(sub)) == rewrite_steps(trs, sub), str(sub)
 
 
 # ---------------------------------------------------------------------------

@@ -651,9 +651,9 @@ class TestCheckConditions:
 
 
 def canonical_rule_set(trs):
-    from nquasi.rewriting import _canonical_rule_body
+    from nquasi.rewriting import _canonical
 
-    return {_canonical_rule_body(trs.signature, r.lhs, r.rhs) for r in trs.rules}
+    return {_canonical(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 class TestComplete:
