@@ -146,6 +146,9 @@ class FiniteAlgebra:
 
     def rename(self, mapping, name=None) -> "FiniteAlgebra":
         """Copy with every element renamed through an injective mapping."""
+        for a in self.carrier:
+            if a not in mapping:
+                raise AlgebraError("renaming misses element %r" % (a,))
         if len(set(mapping.values())) != len(mapping):
             raise AlgebraError("renaming is not injective")
         remap = lambda a: mapping[a]

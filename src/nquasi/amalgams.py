@@ -176,10 +176,17 @@ def build_amalgam(base, factors, embeddings) -> AmalgamDiagram:
 
 
 def _check_element_term(d: AmalgamDiagram, t: Term) -> None:
+    """Refuse a variable, an unknown element, or an application that is not
+    one of the diagram's n-ary operations with n arguments."""
     for _pos, sub in positions(t):
-        if isinstance(sub, Var):
+        if isinstance(sub, App):
+            if sub.symbol not in d.operations or len(sub.args) != d.n:
+                raise AmalgamError(
+                    "%s: not one of %s applied to %d arguments" % (sub, ", ".join(d.operations), d.n)
+                )
+        elif isinstance(sub, Var):
             raise UnknownElementError("unknown element %r" % (sub.name,))
-        if isinstance(sub, Elem):
+        else:
             d.owns(sub.name)
 
 

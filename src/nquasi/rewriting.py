@@ -27,6 +27,7 @@ from .terms import (
     Var,
     apply_substitution,
     check_well_formed,
+    fresh_names,
     iter_variables,
     match,
     parse_term,
@@ -436,8 +437,8 @@ def _canonical(sig: Signature, *terms: Term) -> tuple:
     """The terms with their variables renamed v1, v2, ... in order of first
     occurrence over all of them, skipping the symbols of sig: a variable so
     named would read as the symbol."""
-    fresh = (Var(name) for name in ("v%d" % i for i in itertools.count(1)) if name not in sig)
-    renaming = dict(zip(_first_occurrences(terms), fresh))
+    names = _first_occurrences(terms)
+    renaming = dict(zip(names, map(Var, fresh_names("v", len(names), sig))))
     return tuple(apply_substitution(renaming, t) for t in terms)
 
 
@@ -621,20 +622,13 @@ class CompletionResult:
     adopted: tuple = ()  # (Rule, CriticalPair) in adoption order
 
 
-def _fresh_label(used: set, counter: int) -> tuple:
-    while True:
-        label = "cp%d" % counter
-        counter += 1
-        if label not in used:
-            used.add(label)
-            return label, counter
-
-
 def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> CompletionResult:
     """Orient non-joinable critical pairs into new rules until confluent.
 
     Both sides of a pair are normalized first; the larger side becomes the
-    new left-hand side.  Orientation is strictly by size; a pair whose
+    new left-hand side.  The rule's variables are the first v<k> that are
+    not symbols, and its label is the first cp<k> that no rule has (both
+    from `fresh_names`).  Orientation is strictly by size; a pair whose
     normal forms have equal size, or whose orientation would violate the
     rule invariants or the size-decrease condition, raises UnorientableError
     rather than guessing.
@@ -642,8 +636,6 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("completion requires size-decreasing input rules")
     current = trs
-    used_labels = {r.label for r in current.rules}
-    counter = 1
     adopted = []
     rounds = 0
     while True:
@@ -665,7 +657,7 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
                 continue
             if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")
-            label, counter = _fresh_label(used_labels, counter)
+            label = fresh_names("cp", 1, {r.label for r in current.rules})[0]
             rule = Rule(lhs, rhs, label)
             if not _rule_star(rule):
                 raise UnorientableError(cp, "candidate violates the size-decrease condition")
@@ -679,9 +671,9 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
 
 
 def enumerate_terms(sig: Signature, max_size: int, num_vars: int = 3) -> list:
-    """All terms of size <= max_size over the signature and a fixed pool of
-    variables v1..v{num_vars} (complete up to renaming)."""
-    leaves = [Var("v%d" % (i + 1)) for i in range(num_vars)]
+    """All terms of size <= max_size over the signature and the first
+    num_vars of v1, v2, ... that are not symbols (complete up to renaming)."""
+    leaves = [Var(name) for name in fresh_names("v", num_vars, sig)]
     leaves += [App(c) for c in sig.constants()]
     return terms_up_to(leaves, [(s, k) for s, k in sig.symbols.items() if k >= 1], max_size)
 

@@ -237,32 +237,37 @@ def unify(s: Term, t: Term) -> Substitution | None:
     return sub
 
 
+def fresh_names(prefix: str, count: int, taken) -> list:
+    """The first `count` of prefix1, prefix2, ... not in `taken` (a set of
+    names or a Signature); every name the package invents comes from here."""
+    names = []
+    i = 0
+    while len(names) < count:
+        i += 1
+        name = "%s%d" % (prefix, i)
+        if name not in taken:
+            names.append(name)
+    return names
+
+
 def rename_apart(fixed, movable) -> Substitution:
     """Variable renaming for `movable` making its variables disjoint from
     those of `fixed`.
 
-    Fresh names are v1, v2, ... skipping anything already in use on either
-    side; variables of `movable` that cause no collision are kept, so
-    already-disjoint inputs get the identity renaming.
+    The clashing variables, in first-occurrence order, get the first fresh
+    names v1, v2, ... used on neither side; the other variables of
+    `movable` are kept, so already-disjoint inputs get the identity renaming.
     """
     taken = variables(*fixed)
     movable_vars = _first_occurrences(movable)
-    used = taken | set(movable_vars)
-    renaming: Substitution = {}
-    counter = 1
-    for name in movable_vars:
-        if name in taken:
-            while "v%d" % counter in used:
-                counter += 1
-            fresh = "v%d" % counter
-            used.add(fresh)
-            renaming[name] = Var(fresh)
-    return renaming
+    clashing = [name for name in movable_vars if name in taken]
+    return dict(zip(clashing, map(Var, fresh_names("v", len(clashing), taken.union(movable_vars)))))
 
 
 def canonical_renaming(terms) -> Substitution:
     """Renaming to v1, v2, ... in left-to-right first-occurrence order."""
-    return {name: Var("v%d" % i) for i, name in enumerate(_first_occurrences(terms), start=1)}
+    names = _first_occurrences(terms)
+    return dict(zip(names, map(Var, fresh_names("v", len(names), ()))))
 
 
 def _first_occurrences(terms) -> list:

@@ -151,6 +151,10 @@ class TestDeriveDivisions:
         remapped = [{tuple(map(mapping.get, args)): mapping[b] for args, b in tg.items()} for tg in alg.tables_g]
         assert list(alg.rename(mapping).tables_g) == remapped
 
+    def test_renaming_that_misses_an_element_names_it(self):
+        with pytest.raises(AlgebraError, match="renaming misses element '2'"):
+            cyclic_loop(3).rename({"0": "a", "1": "b"})
+
 
 class TestModelsSatisfyGeneratedRules:
     """Validated algebras must satisfy every rule of their variety's

@@ -165,6 +165,27 @@ class TestNormalizeElement:
         with pytest.raises(UnknownElementError):
             normalize_element(d, Elem("7"))
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            App("f", (Elem("1@1"),)),
+            App("h", (Elem("1@1"), Elem("0"))),
+            App("f", (Elem("1@1"), Elem("2@1"), Elem("0"))),
+            App("g1", (Elem("0"), App("f", (Elem("1@1"),)))),
+        ],
+        ids=str,
+    )
+    def test_applications_outside_the_operations_are_rejected(self, t):
+        d = two_z3_over_trivial()
+        with pytest.raises(AmalgamError, match="not one of f, g1, g2 applied to 2 arguments"):
+            normalize_element(d, t)
+        with pytest.raises(AmalgamError):
+            apply_op(d, "f", [t, Elem("0")])
+
+    def test_the_identity_constant_is_resolved_before_the_check(self):
+        d = two_z3_over_trivial()
+        assert normalize_element(d, App("f", (App("e"), Elem("1@1")))).normal_form == Elem("1@1")
+
     def test_result_is_a_normal_form(self):
         d = z4_twice_over_z2()
         rng = Random(5)

@@ -11,7 +11,10 @@ leftmost strategies as the first of the position-ordered steps, and the
 one rule-index predicate for matching and unifying, checked against the
 two-branch `unify`, the leftmost loop and the two filters they replaced;
 the local-confluence oracle on one memoized step relation, checked
-against the oracle on `rewrite_steps` and `joinable` it replaced; and the
+against the oracle on `rewrite_steps` and `joinable` it replaced; every
+invented variable name and completion label from `fresh_names`, checked
+against the counters of `rename_apart`, `_canonical` and `complete` and
+the fixed variable pool of `enumerate_terms` that it replaced; and the
 rule families, Prop. 3.6 and the square-to-quasigroup step,
 checked against the hand-built code they replaced; and the one
 identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
@@ -55,14 +58,22 @@ from nquasi.codescent import (
 from nquasi.rewriting import (
     DEFAULT_REDUCT_CAP,
     CapExceeded,
+    CompletionResult,
     CriticalPair,
+    MaxRoundsExceeded,
     OracleVerdict,
     Rule,
+    TerminationNotVerified,
     Trs,
+    UnorientableError,
     _RuleIndex,
+    _canonical,
     _pair_sort_key,
+    _rule_star,
     _step_memo,
     check_conditions,
+    check_confluence,
+    complete,
     critical_pairs,
     enumerate_terms,
     format_trs,
@@ -72,6 +83,7 @@ from nquasi.rewriting import (
     parse_trs,
     rewrite_steps,
     step_key,
+    terms_up_to,
 )
 from nquasi.terms import (
     App,
@@ -80,11 +92,15 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
+    fresh_names,
+    iter_variables,
     match,
+    parse_term,
     positions,
     positions_postorder,
     rename_apart,
     replace_at,
+    size,
     subterm_at,
     unify,
     variables,
@@ -1518,3 +1534,201 @@ def test_constructor_raises_exactly_when_the_reference_finds_a_violation(case):
     assert message.startswith("A is not a valid %s: f-of-division at " % kind)
     if expected.axiom == "f-of-division":
         assert message == "A is not a valid %s: %s" % (kind, expected)
+
+
+# ---------------------------------------------------------------------------
+# invented names: `fresh_names` against the counter loop of `rename_apart`,
+# the name generator of `_canonical`, the label counter of `complete` and
+# the fixed variable pool of `enumerate_terms` that it replaced
+
+
+def _reference_first_occurrences(terms):
+    return list(dict.fromkeys(name for t in terms for name in iter_variables(t)))
+
+
+def reference_rename_apart(fixed, movable):
+    taken = variables(*fixed)
+    movable_vars = _reference_first_occurrences(movable)
+    used = taken | set(movable_vars)
+    renaming = {}
+    counter = 1
+    for name in movable_vars:
+        if name in taken:
+            while "v%d" % counter in used:
+                counter += 1
+            fresh = "v%d" % counter
+            used.add(fresh)
+            renaming[name] = Var(fresh)
+    return renaming
+
+
+def reference_fresh_variables(taken):
+    """v1, v2, ... without the names in taken, without end."""
+    return (name for name in ("v%d" % i for i in itertools.count(1)) if name not in taken)
+
+
+def reference_canonical(sig, *terms):
+    fresh = (Var(name) for name in reference_fresh_variables(sig))
+    renaming = dict(zip(_reference_first_occurrences(terms), fresh))
+    return tuple(apply_substitution(renaming, t) for t in terms)
+
+
+def reference_canonical_renaming(terms):
+    return {name: Var("v%d" % i) for i, name in enumerate(_reference_first_occurrences(terms), start=1)}
+
+
+def reference_fresh_label(used, counter):
+    while True:
+        label = "cp%d" % counter
+        counter += 1
+        if label not in used:
+            used.add(label)
+            return label, counter
+
+
+def reference_complete(trs, max_rounds=10, cap=DEFAULT_REDUCT_CAP):
+    """`complete` with its own label counter and `reference_canonical`."""
+    if not check_conditions(trs).star_ok:
+        raise TerminationNotVerified("completion requires size-decreasing input rules")
+    current = trs
+    used_labels = {r.label for r in current.rules}
+    counter = 1
+    adopted = []
+    rounds = 0
+    while True:
+        nonjoinable = check_confluence(current, cap).nonjoinable
+        if not nonjoinable:
+            return CompletionResult(trs=current, rounds=rounds, adopted=tuple(adopted))
+        if rounds >= max_rounds:
+            raise MaxRoundsExceeded(rounds, current)
+        for cp in nonjoinable:
+            left_nf, _ = normalize(current, cp.left)
+            right_nf, _ = normalize(current, cp.right)
+            if left_nf == right_nf:
+                continue
+            if size(left_nf) == size(right_nf):
+                raise UnorientableError(cp, "equal sizes after normalization")
+            big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
+            lhs, rhs = reference_canonical(trs.signature, big, small)
+            if any(reference_canonical(trs.signature, r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
+                continue
+            if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
+                raise UnorientableError(cp, "candidate violates rule invariants")
+            label, counter = reference_fresh_label(used_labels, counter)
+            rule = Rule(lhs, rhs, label)
+            if not _rule_star(rule):
+                raise UnorientableError(cp, "candidate violates the size-decrease condition")
+            current = current.with_rules([rule])
+            adopted.append((rule, cp))
+        rounds += 1
+
+
+# variable names that the renamings may invent, beside others
+NAME_POOL = ["x", "y", "z", "v1", "v2", "v3", "v5", "v12"]
+V_NAMES = ["v1", "v2", "v3", "v4", "v6"]
+
+
+def _named_terms():
+    leaves = st.sampled_from([Var(name) for name in NAME_POOL] + [Elem("a"), App("c")])
+    return st.recursive(
+        leaves,
+        lambda inner: st.tuples(inner, inner).map(lambda a: App("f", a)) | inner.map(lambda a: App("u", (a,))),
+        max_leaves=5,
+    )
+
+
+def _v_signatures():
+    """f/2, u/1 and c/0, and some v<k> declared at arity 0, 1 or 2."""
+    return st.dictionaries(st.sampled_from(V_NAMES), st.integers(0, 2), max_size=3).map(
+        lambda vs: Signature({"f": 2, "u": 1, "c": 0, **vs})
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    count=st.integers(0, 6),
+    taken=st.sets(st.sampled_from(V_NAMES + ["x", "v", "v0", "cp1"])),
+    sig=_v_signatures(),
+)
+def test_fresh_names_are_the_names_the_generator_skipped_to(count, taken, sig):
+    for names in (taken, sig):
+        assert fresh_names("v", count, names) == list(itertools.islice(reference_fresh_variables(names), count))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    fixed=st.lists(_named_terms(), max_size=3),
+    movable=st.lists(_named_terms(), min_size=1, max_size=3),
+    sig=_v_signatures(),
+)
+def test_renamings_match_reference(fixed, movable, sig):
+    assert rename_apart(fixed, movable) == reference_rename_apart(fixed, movable)
+    assert canonical_renaming(movable) == reference_canonical_renaming(movable)
+    assert _canonical(sig, *movable) == reference_canonical(sig, *movable)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(taken=st.sets(st.sampled_from(["cp1", "cp2", "cp3", "cp5", "cp8", "r1", "cp"])), count=st.integers(1, 8))
+def test_completion_labels_match_reference_counter(taken, count):
+    used, counter, expected = set(taken), 1, []
+    for _ in range(count):
+        label, counter = reference_fresh_label(used, counter)
+        expected.append(label)
+    labels = set(taken)
+    for label in expected:
+        assert fresh_names("cp", 1, labels) == [label]
+        labels.add(label)
+
+
+def _relabelled(trs, labels):
+    """trs with its first rules relabelled, in order, by the given labels."""
+    rules = [Rule(r.lhs, r.rhs, label) for r, label in zip(trs.rules, labels)]
+    return Trs(trs.signature, rules + list(trs.rules[len(rules) :]))
+
+
+def _with_symbols(trs, extra):
+    return Trs(Signature({**trs.signature.symbols, **extra}), trs.rules)
+
+
+@pytest.mark.parametrize("variant", ["as generated", "cp1 and cp3 taken", "v1 and v2 declared"])
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_complete_matches_reference(n, kind, variant):
+    trs = generate_trs(VarietySpec(kind, n))
+    if variant == "cp1 and cp3 taken":
+        trs = _relabelled(trs, ["cp1", "cp3"])
+    elif variant == "v1 and v2 declared":
+        trs = _with_symbols(trs, {"v1": 0, "v2": 1})
+    got, expected = complete(trs), reference_complete(trs)
+    assert got.trs == expected.trs and got.rounds == expected.rounds
+    assert [r.label for r in got.trs.rules] == [r.label for r in expected.trs.rules]
+    assert got.adopted == expected.adopted
+    assert format_trs(got.trs) == format_trs(expected.trs)
+
+
+@pytest.mark.parametrize("kind", ["quasigroup", "loop"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerated_terms_match_the_fixed_pool_without_declared_v_names(kind, n):
+    sig = variety_signature(kind, n)
+    leaves = [Var("v%d" % (i + 1)) for i in range(3)] + [App(c) for c in sig.constants()]
+    symbols = [(s, k) for s, k in sig.symbols.items() if k >= 1]
+    assert enumerate_terms(sig, 5) == terms_up_to(leaves, symbols, 5)
+
+
+def test_enumerated_variables_skip_declared_symbols():
+    sig = Signature({"f": 2, "v1": 0, "v3": 1})
+    pool = [t for t in enumerate_terms(sig, 1, num_vars=3) if isinstance(t, Var)]
+    assert pool == [Var("v2"), Var("v4"), Var("v5")]
+    assert all(parse_term(str(t), sig) == t for t in enumerate_terms(sig, 4))
+
+
+def test_oracle_witness_reads_back_when_a_symbol_is_named_v1():
+    # the fixed pool v1, v2, v3 reported the peak f(v1,v1), a variable beside
+    # the constant v1, with the same status and peaks_checked
+    trs = parse_trs("sig f/2 v1/0\nrule r1: f(x,y) -> x\nrule r2: f(x,v1) -> v1\n")
+    verdict = local_confluence_oracle(trs, max_size=3)
+    assert (verdict.status, verdict.peaks_checked) == ("not-confluent", 1)
+    assert str(verdict.peak) == "f(v2,v1)"
+    for t in (verdict.peak, *verdict.pair):
+        assert parse_term(str(t), trs.signature) == t
+    assert verdict == reference_local_confluence_oracle(trs, max_size=3)
