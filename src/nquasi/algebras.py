@@ -75,7 +75,7 @@ class FiniteAlgebra:
         self.carrier = carrier
         self.table_f = _check_total(n, carrier, table_f, "f")
         self._index = {a: i for i, a in enumerate(carrier)}
-        self._slot_row_cache = {}  # scope -> _slot_rows(self, scope)
+        self._memo = {}  # ("rows" or "congruences", scope) -> what this algebra derives once
         if tables_g is None:
             if any(len(set(col)) < len(carrier) for rows in _slot_rows(self, "f") for col in zip(*rows)):
                 derive_divisions(n, carrier, self.table_f)  # a column is no permutation: raises
@@ -282,7 +282,7 @@ def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
     once per algebra and scope.  One entry per (table, slot); entry[a] is
     the tuple of value indices with element a in that slot, over every
     context of the other slots in product order."""
-    rows = alg._slot_row_cache.get(scope)
+    rows = alg._memo.get(("rows", scope))
     if rows is None:
         tables = (alg.table_f,) if scope == "f" else (alg.table_f,) + alg.tables_g
         index = alg._index
@@ -295,7 +295,7 @@ def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
             for table in tables
             for slot in range(alg.n)
         )
-        alg._slot_row_cache[scope] = rows
+        alg._memo[("rows", scope)] = rows
     return rows
 
 
@@ -344,15 +344,26 @@ def _congruence(alg: FiniteAlgebra, labels) -> Congruence:
 
 
 def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
-    """All scope-congruences of the carrier, fewest blocks first.
+    """All scope-congruences of the carrier, fewest blocks first, as a
+    fresh list on every call.
 
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and a join of congruences is their join as equivalence
     relations.  So each pair is closed once, and the lattice is generated
     from the trivial congruence by union-find joins with the principal
     congruences, with no further closure; a principal congruence whose
-    generating pair is already related adds nothing."""
+    generating pair is already related adds nothing.  The lattice depends
+    only on the algebra and the scope, so it is computed once per algebra
+    and scope and kept beside the slot rows."""
     check_scope(scope)
+    lattice = alg._memo.get(("congruences", scope))
+    if lattice is None:
+        lattice = alg._memo[("congruences", scope)] = _congruence_lattice(alg, scope)
+    return list(lattice)
+
+
+def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
+    """The uncached work of `enumerate_congruences`."""
     m = alg.order
     if m > DEFAULT_CARRIER_BOUND:
         raise CarrierTooLargeError(
@@ -379,7 +390,7 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
                 frontier.append(joined)
     out = [_congruence(alg, labels) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
-    return out
+    return tuple(out)
 
 
 def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congruence:

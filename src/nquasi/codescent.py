@@ -178,27 +178,54 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
 
 def latin_squares(order: int):
     """All Latin squares on {0..order-1} as tuples of row tuples, in
-    lexicographic order of their rows.
+    lexicographic order of their rows; a negative order raises ValueError.
 
-    A row is a permutation carrying a bitmask of its (column, symbol)
-    cells; it fits under the rows above it when its mask is disjoint from
-    theirs.  Each level keeps only the permutations that still fit."""
-    rows = [
-        (perm, sum(1 << (column * order + symbol) for column, symbol in enumerate(perm)))
-        for perm in itertools.permutations(range(order))
-    ]
+    A row is a permutation, and permutation k carries the bitmask
+    `fits[k]` of the permutations whose (column, symbol) cells are
+    disjoint from its own.  The rows that fit under the rows placed so far
+    are the AND of their masks, bit k standing for permutation k in
+    lexicographic order.  The walk keeps one (fitting, untried) pair of
+    masks per open level on an explicit stack.  The last row is emitted
+    directly: under order-1 rows each column misses exactly one symbol, and
+    those symbols form the one permutation that fits."""
+    if order < 0:
+        raise ValueError("order must be nonnegative, got %d" % order)
+    if order < 2:
+        yield ((0,),) * order  # () and ((0,),)
+        return
+    perms = list(itertools.permutations(range(order)))
+    with_cell = {}  # (column, symbol) -> mask of the permutations using that cell
+    for k, perm in enumerate(perms):
+        for cell in enumerate(perm):
+            with_cell[cell] = with_cell.get(cell, 0) | 1 << k
+    every = (1 << len(perms)) - 1
+    fits = []
+    for perm in perms:
+        mask = every
+        for cell in enumerate(perm):
+            mask &= ~with_cell[cell]
+        fits.append(mask)
     square = []
-
-    def extend(fitting):
-        if len(square) == order:
-            yield tuple(square)
-            return
-        for perm, mask in fitting:
-            square.append(perm)
-            yield from extend([row for row in fitting if not row[1] & mask])
-            square.pop()
-
-    yield from extend(rows)
+    stack = [(every, every)]  # per open level: (rows that fit, rows not yet tried)
+    while stack:
+        fitting, untried = stack[-1]
+        if len(square) == order - 2:
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                k = low.bit_length() - 1
+                yield (*square, perms[k], perms[(fitting & fits[k]).bit_length() - 1])
+        if not untried:
+            stack.pop()
+            if square:
+                square.pop()
+            continue
+        low = untried & -untried
+        stack[-1] = (fitting, untried ^ low)
+        k = low.bit_length() - 1
+        square.append(perms[k])
+        below = fitting & fits[k]
+        stack.append((below, below))
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,9 +302,10 @@ def search_noncep_monomorphism(max_order: int = 5):
     when none exists at these sizes.  Finite subsets closed under the
     product are automatically closed under both divisions, so closure
     under f alone identifies the subquasigroups.  Each distinct source
-    table is built once per call; every embedding is still built, which
-    checks it, and decided.  Orders above 5 are refused: order 6 alone has
-    812,851,200 Latin squares.
+    table is built once per call, so `check_cep` enumerates its congruence
+    lattice once (`enumerate_congruences` keeps it on the algebra); every
+    embedding is still built, which checks it, and decided.  Orders above
+    5 are refused: order 6 alone has 812,851,200 Latin squares.
 
     No failure exists at orders <= 7.  For n >= 2 the blocks of a
     congruence (in either scope) of a finite n-quasigroup all have the same

@@ -278,6 +278,11 @@ class TestSearch:
         assert sum(1 for _ in latin_squares(3)) == 12
         assert sum(1 for _ in latin_squares(4)) == 576
 
+    @pytest.mark.parametrize("order", [-1, -5])
+    def test_latin_squares_refuse_a_negative_order(self, order):
+        with pytest.raises(ValueError, match="order must be nonnegative, got %d" % order):
+            next(latin_squares(order))
+
     def test_squares_become_valid_quasigroups(self):
         for k, square in enumerate(latin_squares(4)):
             if k % 97 == 0:  # sample; supplied divisions are checked

@@ -1,7 +1,9 @@
 """Each fast path of the CEP scan and the congruence layer, checked
 against the straightforward string-keyed code it replaced (congruences
 found as joins of principal ones against a filter over every set
-partition); amalgam reduction by ground rules on the shared rewriting
+partition; the flat bitmask Latin-square walk against the cell-by-cell
+walk and the per-level row-filter walk; the lattice memoized per algebra
+and scope against fresh algebras and a count of its computations); amalgam reduction by ground rules on the shared rewriting
 engine, checked against the separate amalgam engine with its collapse
 step that it replaced; rule selection by argument heads, checked against
 the root-symbol index it replaced; critical pairs from the rules that
@@ -157,6 +159,27 @@ def reference_latin_squares(order):
     yield from rec(0)
 
 
+def row_filter_latin_squares(order):
+    """Whole rows with (column, symbol) bitmasks, each level recursing on
+    a filtered list of the rows disjoint from the one just placed."""
+    rows = [
+        (perm, sum(1 << (column * order + symbol) for column, symbol in enumerate(perm)))
+        for perm in itertools.permutations(range(order))
+    ]
+    square = []
+
+    def extend(fitting):
+        if len(square) == order:
+            yield tuple(square)
+            return
+        for perm, mask in fitting:
+            square.append(perm)
+            yield from extend([row for row in fitting if not row[1] & mask])
+            square.pop()
+
+    yield from extend(rows)
+
+
 def reference_closed_subsets(square, order):
     """Every subset of 2..order-1 elements closed under the product."""
     for k in range(2, order):
@@ -296,6 +319,13 @@ def isotope_of_cyclic(order, alpha, beta, gamma, name="iso"):
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
 def test_latin_squares_match_reference_sequence(order):
     assert list(latin_squares(order)) == list(reference_latin_squares(order))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+def test_latin_squares_match_the_row_filter_walk(order):
+    # compared square by square, so order 5 holds no list of 161,280 squares
+    pairs = itertools.zip_longest(latin_squares(order), row_filter_latin_squares(order))
+    assert all(square == expected for square, expected in pairs)  # tuples of row tuples
 
 
 def test_order_five_squares_are_all_latin_squares_in_order():
@@ -440,14 +470,70 @@ def test_scan_builds_each_source_table_once(monkeypatch):
     assert len([name for name in names if name.startswith("S")]) <= 2
 
 
+def test_scan_computes_each_source_lattice_once(monkeypatch):
+    computed = []
+    calls = []
+
+    def counting_lattice(alg, scope):
+        computed.append((tuple(sorted(alg.table_f.items())), scope))
+        return lattice(alg, scope)
+
+    def counting_calls(alg, scope="full"):
+        calls.append(scope)
+        return enumerate_congruences(alg, scope)
+
+    lattice = algebras._congruence_lattice
+    monkeypatch.setattr(algebras, "_congruence_lattice", counting_lattice)
+    monkeypatch.setattr(codescent, "enumerate_congruences", counting_calls)
+    assert search_noncep_monomorphism(4) == (None, {"squares": 590, "embeddings": 96})
+    assert len(calls) == 96  # still one call per embedding decided
+    assert len(set(computed)) == len(computed) <= 2
+
+
 # ---------------------------------------------------------------------------
 # congruences
 
 
 @pytest.mark.parametrize("scope", ["f", "full"])
+def test_enumerated_congruences_are_a_fresh_list_each_call(scope):
+    alg = cyclic_loop(6)
+    first = enumerate_congruences(alg, scope)
+    second = enumerate_congruences(alg, scope)
+    assert first == second and first is not second
+    expected = list(second)
+    first.clear()
+    assert second == expected
+    second.append(None)
+    second.reverse()
+    assert enumerate_congruences(alg, scope) == expected
+
+
+def test_each_scope_enumerates_its_own_lattice(monkeypatch):
+    computed = []
+
+    def counting_lattice(alg, scope):
+        computed.append(scope)
+        return lattice(alg, scope)
+
+    lattice = algebras._congruence_lattice
+    monkeypatch.setattr(algebras, "_congruence_lattice", counting_lattice)
+    alg = cyclic_loop(4)
+    f_lattice = enumerate_congruences(alg, "f")
+    full_lattice = enumerate_congruences(alg, "full")
+    assert computed == ["f", "full"]
+    assert [c.blocks for c in full_lattice] == reference_congruences(alg, "full")
+    assert [c.blocks for c in f_lattice] == reference_congruences(alg, "f")
+    enumerate_congruences(alg, "f")
+    enumerate_congruences(alg, "full")
+    assert computed == ["f", "full"]
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
 @pytest.mark.parametrize("alg", CONGRUENCE_ALGEBRAS, ids=lambda alg: alg.name)
 def test_enumerated_congruences_match_reference(alg, scope):
-    assert [c.blocks for c in enumerate_congruences(alg, scope)] == reference_congruences(alg, scope)
+    # a fresh copy, whose lattice no earlier test has computed
+    fresh = FiniteAlgebra(alg.name, alg.n, alg.kind, alg.carrier, alg.table_f, identity=alg.identity)
+    assert [c.blocks for c in enumerate_congruences(fresh, scope)] == reference_congruences(alg, scope)
 
 
 def test_reference_partitions_count_and_cover():
