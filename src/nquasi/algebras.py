@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .terms import Elem, Term, Var
@@ -277,25 +278,37 @@ def check_scope(scope: str) -> None:
         raise AlgebraError("scope must be 'f' or 'full'")
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_readers(m: int, n: int) -> tuple:
+    """Per slot, per element index a: a function that reads, from the value
+    indices of a table listed in product order of its argument tuples, the
+    tuple of values with a in that slot, over every context of the other
+    slots in product order.  Each reads the place tuple of its (slot, a),
+    computed once per (m, n)."""
+    keys = list(itertools.product(range(m), repeat=n))
+    places = [[tuple(p for p, ix in enumerate(keys) if ix[slot] == a) for a in range(m)] for slot in range(n)]
+    if m ** (n - 1) == 1:  # one place per row: itemgetter would return the value, not a 1-tuple
+        return tuple(tuple((lambda flat, p=p: (flat[p],)) for (p,) in per) for per in places)
+    return tuple(tuple(operator.itemgetter(*ps) for ps in per) for per in places)
+
+
 def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
     """The one-slot maps of the scope's tables over carrier indices, built
     once per algebra and scope.  One entry per (table, slot); entry[a] is
     the tuple of value indices with element a in that slot, over every
-    context of the other slots in product order."""
+    context of the other slots in product order.  Each table entry is
+    looked up once, into a flat list of value indices in product order,
+    which `_slot_readers` cuts into rows."""
     rows = alg._memo.get(("rows", scope))
     if rows is None:
         tables = (alg.table_f,) if scope == "f" else (alg.table_f,) + alg.tables_g
-        index = alg._index
-        contexts = list(itertools.product(alg.carrier, repeat=alg.n - 1))
-        rows = tuple(
-            tuple(
-                tuple(index[table[ctx[:slot] + (a,) + ctx[slot:]]] for ctx in contexts)
-                for a in alg.carrier
-            )
-            for table in tables
-            for slot in range(alg.n)
-        )
-        alg._memo[("rows", scope)] = rows
+        keys = list(itertools.product(alg.carrier, repeat=alg.n))
+        readers = _slot_readers(alg.order, alg.n)
+        rows = []
+        for table in tables:
+            flat = list(map(alg._index.__getitem__, map(table.__getitem__, keys)))
+            rows.extend(tuple([read(flat) for read in per]) for per in readers)
+        rows = alg._memo[("rows", scope)] = tuple(rows)
     return rows
 
 
@@ -318,19 +331,23 @@ def _union(parent: list, x: int, y: int) -> bool:
 def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list) -> tuple:
     """Congruence closure on an integer union-find over carrier indices.
 
-    `parent` holds the classes; `pending` holds pairs already in one class
-    whose images under the one-slot maps have not been merged yet.  Merges
-    until the classes form the least scope-congruence containing the
-    classes it started from, and returns each index's class label, the
-    least index of its class.  One slot at a time suffices: transitivity
-    chains cover full tuples."""
+    `parent` holds the classes, made from singletons by one merge per pair
+    in `pending`; `pending` holds pairs already in one class whose images
+    under the one-slot maps have not been merged yet.  Merges until the
+    classes form the least scope-congruence containing the classes it
+    started from, and returns each index's class label, the least index of
+    its class.  One slot at a time suffices: transitivity chains cover full
+    tuples.  The closure stops once one class is left, counted from the
+    merges, since the full relation is a congruence."""
     maps = _slot_rows(alg, scope)
-    while pending:
+    classes = len(parent) - len(pending)
+    while pending and classes > 1:
         a, b = pending.pop()
         for rows in maps:
             for x, y in zip(rows[a], rows[b]):
                 if _union(parent, x, y):
                     pending.append((x, y))
+                    classes -= 1
     return tuple(_find(parent, a) for a in range(len(parent)))
 
 
@@ -374,15 +391,17 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
         parent = list(range(m))
         _union(parent, a, b)
         principal.setdefault(_closing_merges(alg, scope, parent, [(a, b)]), (a, b))
+    # a join with Cg(a, b) merges each index x with its label y there, x != y
+    joins = [(pair, [(x, y) for x, y in enumerate(other) if x != y]) for other, pair in principal.items()]
     found = {tuple(range(m))}
     frontier = list(found)
     while frontier:
         labels = frontier.pop()
-        for other, (a, b) in principal.items():
+        for (a, b), moved in joins:
             if labels[a] == labels[b]:
                 continue
             parent = list(labels)
-            for x, y in enumerate(other):
+            for x, y in moved:
                 _union(parent, x, y)
             joined = tuple(_find(parent, x) for x in range(m))
             if joined not in found:

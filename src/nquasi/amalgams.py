@@ -211,12 +211,12 @@ def normalize_element(
 
 
 def apply_op(d: AmalgamDiagram, symbol: str, args) -> AmalgamElement:
-    """Apply f or g_i to amalgam elements and normalize the result."""
+    """Apply f or g_i to amalgam elements and normalize the result;
+    `normalize_element` refuses a wrong number of arguments."""
+    # checked here, as `_resolve_e` would turn a loop's e() into its identity
     if symbol not in d.operations:
         raise AmalgamError("%r is not an n-ary operation of this variety" % (symbol,))
     arg_terms = tuple(a.normal_form if isinstance(a, AmalgamElement) else a for a in args)
-    if len(arg_terms) != d.n:
-        raise AmalgamError("%s expects %d arguments, got %d" % (symbol, d.n, len(arg_terms)))
     return normalize_element(d, App(symbol, arg_terms))
 
 

@@ -230,7 +230,7 @@ def latin_squares(order: int):
 
 @functools.lru_cache(maxsize=None)
 def _subset_table(order):
-    """The candidates of `_closed_subsets` for one order, and its row table.
+    """The candidates of `_closed_subsets_along` for one order, and its row table.
 
     The candidates are the subsets of 2 to order/2 elements, by size and
     then lexicographically; candidate k is bit k of a mask.  The table is
@@ -257,13 +257,17 @@ def _row_masks(row, candidates):
     return tuple(kept)
 
 
-def _closed_subsets(square, order):
-    """Proper subsets of at least two elements closed under the table
-    product, by size and then lexicographically.  Rows are tuples.
+def _closed_subsets_along(squares, order):
+    """Each square of `squares` (rows are tuples) with its proper subsets
+    of at least two elements closed under the table product, by size and
+    then lexicographically.
 
     S is closed when every row a in S maps S into S, so the closed
     candidates are the bits that survive the AND of the square's row masks
-    (see `_subset_table`).
+    (see `_subset_table`).  The fold keeps prefix[a], the AND of the masks
+    of rows 0..a-1 of the previous square, and ANDs only the rows from the
+    first one that differs from the previous square's; squares in walk
+    order share all rows but the last two.
 
     Only sizes up to order/2 need testing.  If S is closed and b is outside
     S, the products s*b for s in S are |S| distinct elements (b's column
@@ -272,18 +276,28 @@ def _closed_subsets(square, order):
     permutes the finite closed set S.  So S and S*b are disjoint, and
     2|S| <= order."""
     candidates, table = _subset_table(order)
-    mask = (1 << len(candidates)) - 1
-    for a, row in enumerate(square):
-        if not mask:
-            return
-        masks = table.get(row)
-        if masks is None:
-            masks = table[row] = _row_masks(row, candidates)
-        mask &= masks[a]
-    while mask:
-        low = mask & -mask
-        yield candidates[low.bit_length() - 1]
-        mask ^= low
+    prefix = [(1 << len(candidates)) - 1] * (order + 1)
+    previous = (None,) * order
+    for square in squares:
+        start = 0
+        while start < order and square[start] == previous[start]:
+            start += 1
+        mask = prefix[start]
+        for a in range(start, order):
+            if mask:
+                row = square[a]
+                masks = table.get(row)
+                if masks is None:
+                    masks = table[row] = _row_masks(row, candidates)
+                mask &= masks[a]
+            prefix[a + 1] = mask
+        previous = square
+        subsets = []
+        while mask:
+            low = mask & -mask
+            subsets.append(candidates[low.bit_length() - 1])
+            mask ^= low
+        yield square, subsets
 
 
 def quasigroup_from_square(square, name: str) -> FiniteAlgebra:
@@ -299,7 +313,10 @@ def search_noncep_monomorphism(max_order: int = 5):
     both trivial and full, and it always extends.
 
     Returns (embedding, report) for the first failure, or (None, stats)
-    when none exists at these sizes.  Finite subsets closed under the
+    when none exists at these sizes.  The stats count the Latin squares
+    scanned (`squares`), those with a proper subquasigroup, whose algebra
+    was built (`targets`), the distinct source tables (`sources`) and the
+    embeddings decided (`embeddings`).  Finite subsets closed under the
     product are automatically closed under both divisions, so closure
     under f alone identifies the subquasigroups.  Each distinct source
     table is built once per call, so `check_cep` enumerates its congruence
@@ -314,22 +331,22 @@ def search_noncep_monomorphism(max_order: int = 5):
     compatibility, maps B into C, so |B| <= |C| and by symmetry |B| = |C|.
     Hence a quasigroup of prime order has only the trivial and the full
     congruence, and both always extend.  A proper subquasigroup has at
-    most m/2 elements (see `_closed_subsets`), so below order 8 every
+    most m/2 elements (see `_closed_subsets_along`), so below order 8 every
     source has 2 or 3 elements.  For n = 1 the argument fails, since f is
     one fixed permutation: the identity on {0,1,2} has the congruence
     {0,1} | {2}.
     """
     if max_order > 5:
         raise ValueError("max_order above 5 is out of enumeration range")
-    stats = {"squares": 0, "embeddings": 0}
+    stats = {"squares": 0, "targets": 0, "sources": 0, "embeddings": 0}
     sources = {}  # sub-square -> its quasigroup
     for order in range(2, max_order + 1):
-        for square in latin_squares(order):
+        for square, subsets in _closed_subsets_along(latin_squares(order), order):
             stats["squares"] += 1
-            subsets = list(_closed_subsets(square, order))
             if not subsets:
                 continue
             target = quasigroup_from_square(square, "Q%d" % order)
+            stats["targets"] += 1
             for subset in subsets:
                 sub_square = tuple(
                     tuple(subset.index(square[a][b]) for b in subset) for a in subset
@@ -345,6 +362,7 @@ def search_noncep_monomorphism(max_order: int = 5):
                 report = check_cep(emb, scope="full")
                 if not report.verdict:
                     return emb, report
+    stats["sources"] = len(sources)
     return None, stats
 
 

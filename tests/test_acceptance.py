@@ -277,17 +277,16 @@ def test_ac10_effective_codescent_and_search():
     found, info = search_noncep_monomorphism(5)
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0
-    if found is None:
-        detail = (
-            "no extension failure among %d embeddings from %d quasigroups of order <= 5 (%.1fs)"
-            % (info["embeddings"], info["squares"], elapsed)
-        )
-        ok = True
-    else:
-        emb, report = found if isinstance(found, tuple) else (found, None)
-        ok = not is_effective_codescent(emb).verdict
-        detail = "found a non-extending monomorphism %s (%.1fs)" % (emb, elapsed)
-    criterion("AC10 effective-codescent", ok, detail)
+    # no failure exists below order 8 (see `search_noncep_monomorphism`);
+    # 161,870 Latin squares of orders 2..5 (OEIS A002860), 5,638 of them
+    # with a proper subquasigroup, on 2 distinct source tables
+    assert found is None, found
+    assert info == {"squares": 161870, "targets": 5638, "sources": 2, "embeddings": 5856}
+    detail = (
+        "no extension failure among %d embeddings from %d quasigroups of order <= 5 (%.1fs)"
+        % (info["embeddings"], info["squares"], elapsed)
+    )
+    criterion("AC10 effective-codescent", True, detail)
 
 
 def test_ac11_unary_congruence_upgrade():

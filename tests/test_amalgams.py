@@ -267,12 +267,22 @@ class TestApplyOp:
         got = apply_op(d, "f", [AmalgamElement(Elem("1@1")), AmalgamElement(Elem("1@1"))])
         assert got.normal_form == Elem("2@1")
 
-    def test_arity_checked(self):
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_arity_checked(self, count):
+        # by the element-term check of normalize_element
+        d = two_z3_over_trivial()
+        with pytest.raises(AmalgamError) as refused:
+            apply_op(d, "f", [AmalgamElement(Elem("1@1"))] * count)
+        term = App("f", (Elem("1@1"),) * count)
+        assert str(refused.value) == "%s: not one of f, g1, g2 applied to 2 arguments" % term
+
+    def test_symbol_checked(self):
         d = two_z3_over_trivial()
         with pytest.raises(AmalgamError):
-            apply_op(d, "f", [AmalgamElement(Elem("0"))])
-        with pytest.raises(AmalgamError):
             apply_op(d, "h", [AmalgamElement(Elem("0"))] * 2)
+        assert d.kind == "loop"  # where e() would otherwise resolve to the identity
+        with pytest.raises(AmalgamError, match="'e' is not an n-ary operation"):
+            apply_op(d, "e", [])
 
     def test_satisfies_loop_identities_on_samples(self):
         d = z4_twice_over_z2()

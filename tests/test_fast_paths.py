@@ -3,7 +3,12 @@ against the straightforward string-keyed code it replaced (congruences
 found as joins of principal ones against a filter over every set
 partition; the flat bitmask Latin-square walk against the cell-by-cell
 walk and the per-level row-filter walk; the lattice memoized per algebra
-and scope against fresh algebras and a count of its computations); amalgam reduction by ground rules on the shared rewriting
+and scope against fresh algebras and a count of its computations; the
+closed-subset masks folded along the walk against the per-square table
+AND; slot rows read from one flat index table against rows looked up
+entry by entry; the closure that stops at one class and the sparse
+lattice join against the closure that drains every pending pair and the
+join over every index); amalgam reduction by ground rules on the shared rewriting
 engine, checked against the separate amalgam engine with its collapse
 step that it replaced; rule selection by argument heads, checked against
 the root-symbol index it replaced; critical pairs from the rules that
@@ -50,7 +55,9 @@ from nquasi.amalgams import (
 )
 from nquasi import algebras, codescent, rewriting
 from nquasi.codescent import (
-    _closed_subsets,
+    _closed_subsets_along,
+    _row_masks,
+    _subset_table,
     integer_partitions,
     latin_squares,
     permutation_from_cycle_type,
@@ -189,6 +196,24 @@ def reference_closed_subsets(square, order):
                 yield subset
 
 
+def table_closed_subsets(square, order):
+    """Closed subsets by one table lookup and one AND per row of each
+    square, stopping as soon as the mask is 0."""
+    candidates, table = _subset_table(order)
+    mask = (1 << len(candidates)) - 1
+    for a, row in enumerate(square):
+        if not mask:
+            return
+        masks = table.get(row)
+        if masks is None:
+            masks = table[row] = _row_masks(row, candidates)
+        mask &= masks[a]
+    while mask:
+        low = mask & -mask
+        yield candidates[low.bit_length() - 1]
+        mask ^= low
+
+
 def _scope_tables(alg, scope):
     return (alg.table_f,) if scope == "f" else (alg.table_f,) + alg.tables_g
 
@@ -281,6 +306,71 @@ def reference_generated_congruence(alg, seed_pairs, scope):
     return congruence_from_blocks(alg, uf.blocks()).blocks
 
 
+def reference_slot_rows(alg, scope):
+    """The slot rows looked up entry by entry: one table lookup per slot,
+    element and context of the other slots."""
+    index = alg._index
+    contexts = list(itertools.product(alg.carrier, repeat=alg.n - 1))
+    return tuple(
+        tuple(
+            tuple(index[table[ctx[:slot] + (a,) + ctx[slot:]]] for ctx in contexts)
+            for a in alg.carrier
+        )
+        for table in _scope_tables(alg, scope)
+        for slot in range(alg.n)
+    )
+
+
+def draining_closing_merges(alg, scope, parent, pending):
+    """The closure that drains `pending` whatever the number of classes."""
+    maps = reference_slot_rows(alg, scope)
+    while pending:
+        a, b = pending.pop()
+        for rows in maps:
+            for x, y in zip(rows[a], rows[b]):
+                if algebras._union(parent, x, y):
+                    pending.append((x, y))
+    return tuple(algebras._find(parent, a) for a in range(len(parent)))
+
+
+def draining_generated_congruence(alg, seed_pairs, scope):
+    parent = list(range(alg.order))
+    pending = []
+    for a, b in seed_pairs:
+        pair = (alg.index(a), alg.index(b))
+        if algebras._union(parent, *pair):
+            pending.append(pair)
+    return algebras._congruence(alg, draining_closing_merges(alg, scope, parent, pending)).blocks
+
+
+def dense_congruence_lattice(alg, scope):
+    """The lattice by draining closures and joins that merge every index
+    with its label in the principal congruence."""
+    m = alg.order
+    principal = {}
+    for a, b in itertools.combinations(range(m), 2):
+        parent = list(range(m))
+        algebras._union(parent, a, b)
+        principal.setdefault(draining_closing_merges(alg, scope, parent, [(a, b)]), (a, b))
+    found = {tuple(range(m))}
+    frontier = list(found)
+    while frontier:
+        labels = frontier.pop()
+        for other, (a, b) in principal.items():
+            if labels[a] == labels[b]:
+                continue
+            parent = list(labels)
+            for x, y in enumerate(other):
+                algebras._union(parent, x, y)
+            joined = tuple(algebras._find(parent, x) for x in range(m))
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    out = [algebras._congruence(alg, labels) for labels in found]
+    out.sort(key=lambda c: (len(c.blocks), c.blocks))
+    return [c.blocks for c in out]
+
+
 def reference_divisions(n, carrier, table_f):
     """Search every candidate b for each division entry."""
     tables = []
@@ -345,19 +435,36 @@ def test_order_five_squares_are_all_latin_squares_in_order():
 
 
 def test_subquasigroup_bound_on_every_order_four_square():
-    for square in latin_squares(4):
-        assert list(_closed_subsets(square, 4)) == list(reference_closed_subsets(square, 4))
+    for square, closed in _closed_subsets_along(latin_squares(4), 4):
+        assert closed == list(reference_closed_subsets(square, 4))
 
 
 def test_subquasigroup_bound_on_seeded_order_five_squares():
     rng = random.Random(5)
     squares = list(latin_squares(5))
     found = 0
-    for square in rng.sample(squares, 2000):
-        closed = list(_closed_subsets(square, 5))
+    for square, closed in _closed_subsets_along(rng.sample(squares, 2000), 5):
         assert closed == list(reference_closed_subsets(square, 5))
         found += bool(closed)
     assert found > 0
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_folded_closed_subsets_match_the_per_square_and_in_any_order(order):
+    # the fold must not carry a prefix over from a square that shares fewer
+    # rows, so every square is also folded in a seeded shuffled order, and
+    # squares are folded twice in a row, which reads every prefix back
+    squares = list(latin_squares(order))
+    expected = {square: list(table_closed_subsets(square, order)) for square in squares}
+    assert all(closed == list(reference_closed_subsets(square, order)) for square, closed in expected.items())
+    shuffled = list(squares)
+    random.Random(order).shuffle(shuffled)
+    repeated = [square for square in shuffled[:3000] for _ in range(2)]
+    for sequence in (squares, shuffled, repeated):
+        folded = list(_closed_subsets_along(sequence, order))
+        assert [square for square, _ in folded] == sequence
+        assert all(closed == expected[square] for square, closed in folded)
+    assert sum(map(bool, expected.values())) == {2: 0, 3: 0, 4: 88, 5: 5550}[order]
 
 
 def _s3_product(a, b):
@@ -413,8 +520,7 @@ def test_subquasigroup_bound_on_seeded_order_six_and_seven_squares(order, count)
     squares = [random_latin_square(order, rng) for _ in range(count)]
     squares += [relabelled_table(m, product, rng) for m, product in PLANTED if m == order for _ in range(4)]
     sizes, empty = [], 0
-    for square in squares:
-        closed = list(_closed_subsets(square, order))
+    for square, closed in _closed_subsets_along(squares, order):
         assert closed == list(reference_closed_subsets(square, order))
         sizes += map(len, closed)
         empty += not closed
@@ -465,7 +571,8 @@ def test_scan_builds_each_source_table_once(monkeypatch):
 
     monkeypatch.setattr(codescent, "quasigroup_from_square", counting)
     monkeypatch.setattr(algebras, "derive_divisions", no_divisions)  # the scan reads only f
-    assert search_noncep_monomorphism(4) == (None, {"squares": 590, "embeddings": 96})
+    stats = {"squares": 590, "targets": 88, "sources": 2, "embeddings": 96}
+    assert search_noncep_monomorphism(4) == (None, stats)
     assert sum(1 for _ in reference_scan(4)) == 96
     assert len([name for name in names if name.startswith("S")]) <= 2
 
@@ -485,7 +592,8 @@ def test_scan_computes_each_source_lattice_once(monkeypatch):
     lattice = algebras._congruence_lattice
     monkeypatch.setattr(algebras, "_congruence_lattice", counting_lattice)
     monkeypatch.setattr(codescent, "enumerate_congruences", counting_calls)
-    assert search_noncep_monomorphism(4) == (None, {"squares": 590, "embeddings": 96})
+    stats = {"squares": 590, "targets": 88, "sources": 2, "embeddings": 96}
+    assert search_noncep_monomorphism(4) == (None, stats)
     assert len(calls) == 96  # still one call per embedding decided
     assert len(set(computed)) == len(computed) <= 2
 
@@ -601,6 +709,73 @@ def test_generated_congruence_on_isotopes_of_cyclic_groups(data, order, scope):
     seeds = data.draw(st.lists(st.tuples(element, element), max_size=3))
     expected = reference_generated_congruence(alg, seeds, scope)
     assert generated_congruence(alg, seeds, scope).blocks == expected
+
+
+# cyclic n-loops and relabelled n-quasigroups with m^n <= 300
+KERNEL_SHAPES = [(1, m) for m in (1, 2, 3, 5, 8, 12)]
+KERNEL_SHAPES += [(2, m) for m in (1, 2, 3, 4, 5, 6, 8, 12, 17)]
+KERNEL_SHAPES += [(3, m) for m in (1, 2, 3, 4, 6)]
+KERNEL_CASES = [(n, m, variant) for n, m in KERNEL_SHAPES for variant in ("cyclic", "relabelled", "supplied")]
+
+
+def kernel_algebra(n, m, variant):
+    """The cyclic n-loop of order m, or a seeded isotope of it,
+    gamma(alpha_1(x_1) + .. + alpha_n(x_n)), whose elements are listed in a
+    shuffled order; "supplied" passes its division tables to the
+    constructor."""
+    if variant == "cyclic":
+        return cyclic_loop(m, n)
+    rng = random.Random("%d-%d" % (n, m))
+    alpha = [rng.sample(range(m), m) for _ in range(n)]
+    gamma = rng.sample(range(m), m)
+    names = ["q%d" % i for i in range(m)]
+    rng.shuffle(names)
+    table = {
+        tuple(names[x] for x in ix): names[gamma[sum(a[x] for a, x in zip(alpha, ix)) % m]]
+        for ix in itertools.product(range(m), repeat=n)
+    }
+    tables_g = reference_divisions(n, names, table) if variant == "supplied" else None
+    return FiniteAlgebra("Iso%d" % m, n, "quasigroup", names, table, tables_g)
+
+
+def _kernel_id(case):
+    return "n=%d,m=%d,%s" % case
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_id)
+def test_slot_rows_match_the_rows_looked_up_entry_by_entry(case):
+    alg = kernel_algebra(*case)
+    for scope in ("f", "full"):
+        assert algebras._slot_rows(alg, scope) == reference_slot_rows(alg, scope), scope
+
+
+def test_kernel_cases_list_carriers_out_of_sorted_order():
+    variants = set()
+    for case in KERNEL_CASES:
+        carrier = list(kernel_algebra(*case).carrier)
+        if carrier != sorted(carrier):
+            variants.add(case[2])
+    assert variants == {"cyclic", "relabelled", "supplied"}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_id)
+def test_generated_congruences_match_the_draining_closure(case):
+    alg = kernel_algebra(*case)
+    pairs = list(itertools.combinations(alg.carrier, 2))
+    rng = random.Random(_kernel_id(case))
+    seeds = [[pair] for pair in pairs] + [rng.sample(pairs, min(3, len(pairs))) for _ in range(10)]
+    for scope in ("f", "full"):
+        for seed in seeds:
+            expected = draining_generated_congruence(alg, seed, scope)
+            assert generated_congruence(alg, seed, scope).blocks == expected, (scope, seed)
+
+
+@pytest.mark.parametrize("case", [case for case in KERNEL_CASES if case[1] <= 8], ids=_kernel_id)
+def test_enumerated_congruences_match_the_dense_join(case):
+    alg = kernel_algebra(*case)
+    for scope in ("f", "full"):
+        expected = dense_congruence_lattice(alg, scope)
+        assert [c.blocks for c in enumerate_congruences(alg, scope)] == expected, scope
 
 
 # ---------------------------------------------------------------------------
