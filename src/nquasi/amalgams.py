@@ -192,7 +192,9 @@ def _check_element_term(d: AmalgamDiagram, t: Term) -> None:
 
 def amalgam_steps(d: AmalgamDiagram, t: Term) -> tuple:
     """All one-step successors (term, step label, position), in the order
-    of `rewriting.step_key`."""
+    of `rewriting.step_key`: by position, then label, which never tie, as
+    the rule labels are distinct and a rule fires at most once at a
+    position."""
     return tuple(sorted(rewrite_steps(d, t), key=step_key))
 
 

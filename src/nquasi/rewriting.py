@@ -339,8 +339,10 @@ def _step_memo(system):
 
 
 def step_key(step) -> tuple:
-    """Total order on the steps from one term: position, label, result."""
-    return step[2], step[1], str(step[0])
+    """Total order on the steps from one term: position, then label.  No
+    two steps tie, as a system's labels are distinct (`Trs` refuses
+    duplicates) and a rule fires at most once at a position."""
+    return step[2], step[1]
 
 
 def normalize(
@@ -492,22 +494,24 @@ def critical_pairs(trs: Trs) -> tuple:
     symbol, the arity and every argument head where neither side has a
     variable, and renaming apart maps variables to variables, so it keeps
     every head.  Sorting by rule labels and position makes the order
-    independent of the order in which pairs are found.
+    independent of the order in which pairs are found.  Renaming rule2
+    apart depends only on rule1's variables, so rule2's renamed sides are
+    made once per variable set for the whole call.
     """
     out = []
+    renamed = {}  # (rule1's variables, rule2 label) -> rule2's sides renamed apart from them
     for rule1 in trs.rules:
-        renamed = {}  # rule2 label -> its sides renamed apart from rule1's
+        names = frozenset(variables(rule1.lhs))  # the right side's are among them
         for pos, sub in positions(rule1.lhs):
             if not isinstance(sub, App):
                 continue
             for rule2 in trs._index.overlapping((sub.symbol, *map(_head, sub.args))):
-                if rule2.label not in renamed:
+                key = names, rule2.label
+                if key not in renamed:
                     renaming = rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
-                    renamed[rule2.label] = (
-                        apply_substitution(renaming, rule2.lhs),
-                        apply_substitution(renaming, rule2.rhs),
-                    )
-                l2, r2 = renamed[rule2.label]
+                    sides = rule2.lhs, rule2.rhs  # kept as they are when disjoint, so ground rules are not copied
+                    renamed[key] = tuple(apply_substitution(renaming, side) for side in sides) if renaming else sides
+                l2, r2 = renamed[key]
                 sigma = unify(sub, l2)
                 if sigma is None:
                     continue
@@ -652,9 +656,9 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
             if size(left_nf) == size(right_nf):
                 raise UnorientableError(cp, "equal sizes after normalization")
             big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
+            # the new rule repeats no current one: big is a normal form of
+            # current, whose every rule rewrites its own left side
             lhs, rhs = _canonical(trs.signature, big, small)
-            if any(_canonical(trs.signature, r.lhs, r.rhs) == (lhs, rhs) for r in current.rules):
-                continue
             if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")
             label = fresh_names("cp", 1, {r.label for r in current.rules})[0]

@@ -114,13 +114,15 @@ def variables(*terms: Term) -> set:
     return out
 
 
-def iter_variables(t: Term) -> Iterator[str]:
-    """Variable names in pre-order, left to right, with repeats."""
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, App):
-        for a in t.args:
-            yield from iter_variables(a)
+def iter_variables(*terms: Term) -> Iterator[str]:
+    """Variable names of the terms in pre-order, left to right, with repeats."""
+    stack = list(reversed(terms))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            yield u.name
+        elif isinstance(u, App):
+            stack.extend(reversed(u.args))
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
@@ -165,13 +167,25 @@ def apply_substitution(sigma: Substitution, t: Term) -> Term:
     if isinstance(t, Var):
         return sigma.get(t.name, t)
     if isinstance(t, App) and t.args:
-        return App(t.symbol, tuple(apply_substitution(sigma, a) for a in t.args))
+        return App(t.symbol, tuple([apply_substitution(sigma, a) for a in t.args]))
     return t
 
 
-def occurs(name: str, t: Term) -> bool:
-    """Whether the variable `name` occurs in t."""
-    return name in variables(t)
+def occurs(name: str, t: Term, bindings: Substitution = {}) -> bool:
+    """Whether the variable `name` occurs in t, reading each variable bound
+    in `bindings` (which is not changed) as its value."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            if u.name == name:
+                return True
+            bound = bindings.get(u.name)
+            if bound is not None:
+                stack.append(bound)
+        elif isinstance(u, App):
+            stack.extend(u.args)
+    return False
 
 
 def match(pattern: Term, subject: Term) -> Substitution | None:
@@ -207,33 +221,39 @@ def unify(s: Term, t: Term) -> Substitution | None:
     failures and symbol clashes both report no unifier.  An Elem leaf is a
     rigid constant: it unifies with itself or with a variable, and clashes
     with any other Elem or application.
+
+    The bindings stay triangular while solving: a value may contain
+    variables bound before or after it.  A popped pair is walked through
+    the bindings at its roots only, and the occurs check reads through
+    them.  At the end the bindings are applied to their own values until
+    no bound variable is left.  The unifier and the order of its bindings
+    are those of applying every binding to each pair as it is popped.
     """
     sub: Substitution = {}
     work = [(s, t)]
     while work:
         a, b = work.pop()
-        a = apply_substitution(sub, a)
-        b = apply_substitution(sub, b)
-        if a == b:
-            continue
+        while isinstance(a, Var) and a.name in sub:
+            a = sub[a.name]
+        while isinstance(b, Var) and b.name in sub:
+            b = sub[b.name]
         if isinstance(b, Var) and not isinstance(a, Var):
             a, b = b, a  # the variable to bind goes on the left
         if isinstance(a, Var):
-            if occurs(a.name, b):
+            if isinstance(b, Var):
+                if a.name == b.name:
+                    continue
+            elif occurs(a.name, b, sub):
                 return None
-            one = {a.name: b}
-            for k in sub:
-                sub[k] = apply_substitution(one, sub[k])
             sub[a.name] = b
-        elif (
-            isinstance(a, App)
-            and isinstance(b, App)
-            and a.symbol == b.symbol
-            and len(a.args) == len(b.args)
-        ):
-            work.extend(zip(a.args, b.args))
-        else:
+        elif isinstance(a, App):
+            if not isinstance(b, App) or a.symbol != b.symbol or len(a.args) != len(b.args):
+                return None
+            work.extend(zip(a.args, b.args))  # equal sides are not tested: their pairs bind nothing
+        elif a != b:
             return None
+    while not variables(*sub.values()).isdisjoint(sub):
+        sub = {name: apply_substitution(sub, value) for name, value in sub.items()}
     return sub
 
 
@@ -272,7 +292,7 @@ def canonical_renaming(terms) -> Substitution:
 
 def _first_occurrences(terms) -> list:
     """Variable names of the terms, each once, in left-to-right order."""
-    return list(dict.fromkeys(name for t in terms for name in iter_variables(t)))
+    return list(dict.fromkeys(iter_variables(*terms)))
 
 
 def check_well_formed(sig: Signature, t: Term) -> None:

@@ -21,11 +21,14 @@ the local-confluence oracle on one memoized step relation, checked
 against the oracle on `rewrite_steps` and `joinable` it replaced; every
 invented variable name and completion label from `fresh_names`, checked
 against the counters of `rename_apart`, `_canonical` and `complete` and
-the fixed variable pool of `enumerate_terms` that it replaced; and the
-rule families, Prop. 3.6 and the square-to-quasigroup step,
-checked against the hand-built code they replaced; and the one
-identity-2.3 pass of the `FiniteAlgebra` constructor, checked against the
-three-pass `validate` it replaced.  The reference implementations below
+the fixed variable pool of `enumerate_terms` that it replaced; `unify`
+on triangular bindings, variable walks on one explicit stack and the
+two-part `step_key`, checked against the `unify` that applied every
+binding as it went, the recursive variable walk and the key that also
+printed the result; and the rule families, Prop. 3.6 and the
+square-to-quasigroup step, checked against the hand-built code they
+replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
+constructor, checked against the three-pass `validate` it replaced.  The reference implementations below
 are kept only for these comparisons."""
 
 import itertools
@@ -95,6 +98,7 @@ from nquasi.rewriting import (
     terms_up_to,
 )
 from nquasi.terms import (
+    _first_occurrences,
     App,
     Elem,
     Signature,
@@ -1125,24 +1129,25 @@ def test_handmade_rule_selection_matches_reference():
 
 
 def reference_critical_pairs(trs):
-    """Every ordered rule pair renamed apart, with `unify` tried at every
-    application position of the first rule's left side."""
+    """Every ordered rule pair renamed apart, with `reference_unify` tried
+    at every application position of the first rule's left side; the
+    renamings come from the recursive variable walk."""
     out = []
     for rule1 in trs.rules:
         for rule2 in trs.rules:
-            renaming = rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
+            renaming = reference_rename_apart((rule1.lhs, rule1.rhs), (rule2.lhs, rule2.rhs))
             l2 = apply_substitution(renaming, rule2.lhs)
             r2 = apply_substitution(renaming, rule2.rhs)
             for pos, sub in positions(rule1.lhs):
                 if not isinstance(sub, App):
                     continue
-                sigma = unify(sub, l2)
+                sigma = reference_unify(sub, l2)
                 if sigma is None:
                     continue
                 peak = apply_substitution(sigma, rule1.lhs)
                 left = apply_substitution(sigma, rule1.rhs)
                 right = replace_at(peak, pos, apply_substitution(sigma, r2))
-                canon = canonical_renaming((peak, left, right))
+                canon = reference_canonical_renaming((peak, left, right))
                 left_c = apply_substitution(canon, left)
                 right_c = apply_substitution(canon, right)
                 out.append(
@@ -1268,7 +1273,9 @@ def test_critical_pairs_of_random_rule_sets_match_reference(trs):
 
 
 def reference_unify(s, t):
-    """`unify` with a mirrored branch for a variable on the right."""
+    """`unify` before the triangular bindings: every binding is applied to
+    both sides of each popped pair and to every earlier binding as soon as
+    it is made; a variable on the right has its own, mirrored branch."""
     sub = {}
     work = [(s, t)]
     while work:
@@ -1298,26 +1305,48 @@ def reference_unify(s, t):
     return sub
 
 
-# few shared variables, so that pairs often bind one variable on both sides
-# and fail the occurs check
-UNIFY_LEAVES = [Var("x"), Var("y"), Var("z"), Elem("a"), Elem("b"), App("c"), App("d")]
-unify_terms = st.recursive(st.sampled_from(UNIFY_LEAVES), _applications, max_leaves=6)
+# few variables shared between the sides and often one side an instance
+# of the other, so that pairs often bind one variable on both sides, fail
+# the occurs check, or bind variables whose values hold other bound ones
+UNIFY_VARIABLES = ["x", "y", "z", "w"]
+UNIFY_LEAVES = [Var(name) for name in UNIFY_VARIABLES] + [Elem("a"), Elem("b"), App("c"), App("d")]
+unify_terms = st.recursive(st.sampled_from(UNIFY_LEAVES), _applications, max_leaves=8)
+X, Y, Z = Var("x"), Var("y"), Var("z")
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(s=unify_terms, t=unify_terms)
-@example(s=Var("x"), t=Var("y"))
-@example(s=Var("x"), t=App("u", (Var("x"),)))
-@example(s=App("f", (Var("y"), Var("x"))), t=App("f", (Var("x"), App("u", (Var("y"),)))))
-@example(s=App("f", (Var("x"), Elem("a"))), t=App("f", (Elem("a"), Var("x"))))
-@example(s=App("f", (Var("x"), Elem("a"))), t=App("f", (Elem("b"), Var("x"))))
-@example(s=App("t", (Var("x"), Var("y"), Var("z"))), t=App("t", (Var("y"), Var("z"), App("c"))))
-def test_unify_matches_reference(s, t):
-    sigma = unify(s, t)
-    assert sigma == reference_unify(s, t)
-    assert unify(t, s) == reference_unify(t, s)
-    if sigma is not None:
-        assert apply_substitution(sigma, s) == apply_substitution(sigma, t)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    s=unify_terms,
+    t=unify_terms,
+    sigma=st.dictionaries(st.sampled_from(UNIFY_VARIABLES), unify_terms, max_size=3),
+    instance=st.booleans(),
+)
+@example(s=X, t=Y, sigma={}, instance=False)
+@example(s=X, t=App("u", (X,)), sigma={}, instance=False)
+@example(s=App("f", (Y, X)), t=App("f", (X, App("u", (Y,)))), sigma={}, instance=False)
+@example(s=App("f", (X, Elem("a"))), t=App("f", (Elem("a"), X)), sigma={}, instance=False)
+@example(s=App("f", (X, Elem("a"))), t=App("f", (Elem("b"), X)), sigma={}, instance=False)
+@example(s=App("t", (X, Y, Z)), t=App("t", (Y, Z, App("c"))), sigma={}, instance=False)
+# x -> y -> z -> c, bound in that order
+@example(s=App("t", (Z, Y, X)), t=App("t", (App("c"), Z, Y)), sigma={}, instance=False)
+# x -> y, then y -> c: x walks two steps to c, which clashes with d
+@example(s=App("t", (X, Y, X)), t=App("t", (App("d"), App("c"), Y)), sigma={}, instance=False)
+# x -> u(y) bound before y -> c, and after it
+@example(s=App("f", (Y, X)), t=App("f", (App("c"), App("u", (Y,)))), sigma={}, instance=False)
+@example(s=App("f", (X, Y)), t=App("f", (App("u", (Y,)), App("c"))), sigma={}, instance=False)
+# x against y, bound to u(x): an occurs-check failure through a binding
+@example(s=App("f", (X, Y)), t=App("f", (Y, App("u", (X,)))), sigma={}, instance=False)
+# x bound to b, then met with a: an Elem clash through a binding
+@example(s=App("f", (X, X)), t=App("f", (Elem("a"), Elem("b"))), sigma={}, instance=False)
+def test_unify_matches_reference(s, t, sigma, instance):
+    if instance:
+        t = apply_substitution(sigma, s)
+    for a, b in ((s, t), (t, s)):
+        got, expected = unify(a, b), reference_unify(a, b)
+        assert got == expected
+        if got is not None:
+            assert list(got.items()) == list(expected.items())
+            assert apply_substitution(got, a) == apply_substitution(got, b)
 
 
 def reference_leftmost(system, t, strategy):
@@ -1478,12 +1507,17 @@ def test_rule_index_lists_match_reference_filters_in_rule_order(name):
 # `rewrite_steps` and `joinable` on every term
 
 
+def reference_step_key(step):
+    """The key `step_key` replaced: position, label, then the printed result."""
+    return step[2], step[1], str(step[0])
+
+
 def reference_local_confluence_oracle(trs, max_size=6, num_vars=3, cap=DEFAULT_REDUCT_CAP):
     if not check_conditions(trs).star_ok:
         return OracleVerdict(status="termination-not-verified")
     checked = 0
     for peak in enumerate_terms(trs.signature, max_size, num_vars):
-        steps = sorted(rewrite_steps(trs, peak), key=step_key)
+        steps = sorted(rewrite_steps(trs, peak), key=reference_step_key)
         if len(steps) < 2:
             continue
         checked += 1
@@ -1521,7 +1555,7 @@ def _oracle_cases():
         for i, mutant in enumerate(ORACLE_MUTANTS[kind]):
             cases["mutant_%s(2)#%d@%d" % (kind, i, size)] = (mutant, size)
     # three steps at the root, whose labels sort against the rule order, so
-    # that the first divergent pair depends on sorting all steps by step_key
+    # that the first divergent pair depends on sorting all steps by position and label
     x, y = Var("x"), Var("y")
     rules = [Rule(App("f", (x, y)), App(h, (x,)), label) for h, label in (("g", "z"), ("h", "a"))]
     rules.append(Rule(App("f", (x, y)), x, "b"))
@@ -1538,6 +1572,37 @@ ORACLE_CASES = _oracle_cases()
 def test_local_confluence_oracle_matches_reference(name):
     trs, max_size = ORACLE_CASES[name]
     assert local_confluence_oracle(trs, max_size) == reference_local_confluence_oracle(trs, max_size)
+
+
+def _assert_step_orders_agree(system, terms):
+    """On every term, `step_key` sorts the steps as the printed key does,
+    from either input order, and no two steps share a key."""
+    for t in terms:
+        steps = list(rewrite_steps(system, t))
+        expected = sorted(steps, key=reference_step_key)
+        assert sorted(steps, key=step_key) == expected == sorted(reversed(steps), key=step_key)
+        assert len(set(map(step_key, steps))) == len(steps)
+
+
+STEP_ORDER_SYSTEMS = {
+    "%s_%s(2)" % ("complete" if complete else "base", kind): generate_trs(VarietySpec(kind, 2, complete))
+    for kind in ("quasigroup", "loop")
+    for complete in (False, True)
+}
+STEP_ORDER_SYSTEMS.update(
+    ("mutant_%s(2)#%d" % (kind, i), mutant) for kind, mutants in ORACLE_MUTANTS.items() for i, mutant in enumerate(mutants)
+)
+
+
+@pytest.mark.parametrize("name", list(STEP_ORDER_SYSTEMS))
+def test_step_key_orders_every_size_6_peak_as_the_printed_key(name):
+    trs = STEP_ORDER_SYSTEMS[name]
+    _assert_step_orders_agree(trs, enumerate_terms(trs.signature, 6))
+
+
+def test_step_key_orders_amalgam_steps_as_the_printed_key():
+    d = AMALGAM_CASES["Z4*Z4/Z2"][0]()
+    _assert_step_orders_agree(d, element_terms(d, 5))
 
 
 def test_oracle_cases_cover_every_verdict_and_mutant_kind():
@@ -1803,8 +1868,18 @@ def test_constructor_raises_exactly_when_the_reference_finds_a_violation(case):
 # the fixed variable pool of `enumerate_terms` that it replaced
 
 
+def reference_iter_variables(t):
+    """The recursive walk that `iter_variables` and `_first_occurrences`
+    replaced."""
+    if isinstance(t, Var):
+        yield t.name
+    elif isinstance(t, App):
+        for a in t.args:
+            yield from reference_iter_variables(a)
+
+
 def _reference_first_occurrences(terms):
-    return list(dict.fromkeys(name for t in terms for name in iter_variables(t)))
+    return list(dict.fromkeys(name for t in terms for name in reference_iter_variables(t)))
 
 
 def reference_rename_apart(fixed, movable):
@@ -1848,7 +1923,9 @@ def reference_fresh_label(used, counter):
 
 
 def reference_complete(trs, max_rounds=10, cap=DEFAULT_REDUCT_CAP):
-    """`complete` with its own label counter and `reference_canonical`."""
+    """`complete` with its own label counter, `reference_canonical`, and
+    the test of each candidate against every current rule that `complete`
+    dropped."""
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("completion requires size-decreasing input rules")
     current = trs
@@ -1923,6 +2000,8 @@ def test_fresh_names_are_the_names_the_generator_skipped_to(count, taken, sig):
     sig=_v_signatures(),
 )
 def test_renamings_match_reference(fixed, movable, sig):
+    assert _first_occurrences(fixed + movable) == _reference_first_occurrences(fixed + movable)
+    assert [list(iter_variables(t)) for t in movable] == [list(reference_iter_variables(t)) for t in movable]
     assert rename_apart(fixed, movable) == reference_rename_apart(fixed, movable)
     assert canonical_renaming(movable) == reference_canonical_renaming(movable)
     assert _canonical(sig, *movable) == reference_canonical(sig, *movable)
@@ -1962,6 +2041,10 @@ def test_complete_matches_reference(n, kind, variant):
         trs = _with_symbols(trs, {"v1": 0, "v2": 1})
     got, expected = complete(trs), reference_complete(trs)
     assert got.trs == expected.trs and got.rounds == expected.rounds
+    # each adopted left side is irreducible by the rules before it, so it
+    # repeats none of them: why `complete` needs no duplicate test
+    for k, (rule, _cp) in enumerate(got.adopted):
+        assert not rewrite_steps(Trs(trs.signature, got.trs.rules[: len(trs.rules) + k]), rule.lhs)
     assert [r.label for r in got.trs.rules] == [r.label for r in expected.trs.rules]
     assert got.adopted == expected.adopted
     assert format_trs(got.trs) == format_trs(expected.trs)

@@ -11,6 +11,7 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
+    iter_variables,
     match,
     occurs,
     parse_term,
@@ -291,6 +292,26 @@ def test_occurs_on_a_deep_term():
     assert occurs("x", t) and occurs("y", t)
     assert not occurs("z", t)
     assert not occurs("x", _deep_term(Elem("x")))
+
+
+def test_iter_variables_on_a_deep_term():
+    assert list(iter_variables(_deep_term(Var("x")))) == ["x"] + ["y"] * 5000
+    assert list(iter_variables(_deep_term(Elem("x")))) == ["y"] * 5000
+
+
+def test_occurs_reads_through_bindings():
+    bindings = {"y": App("f", (Var("z"), Var("w"))), "w": Var("x")}
+    assert occurs("x", Var("y"), bindings) and occurs("x", App("f", (Elem("a"), Var("w"))), bindings)
+    assert not occurs("x", Var("y"), {"y": Var("z"), "z": Elem("x")})
+    assert not occurs("x", Var("w"), {"y": Var("x")})
+
+
+def test_unify_on_deep_terms():
+    # the pairs are popped from a list, and no binding has to be applied
+    assert unify(_deep_term(Var("x")), _deep_term(Var("z"))) == {"x": Var("z")}
+    deep = _deep_term(Elem("a"))
+    assert unify(Var("x"), deep) == {"x": deep}
+    assert unify(_deep_term(Var("x")), _deep_term(App("f", (Var("x"), Var("y"))))) is None
 
 
 # ---------------------------------------------------------------------------
