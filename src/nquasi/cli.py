@@ -10,31 +10,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import sys
 
-from .algebras import (
-    AlgebraError,
-    CarrierTooLargeError,
-    Embedding,
-    InvalidAlgebraError,
-    algebra_from_json,
-)
-
-# `Embedding` checks itself when built; `validate_embedding` stays bound
-# here so that the per-layer tracer of perfbench/tracing.py can rebind it
-# in this module.
-from .algebras import validate_embedding  # noqa: F401
-from .amalgams import (
-    AmalgamError,
-    build_amalgam,
-    check_strong_amalgamation,
-    check_unique_normal_forms,
-    normalize_element,
-    parse_element_term,
-)
-from .codescent import check_cep
 from .rewriting import (
     CapExceeded,
     DEFAULT_REDUCT_CAP,
@@ -52,12 +32,45 @@ from .rewriting import (
     parse_trs,
 )
 from .terms import ParseError, parse_term
-from .varieties import VarietySpec, generate_trs
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+
+# Each subcommand imports the layers it runs beyond `terms` and `rewriting`,
+# so a call pays only for those.  The per-layer tracer of
+# perfbench/tracing.py rebinds these names in this module: each resolves
+# through its defining layer on first access and is then kept here.  The
+# subcommands call the layer's own binding.
+_LAYER_OF = {
+    "generate_trs": "varieties",
+    "validate_embedding": "algebras",
+    "check_cep": "codescent",
+    "build_amalgam": "amalgams",
+    "check_unique_normal_forms": "amalgams",
+    "check_strong_amalgamation": "amalgams",
+    "normalize_element": "amalgams",
+}
+
+
+def __getattr__(name):
+    if name not in _LAYER_OF:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(importlib.import_module("." + _LAYER_OF[name], __package__), name)
+    return value
+
+
+def _loaded(*names):
+    """The classes named `layer.Name` whose layer this process imported: a
+    layer that was never imported raised nothing."""
+    found = []
+    for qualified in names:
+        layer, name = qualified.split(".")
+        module = sys.modules.get("%s.%s" % (__package__, layer))
+        if module is not None:
+            found.append(getattr(module, name))
+    return tuple(found)
 
 
 def _reduct_cap() -> int:
@@ -144,6 +157,8 @@ def _report(command, inputs, verdict, details, exit_code) -> dict:
 
 
 def cmd_gen_trs(args) -> int:
+    from .varieties import VarietySpec, generate_trs
+
     spec = VarietySpec(args.kind, args.n, complete=args.complete)
     sys.stdout.write(format_trs(generate_trs(spec)))
     return EXIT_OK
@@ -249,6 +264,15 @@ def cmd_complete(args) -> int:
 
 
 def cmd_amalgam(args) -> int:
+    from .algebras import algebra_from_json
+    from .amalgams import (
+        build_amalgam,
+        check_strong_amalgamation,
+        check_unique_normal_forms,
+        normalize_element,
+        parse_element_term,
+    )
+
     text = _read(args.diagram)
     try:
         obj = json.loads(text)
@@ -301,6 +325,9 @@ def cmd_amalgam(args) -> int:
 
 
 def cmd_codescent(args) -> int:
+    from .algebras import Embedding
+    from .codescent import check_cep
+
     text = _read(args.embedding)
     try:
         obj = json.loads(text)
@@ -331,6 +358,8 @@ def cmd_codescent(args) -> int:
 
 
 def _load_algebra_field(obj, role, embedding_path):
+    from .algebras import InvalidAlgebraError, algebra_from_json
+
     value = obj[role]
     if isinstance(value, str):
         base_dir = os.path.dirname(os.path.abspath(embedding_path))
@@ -419,10 +448,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (CarrierTooLargeError, CapExceeded, StepBoundExceeded, MaxRoundsExceeded) as exc:
+    # an except clause's classes are looked up only when an exception is matched
+    except (CapExceeded, StepBoundExceeded, MaxRoundsExceeded) + _loaded("algebras.CarrierTooLargeError") as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
-    except (_InputError, ParseError, AlgebraError, AmalgamError, TerminationNotVerified) as exc:
+    except (_InputError, ParseError, TerminationNotVerified) + _loaded(
+        "algebras.AlgebraError", "amalgams.AmalgamError"
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except UnorientableError as exc:

@@ -1,10 +1,12 @@
 import copy
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import strategies as st
 
+import nquasi
 from nquasi.algebras import Congruence, Embedding, algebra_from_function, cyclic_loop
 from nquasi.codescent import (
     identity_embedding,
@@ -15,6 +17,13 @@ from nquasi.codescent import (
 )
 from nquasi.rewriting import Rule, Trs, check_conditions, terms_up_to
 from nquasi.terms import App, Elem, Var, apply_substitution, variables
+
+
+def child_env():
+    """Environment for a child interpreter that imports the same package as
+    the tests, installed or not."""
+    src = os.path.dirname(os.path.dirname(nquasi.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

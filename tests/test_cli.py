@@ -9,13 +9,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nquasi
 from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
 from nquasi.cli import main
 from nquasi.rewriting import complete, format_trs, parse_trs
 from nquasi.varieties import VarietySpec, generate_trs
 
-from conftest import klein_in_dihedral8
+from conftest import child_env, klein_in_dihedral8
 
 
 def run_cli(capsys, *argv):
@@ -600,17 +599,88 @@ def test_json_reports_share_the_envelope(capsys, base_quasi_file, diagram_file, 
 
 
 def test_console_entry_point_runs():
-    # the child imports the same package as this test, installed or not
-    src = os.path.dirname(os.path.dirname(nquasi.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "nquasi.cli", "gen-trs", "--kind", "quasigroup", "--n", "1"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sig f/1 g1/1")
+
+
+# ---------------------------------------------------------------------------
+# one call per fresh interpreter: the layers each subcommand imports, and the
+# errors main() maps for layers it never imports itself
+
+LAYERS = {"varieties", "algebras", "amalgams", "codescent"}
+
+FRESH_MAIN = """
+import contextlib, io, json, sys
+from nquasi.cli import main
+
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+layers = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("nquasi."))
+print(json.dumps([code, out.getvalue(), err.getvalue(), layers]))
+"""
+
+
+def run_fresh(*argv):
+    """main(argv) in a new interpreter: exit code, stdout, stderr and the
+    layers of LAYERS that the call imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    code, out, err, layers = json.loads(proc.stdout)
+    return code, out, err, LAYERS.intersection(layers)
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["gen-trs", "--kind", "loop", "--n", "2"], {"varieties"}),
+        (["check", "--trs", "{trs}", "--conditions", "--critical-pairs", "--json"], set()),
+        (["normalize", "--trs", "{trs}", "--term", "f(g1(x1,x2),x2)", "--trace"], set()),
+        (["complete", "--trs", "{trs}"], set()),
+        (["amalgam", "--diagram", "{diagram}", "--check-unf", "--json"], {"varieties", "algebras", "amalgams"}),
+        (["codescent", "--embedding", "{embedding}"], {"algebras", "codescent"}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_each_subcommand_imports_only_its_layers(capsys, base_quasi_file, diagram_file, embedding_file, argv, layers):
+    argv = [a.format(trs=base_quasi_file, diagram=diagram_file, embedding=embedding_file) for a in argv]
+    code, out, err, loaded = run_fresh(*argv)
+    assert loaded == layers
+    assert (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_file):
+    with open(diagram_file, encoding="utf-8") as handle:
+        diagram = json.load(handle)
+    one_embedding = tmp_path / "one_embedding.json"
+    one_embedding.write_text(json.dumps(dict(diagram, embeddings=[{"0": "0"}])), encoding="utf-8")
+    bad_map = tmp_path / "bad_map.json"
+    z2, z4, z9 = (algebra_to_json(cyclic_loop(m)) for m in (2, 4, 9))
+    bad_map.write_text(json.dumps({"source": z2, "target": z4, "map": {"0": "0", "1": "1"}}), encoding="utf-8")
+    too_large = tmp_path / "too_large.json"
+    too_large.write_text(
+        json.dumps({"source": z9, "target": z9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8"
+    )
+    cases = [
+        (["amalgam", "--diagram", str(one_embedding), "--check-unf"], 2, "error: need one embedding per factor\n"),
+        (
+            ["codescent", "--embedding", str(bad_map)],
+            2,
+            "error: invalid embedding: preserve-f at ['1', '1']: f is not preserved\n",
+        ),
+        (["codescent", "--embedding", str(too_large)], 3, "error: carrier of size 9 exceeds the enumeration bound 8\n"),
+    ]
+    for argv, code, err in cases:
+        assert run_fresh(*argv)[:3] == (code, "", err), argv
+        assert run_cli(capsys, *argv) == (code, "", err), argv
 
 
 # ---------------------------------------------------------------------------

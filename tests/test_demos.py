@@ -6,14 +6,13 @@ After a deliberate change to a demo's output, record the new digest.
 """
 
 import hashlib
-import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-import nquasi
+from conftest import child_env
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
@@ -31,13 +30,6 @@ def test_every_demo_has_a_recorded_digest():
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_output_is_unchanged(name):
-    # the child imports the same package as this test, installed or not
-    src = os.path.dirname(os.path.dirname(nquasi.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True, env=child_env())
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]

@@ -1,7 +1,6 @@
 """Every name imported into a module of the package is used there, so a
-deletion cannot leave a dead import behind.  `__init__` re-exports what
-it imports and is exempt; a line marked `# noqa: F401` keeps a name on
-purpose."""
+deletion cannot leave a dead import behind.  A line marked `# noqa: F401`
+keeps a name on purpose."""
 
 import ast
 from pathlib import Path
@@ -10,7 +9,7 @@ import pytest
 
 import nquasi
 
-MODULES = sorted(p for p in Path(nquasi.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(Path(nquasi.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
