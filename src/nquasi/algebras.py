@@ -145,8 +145,8 @@ class FiniteAlgebra:
             return self.tables_g[int(t.symbol[1:]) - 1][args]
         raise AlgebraError("unknown operation symbol %r" % (t.symbol,))
 
-    def rename(self, mapping, name=None) -> "FiniteAlgebra":
-        """Copy with every element renamed through an injective mapping."""
+    def rename(self, mapping) -> "FiniteAlgebra":
+        """Same-named copy with every element renamed through an injective mapping."""
         for a in self.carrier:
             if a not in mapping:
                 raise AlgebraError("renaming misses element %r" % (a,))
@@ -154,7 +154,7 @@ class FiniteAlgebra:
             raise AlgebraError("renaming is not injective")
         remap = lambda a: mapping[a]
         return FiniteAlgebra(
-            name=name or self.name,
+            name=self.name,
             n=self.n,
             kind=self.kind,
             carrier=[remap(a) for a in self.carrier],

@@ -370,8 +370,8 @@ def identity_embedding(alg: FiniteAlgebra) -> Embedding:
     return Embedding(alg, alg, {a: a for a in alg.carrier})
 
 
-def sub_permutation_embeddings(perm, max_points: int = 6):
-    """Embeddings of cycle-unions into the 1-quasigroup of a permutation."""
+def sub_permutation_embeddings(perm):
+    """Embeddings of proper cycle-unions of <= 6 points into the 1-quasigroup of a permutation."""
     order = len(perm)
     whole = permutation_quasigroup(perm, "P%d" % order)
     cycles = []
@@ -391,7 +391,7 @@ def sub_permutation_embeddings(perm, max_points: int = 6):
     for r in range(1, len(cycles) + 1):
         for chosen in itertools.combinations(cycles, r):
             points = sorted(p for c in chosen for p in c)
-            if len(points) > max_points or len(points) == order:
+            if len(points) > 6 or len(points) == order:
                 continue
             relabel = {p: i for i, p in enumerate(points)}
             sub_perm = [relabel[perm[p]] for p in points]

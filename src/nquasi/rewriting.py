@@ -32,7 +32,6 @@ from .terms import (
     match,
     parse_term,
     positions,
-    positions_postorder,
     rename_apart,
     replace_at,
     size,
@@ -123,18 +122,18 @@ class Trs:
     def terminates(self) -> bool:
         return self.conditions.star_ok
 
-    def steps_at(self, t: Term, pos: Position, sub: App) -> list:
-        """The one-step successors (result, rule label, pos) of t at the
-        position pos of its subterm sub, in rule order.
+    def root_steps(self, t: App) -> list:
+        """The one-step successors (result, rule label, ()) of t at its
+        root, in rule order.
 
         Rules apply left to right only, by one-sided matching of the
-        left-hand side against the subterm.
+        left-hand side against t.
         """
         out = []
-        for rule in self._index[(sub.symbol, *map(_head, sub.args))]:
-            bindings = match(rule.lhs, sub)
+        for rule in self._index[(t.symbol, *map(_head, t.args))]:
+            bindings = match(rule.lhs, t)
             if bindings is not None:
-                out.append((replace_at(t, pos, apply_substitution(bindings, rule.rhs)), rule.label, pos))
+                out.append((apply_substitution(bindings, rule.rhs), rule.label, ()))
         return out
 
     def rule(self, label: str) -> Rule:
@@ -301,38 +300,46 @@ class _AnyHead:
 _ANY_HEAD = _AnyHead()  # equal to every head: a variable of a key when unifying
 
 
-def _successors(system, t: Term, walk):
-    """The steps of t, position by position in the order of `walk`."""
-    for pos, sub in walk(t):
-        if isinstance(sub, App):
-            yield from system.steps_at(t, pos, sub)
+def _lifted(system, t: Term, below, root_last: bool = False):
+    """The steps (result, label, position) of t: its root steps, then each
+    argument's steps `below(arg)` lifted into t; root steps last if root_last."""
+    if not isinstance(t, App):
+        return
+    if not root_last:
+        yield from system.root_steps(t)
+    symbol, args = t.symbol, t.args
+    for i, arg in enumerate(args):
+        for result, label, pos in below(arg):
+            yield App(symbol, (*args[:i], result, *args[i + 1 :])), label, (i + 1, *pos)
+    if root_last:
+        yield from system.root_steps(t)
+
+
+def _walk(system, root_last: bool = False):
+    """`walk(t)`: the steps of t, positions in pre-order (post-order with
+    root_last) and rules in order at each, computed only as consumed."""
+    walk = lambda t: _lifted(system, t, walk, root_last)
+    return walk
 
 
 def rewrite_steps(system, t: Term) -> set:
     """All one-step successors of t: (result, step label, position)."""
-    return set(_successors(system, t, positions))
+    return set(_walk(system)(t))
 
 
 def _step_memo(system):
-    """`steps(t)`: the one-step successors (result, label, pos) of t, those
-    inside an argument built from that argument's own steps, which are
-    computed once and kept.  With keep=False the steps of t itself are not
-    kept, only those of its arguments."""
+    """`steps(t)`: the list of `_lifted` steps of t, each argument's steps
+    computed once and kept; with keep=False those of t itself are not kept."""
     memo = {}
 
     def steps(t: Term, keep: bool = True) -> list:
         if not isinstance(t, App):
             return []
         found = memo.get(t)
-        if found is not None:
-            return found
-        found = system.steps_at(t, (), t)
-        symbol, args = t.symbol, t.args
-        for i, arg in enumerate(args):
-            for result, label, pos in steps(arg):
-                found.append((App(symbol, (*args[:i], result, *args[i + 1 :])), label, (i + 1, *pos)))
-        if keep:
-            memo[t] = found
+        if found is None:
+            found = list(_lifted(system, t, steps))
+            if keep:
+                memo[t] = found
         return found
 
     return steps
@@ -367,14 +374,14 @@ def normalize(
             "rules do not all strictly decrease size; pass max_steps to rewrite anyway"
         )
     rng = Random(seed) if strategy == "random" else None
-    order = positions_postorder if strategy == "leftmost-innermost" else positions
+    walk = _walk(system, root_last=strategy == "leftmost-innermost")
     trace = []
     current = t
     while True:
         if rng is None:
-            step = next(_successors(system, current, order), None)
+            step = next(walk(current), None)
         else:
-            options = sorted(_successors(system, current, order), key=step_key)
+            options = sorted(walk(current), key=step_key)
             step = rng.choice(options) if options else None
         if step is None:
             return current, tuple(trace)
@@ -393,7 +400,7 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     """
     if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
-    return _reach(lambda u: _successors(system, u, positions), t, cap)
+    return _reach(_walk(system), t, cap)
 
 
 def _reach(steps, t: Term, cap: int) -> set:
@@ -656,10 +663,10 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
             if size(left_nf) == size(right_nf):
                 raise UnorientableError(cp, "equal sizes after normalization")
             big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
-            # the new rule repeats no current one: big is a normal form of
-            # current, whose every rule rewrites its own left side
+            # big outgrows small, so it is an application, and as a normal form
+            # of current it is no current rule's left side: the rule is new
             lhs, rhs = _canonical(trs.signature, big, small)
-            if isinstance(lhs, Var) or variables(rhs) - variables(lhs):
+            if variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")
             label = fresh_names("cp", 1, {r.label for r in current.rules})[0]
             rule = Rule(lhs, rhs, label)

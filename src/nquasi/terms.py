@@ -154,14 +154,6 @@ def positions(t: Term, prefix: Position = ()) -> Iterator[tuple]:
             yield from positions(a, prefix + (i,))
 
 
-def positions_postorder(t: Term, prefix: Position = ()) -> Iterator[tuple]:
-    """(position, subterm) pairs with children before their parent."""
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            yield from positions_postorder(a, prefix + (i,))
-    yield prefix, t
-
-
 def apply_substitution(sigma: Substitution, t: Term) -> Term:
     """Homomorphic extension of sigma; fixes Elem leaves and unbound variables."""
     if isinstance(t, Var):

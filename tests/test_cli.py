@@ -283,6 +283,16 @@ class TestComplete:
         code, _, err = run_cli(capsys, "complete", "--trs", base_quasi_file, "--max-rounds", "0")
         assert code == 3 and "rounds" in err
 
+    def test_candidate_with_a_fresh_variable_is_refused(self, capsys, tmp_path):
+        # f(g(v1),h(c,c)) rewrites to v1 by r1 and to g(c) by r2; both are
+        # normal forms, and the larger, g(c), would become a left side
+        # without the right side's variable v1
+        path = tmp_path / "fresh.trs"
+        path.write_text("sig f/2 g/1 h/2 c/0\nrule r1: f(g(x),y) -> x\nrule r2: f(z,h(c,c)) -> g(c)\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "complete", "--trs", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: unorientable critical pair (candidate violates rule invariants): v1 vs g(c)\n"
+
     def test_json(self, capsys, base_quasi_file):
         code, out, _ = run_cli(capsys, "complete", "--trs", base_quasi_file, "--json")
         assert code == 0

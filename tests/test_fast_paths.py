@@ -18,7 +18,10 @@ leftmost strategies as the first of the position-ordered steps, and the
 one rule-index predicate for matching and unifying, checked against the
 two-branch `unify`, the leftmost loop and the two filters they replaced;
 the local-confluence oracle on one memoized step relation, checked
-against the oracle on `rewrite_steps` and `joinable` it replaced; every
+against the oracle on `rewrite_steps` and `joinable` it replaced; the
+one-step relation as root steps plus lifted argument steps, checked for
+steps, reducts, normal forms and traces against the position walk with
+`replace_at` that it replaced; every
 invented variable name and completion label from `fresh_names`, checked
 against the counters of `rename_apart`, `_canonical` and `complete` and
 the fixed variable pool of `enumerate_terms` that it replaced; `unify`
@@ -75,6 +78,7 @@ from nquasi.rewriting import (
     MaxRoundsExceeded,
     OracleVerdict,
     Rule,
+    StepBoundExceeded,
     TerminationNotVerified,
     Trs,
     UnorientableError,
@@ -93,6 +97,7 @@ from nquasi.rewriting import (
     local_confluence_oracle,
     normalize,
     parse_trs,
+    reducts,
     rewrite_steps,
     step_key,
     terms_up_to,
@@ -110,7 +115,6 @@ from nquasi.terms import (
     match,
     parse_term,
     positions,
-    positions_postorder,
     rename_apart,
     replace_at,
     size,
@@ -136,6 +140,28 @@ from conftest import (
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def reference_positions_postorder(t, prefix=()):
+    """(position, subterm) pairs with children before their parent."""
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, start=1):
+            yield from reference_positions_postorder(a, prefix + (i,))
+    yield prefix, t
+
+
+def reference_position_steps(system, t, pos, sub):
+    """The steps of t at the position pos of its application sub: each root
+    step of sub, put in place by `replace_at`."""
+    return [(replace_at(t, pos, result), label, pos) for result, label, _root in system.root_steps(sub)]
+
+
+def reference_successors(system, t, walk):
+    """The steps of t, position by position in the order of `walk`
+    (`positions` or `reference_positions_postorder`)."""
+    for pos, sub in walk(t):
+        if isinstance(sub, App):
+            yield from reference_position_steps(system, t, pos, sub)
 
 
 def reference_latin_squares(order):
@@ -897,7 +923,7 @@ def reference_normalize(d, by_root, t, strategy, seed=0):
             options = reference_amalgam_steps(d, by_root, current)
             step = rng.choice(sorted(options, key=lambda s: (s[2], s[1], str(s[0])))) if options else None
         else:
-            order = positions_postorder if strategy == "leftmost-innermost" else positions
+            order = reference_positions_postorder if strategy == "leftmost-innermost" else positions
             step = None
             for pos, sub in order(current):
                 found = reference_steps_at(d, by_root, current, pos, sub)
@@ -1063,13 +1089,13 @@ def test_table_value_mutants_are_flagged(name):
 # Trs rule selection: the root-symbol index it replaced
 
 
-def reference_rule_steps(by_root, t, pos, sub):
-    """Every rule with the subterm's root symbol, tried by `match` in rule order."""
+def reference_rule_steps(by_root, t):
+    """Every rule with the root symbol of t, tried by `match` in rule order."""
     out = []
-    for lhs, rhs, label in by_root.get(sub.symbol, ()):
-        bindings = match(lhs, sub)
+    for lhs, rhs, label in by_root.get(t.symbol, ()):
+        bindings = match(lhs, t)
         if bindings is not None:
-            out.append((replace_at(t, pos, apply_substitution(bindings, rhs)), label, pos))
+            out.append((apply_substitution(bindings, rhs), label, ()))
     return out
 
 
@@ -1082,8 +1108,8 @@ class RootIndexedTrs:
         for r in trs.rules:
             self.by_root.setdefault(r.lhs.symbol, []).append((r.lhs, r.rhs, r.label))
 
-    def steps_at(self, t, pos, sub):
-        return reference_rule_steps(self.by_root, t, pos, sub)
+    def root_steps(self, t):
+        return reference_rule_steps(self.by_root, t)
 
 
 # nested, non-linear and constant-argument left sides, all size-decreasing
@@ -1352,14 +1378,14 @@ def test_unify_matches_reference(s, t, sigma, instance):
 def reference_leftmost(system, t, strategy):
     """(normal form, trace): the first step at the first position of the
     walk that has one, found by its own loop over positions."""
-    order = positions_postorder if strategy == "leftmost-innermost" else positions
+    order = reference_positions_postorder if strategy == "leftmost-innermost" else positions
     trace = []
     current = t
     while True:
         step = None
         for pos, sub in order(current):
             if isinstance(sub, App):
-                steps = system.steps_at(current, pos, sub)
+                steps = reference_position_steps(system, current, pos, sub)
                 if steps:
                     step = steps[0]
                     break
@@ -1635,21 +1661,106 @@ def _system_and_term(trs, elements=()):
     return redex_terms(trs, elements).map(lambda t: (trs, t))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    case=_system_and_term(complete_loop(2))
-    | _system_and_term(_FORK)
-    | _system_and_term(_DIAGRAM, _DIAGRAM.carrier_union)
+# ---------------------------------------------------------------------------
+# the one-step relation: the position walk that `_lifted` replaced, which
+# rebuilt the term at each position with a step by `replace_at`
+
+
+def reference_normalize_by_positions(system, t, strategy, seed=0):
+    """(normal form, trace): the first step of the pre- or post-order
+    position walk, or a seeded choice among all steps sorted by `step_key`."""
+    rng = random.Random(seed) if strategy == "random" else None
+    order = reference_positions_postorder if strategy == "leftmost-innermost" else positions
+    trace = []
+    current = t
+    while True:
+        if rng is None:
+            step = next(reference_successors(system, current, order), None)
+        else:
+            options = sorted(reference_successors(system, current, order), key=step_key)
+            step = rng.choice(options) if options else None
+        if step is None:
+            return current, tuple(trace)
+        current, label, pos = step
+        trace.append((label, pos))
+
+
+def reference_reducts(system, t):
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for v, _label, _pos in reference_successors(system, u, positions):
+                if v not in seen:
+                    seen.add(v)
+                    fresh.append(v)
+        frontier = fresh
+    return seen
+
+
+_STEP_CASES = (
+    _system_and_term(complete_loop(2)) | _system_and_term(_FORK) | _system_and_term(_DIAGRAM, _DIAGRAM.carrier_union)
 )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_STEP_CASES)
 def test_memoized_steps_are_the_rewrite_steps(case):
     trs, t = case
     steps = _step_memo(trs)
-    expected = rewrite_steps(trs, t)
+    expected = list(reference_successors(trs, t, positions))
     for keep in (False, True, True):  # the last call reads the memo
         found = steps(t, keep=keep)
-        assert len(found) == len(expected) and set(found) == expected, str(t)
+        assert len(found) == len(expected) and set(found) == set(expected), str(t)
     for _pos, sub in positions(t):  # each subterm's steps, kept by the calls above
-        assert set(steps(sub)) == rewrite_steps(trs, sub), str(sub)
+        found = steps(sub)
+        assert sorted(found, key=step_key) == sorted(reference_successors(trs, sub, positions), key=step_key), str(sub)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_STEP_CASES)
+def test_steps_and_reducts_are_the_position_walk_steps_and_reducts(case):
+    trs, t = case
+    for root_last, order in ((False, positions), (True, reference_positions_postorder)):
+        assert list(rewriting._walk(trs, root_last)(t)) == list(reference_successors(trs, t, order)), str(t)
+    assert rewrite_steps(trs, t) == set(reference_successors(trs, t, positions))
+    assert reducts(trs, t) == reference_reducts(trs, t)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_STEP_CASES)
+def test_normal_forms_and_traces_are_the_position_walk_ones(case):
+    trs, t = case
+    for strategy, seed in [("leftmost-innermost", 0), ("leftmost-outermost", 0)] + [("random", k) for k in range(4)]:
+        assert normalize(trs, t, strategy, seed) == reference_normalize_by_positions(trs, t, strategy, seed), (strategy, seed, str(t))
+
+
+class CountingTrs:
+    """A Trs as a reduction system that records each term whose root steps
+    are asked for."""
+
+    def __init__(self, trs):
+        self.trs, self.terminates, self.asked = trs, trs.terminates, []
+
+    def root_steps(self, t):
+        self.asked.append(t)
+        return self.trs.root_steps(t)
+
+
+@pytest.mark.parametrize(
+    "strategy, order", [("leftmost-outermost", positions), ("leftmost-innermost", reference_positions_postorder)]
+)
+def test_first_leftmost_step_asks_no_application_past_the_first_redex(strategy, order):
+    trs = complete_loop(2)
+    t = parse_term("f(g1(f(x,y),f(y,e)),g2(f(e,x),g1(y,e)))", trs.signature)
+    apps = [sub for _pos, sub in order(t) if isinstance(sub, App)]
+    redexes = [i for i, sub in enumerate(apps) if trs.root_steps(sub)]
+    assert redexes[0] > 0 and len(redexes) >= 3  # the walk passes applications before and after it
+    counting = CountingTrs(trs)
+    with pytest.raises(StepBoundExceeded):  # max_steps=0 stops after the first step
+        normalize(counting, t, strategy, max_steps=0)
+    assert counting.asked == apps[: redexes[0] + 1]
 
 
 # ---------------------------------------------------------------------------
