@@ -16,7 +16,6 @@ from random import Random
 
 from .terms import (
     _IDENT_RE,
-    _first_occurrences,
     App,
     Elem,
     ParseError,
@@ -26,6 +25,7 @@ from .terms import (
     Term,
     Var,
     apply_substitution,
+    canonical_renaming,
     check_well_formed,
     fresh_names,
     iter_variables,
@@ -247,28 +247,26 @@ class _RuleIndex(dict):
     unify with it.  Both lists are in rule order, filled on first use and
     cached per key.
 
-    One predicate serves both modes: a rule fits a key of its arity when
-    each non-variable argument of its left side equals the key's head
-    there.  When unifying, a variable of the key becomes `_ANY_HEAD`, which
-    equals every head.  `match` and `unify` still check deeper levels and
-    repeated variables.  A rule without a variable argument, such as a
-    ground rule, is kept by its own key, so only a unifying key with a
-    variable scans those keys.
+    Rule k is bit k of a mask.  Each (root symbol, arity) keeps the mask of
+    its rules and, for each argument slot, the mask of its rules with each
+    head there.  A rule fits a key when at every slot its head equals the
+    key's or is a variable; when unifying, a variable of the key fits every
+    head, so its slot is skipped.  `match` and `unify` still check deeper
+    levels and repeated variables.
     """
 
     def __init__(self, rules):
         super().__init__()
+        self.rules = tuple(rules)
         self.overlaps = {}  # key -> the rules that may unify there
-        self.exact = {}  # key of a rule without a variable argument -> [(rule number, rule)]
-        self.general = {}  # root symbol -> [(rule number, key length, fixed key slots, their heads, rule)]
-        for i, rule in enumerate(rules):
-            heads = tuple(map(_head, rule.lhs.args))
-            if None not in heads:
-                self.exact.setdefault((rule.lhs.symbol, *heads), []).append((i, rule))
-                continue
-            fixed = tuple(k for k, h in enumerate(heads, start=1) if h is not None)
-            entry = (i, len(heads) + 1, fixed, tuple(heads[k - 1] for k in fixed), rule)
-            self.general.setdefault(rule.lhs.symbol, []).append(entry)
+        self.roots = {}  # (root symbol, arity) -> (mask of its rules, per slot {head: mask of its rules with it there})
+        for i, rule in enumerate(self.rules):
+            bit, args = 1 << i, rule.lhs.args
+            root = rule.lhs.symbol, len(args)
+            mask, slots = self.roots.get(root) or (0, [{} for _ in args])
+            for by_head, head in zip(slots, map(_head, args)):
+                by_head[head] = by_head.get(head, 0) | bit
+            self.roots[root] = mask | bit, slots
 
     def __missing__(self, key):
         self[key] = found = self._fitting(key, False)
@@ -280,24 +278,16 @@ class _RuleIndex(dict):
         return self.overlaps[key]
 
     def _fitting(self, key, unifying: bool) -> list:
-        exact = self.exact.get(key, [])
-        if unifying:  # a wildcard may stand for any head, so any exact key may fit
-            key = tuple(_ANY_HEAD if h is None else h for h in key)
-            exact = [entry for other, entries in self.exact.items() if other == key for entry in entries]
-        found = [
-            (i, rule)
-            for i, length, fixed, heads, rule in self.general.get(key[0], ())
-            if len(key) == length and tuple(map(key.__getitem__, fixed)) == heads
-        ]
-        return [rule for _i, rule in sorted(found + exact)]  # rule numbers are distinct
-
-
-class _AnyHead:
-    def __eq__(self, other):
-        return True
-
-
-_ANY_HEAD = _AnyHead()  # equal to every head: a variable of a key when unifying
+        mask, slots = self.roots.get((key[0], len(key) - 1), (0, ()))
+        for by_head, head in zip(slots, key[1:]):
+            if head is not None or not unifying:
+                mask &= by_head.get(head, 0) | by_head.get(None, 0)
+        found = []
+        while mask:  # lowest bit first: rule order
+            low = mask & -mask
+            found.append(self.rules[low.bit_length() - 1])
+            mask ^= low
+        return found
 
 
 def _lifted(system, t: Term, below, root_last: bool = False):
@@ -328,18 +318,16 @@ def rewrite_steps(system, t: Term) -> set:
 
 
 def _step_memo(system):
-    """`steps(t)`: the list of `_lifted` steps of t, each argument's steps
-    computed once and kept; with keep=False those of t itself are not kept."""
+    """`steps(t)`: the list of `_lifted` steps of t, computed once per term
+    and kept."""
     memo = {}
 
-    def steps(t: Term, keep: bool = True) -> list:
+    def steps(t: Term) -> list:
         if not isinstance(t, App):
             return []
         found = memo.get(t)
         if found is None:
-            found = list(_lifted(system, t, steps))
-            if keep:
-                memo[t] = found
+            memo[t] = found = list(_lifted(system, t, steps))
         return found
 
     return steps
@@ -446,8 +434,7 @@ def _canonical(sig: Signature, *terms: Term) -> tuple:
     """The terms with their variables renamed v1, v2, ... in order of first
     occurrence over all of them, skipping the symbols of sig: a variable so
     named would read as the symbol."""
-    names = _first_occurrences(terms)
-    renaming = dict(zip(names, map(Var, fresh_names("v", len(names), sig))))
+    renaming = canonical_renaming(terms, sig)
     return tuple(apply_substitution(renaming, t) for t in terms)
 
 
@@ -482,10 +469,6 @@ class CriticalPair:
             self.rule2,
             list(self.position),
         )
-
-
-def _pair_sort_key(cp: CriticalPair):
-    return cp.rule1, cp.rule2, cp.position, str(cp.left), str(cp.right)
 
 
 def critical_pairs(trs: Trs) -> tuple:
@@ -538,7 +521,9 @@ def critical_pairs(trs: Trs) -> tuple:
                         trivial=left_c == right_c,
                     )
                 )
-    out.sort(key=_pair_sort_key)
+    # one unify per (rule1, position, rule2) gives at most one pair, and
+    # labels are distinct, so this key never ties and prints no term
+    out.sort(key=lambda cp: (cp.rule1, cp.rule2, cp.position))
     return tuple(out)
 
 
@@ -741,17 +726,19 @@ def local_confluence_oracle(
     One step relation serves the whole call (`_step_memo`): a term's steps
     are its root steps plus the steps of its arguments, which are computed
     once and kept, so a subterm is matched against the rules once however
-    many terms contain it.  A peak's own steps are not kept: most peaks
-    have the largest size and are an argument of no other term, so keeping
-    them would grow the memo by most of the universe for almost no hits
-    (peak RSS 31 MB against 21 MB on complete_loop(2) at size 7).  The
-    steps of the reducts that the joinability walks visit are kept."""
+    many terms contain it.  A peak's own steps are lifted from its
+    arguments' here and not kept: most peaks have the largest size and are
+    an argument of no other term, so keeping them would grow the memo by
+    most of the universe (peak RSS 31 MB against 21 MB on complete_loop(2)
+    at size 7), and looking them up would hash every peak for almost no
+    hits.  The steps of the reducts that the joinability walks visit are
+    kept."""
     if not check_conditions(trs).star_ok:
         return OracleVerdict(status="termination-not-verified")
     steps = _step_memo(trs)
     checked = 0
     for peak in enumerate_terms(trs.signature, max_size, num_vars):
-        found = steps(peak, keep=False)
+        found = list(_lifted(trs, peak, steps))
         if len(found) < 2:
             continue
         checked += 1

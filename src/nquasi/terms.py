@@ -276,10 +276,11 @@ def rename_apart(fixed, movable) -> Substitution:
     return dict(zip(clashing, map(Var, fresh_names("v", len(clashing), taken.union(movable_vars)))))
 
 
-def canonical_renaming(terms) -> Substitution:
-    """Renaming to v1, v2, ... in left-to-right first-occurrence order."""
+def canonical_renaming(terms, taken=()) -> Substitution:
+    """Renaming to v1, v2, ... in left-to-right first-occurrence order,
+    skipping the names in `taken` (a set of names or a Signature)."""
     names = _first_occurrences(terms)
-    return dict(zip(names, map(Var, fresh_names("v", len(names), ()))))
+    return dict(zip(names, map(Var, fresh_names("v", len(names), taken))))
 
 
 def _first_occurrences(terms) -> list:

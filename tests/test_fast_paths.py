@@ -15,8 +15,9 @@ the root-symbol index it replaced; critical pairs from the rules that
 the argument heads let overlap, checked against the loop over every
 ordered rule pair it replaced; `unify` with one binding branch, the
 leftmost strategies as the first of the position-ordered steps, and the
-one rule-index predicate for matching and unifying, checked against the
-two-branch `unify`, the leftmost loop and the two filters they replaced;
+per-slot head masks of the rule index for matching and unifying, checked
+against the two-branch `unify`, the leftmost loop and the two filters they
+replaced;
 the local-confluence oracle on one memoized step relation, checked
 against the oracle on `rewrite_steps` and `joinable` it replaced; the
 one-step relation as root steps plus lifted argument steps, checked for
@@ -36,6 +37,7 @@ are kept only for these comparisons."""
 
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,7 +86,6 @@ from nquasi.rewriting import (
     UnorientableError,
     _RuleIndex,
     _canonical,
-    _pair_sort_key,
     _rule_star,
     _step_memo,
     check_conditions,
@@ -1188,8 +1189,14 @@ def reference_critical_pairs(trs):
                         trivial=left_c == right_c,
                     )
                 )
-    out.sort(key=_pair_sort_key)
+    out.sort(key=reference_pair_sort_key)
     return tuple(out)
+
+
+def reference_pair_sort_key(cp):
+    """The key `critical_pairs` sorted by before: labels and position, then
+    both sides printed."""
+    return cp.rule1, cp.rule2, cp.position, str(cp.left), str(cp.right)
 
 
 def _arg_head(t):
@@ -1504,7 +1511,43 @@ def _amalgam_case():
     return d.rules, _index_keys(d.signature, [None, "e"] + [Elem(a) for a in d.carrier_union])
 
 
-# the systems whose rule selection TestRuleIndex in tests/test_rewriting.py checks
+def _sampled_keys(rules, heads, seed, count=300):
+    """The key of every application in a left side, then `count` seeded
+    keys, each a left side's key with every argument head redrawn from
+    heads with probability 1/2: all keys are too many at these arities."""
+    keys = [
+        (sub.symbol, *map(_arg_head, sub.args))
+        for rule in rules
+        for _pos, sub in positions(rule.lhs)
+        if isinstance(sub, App)
+    ]
+    rng = random.Random(seed)
+    for key in rng.choices(keys, k=count):
+        keys.append((key[0], *(rng.choice(heads) if rng.random() < 0.5 else h for h in key[1:])))
+    return keys
+
+
+def _large_variety_case(kind, n):
+    trs = generate_trs(VarietySpec(kind, n, True))
+    return trs.rules, _sampled_keys(trs.rules, [None] + list(trs.signature.symbols), seed="%s%d" % (kind, n))
+
+
+def _diagram_heads(d):
+    return [None] + list(d.signature.symbols) + [Elem(a) for a in d.carrier_union]
+
+
+def _sampled_diagram_case(name):
+    d = UNF_CASES[name][0]()
+    return d.rules, _sampled_keys(d.rules, _diagram_heads(d), seed=name)
+
+
+def _mutant_case(name, k):
+    d = table_value_mutants(UNF_CASES[name][0](), 3, seed=name)[k]
+    return d.rules, _sampled_keys(d.rules, _diagram_heads(d), seed="%s-%d" % (name, k))
+
+
+# the systems whose rule selection TestRuleIndex in tests/test_rewriting.py
+# checks, then systems of arity up to 20 and amalgams with a wrong table value
 INDEX_CASES = {
     "bq2": lambda: _variety_case("quasigroup", 2, False),
     "cq2": lambda: _variety_case("quasigroup", 2, True),
@@ -1514,6 +1557,15 @@ INDEX_CASES = {
     "two-arities": _two_arity_case,
     "nonlinear": _nonlinear_case,
     "Z4*Z4/Z2": _amalgam_case,
+    "cq8": lambda: _large_variety_case("quasigroup", 8),
+    "cq20": lambda: _large_variety_case("quasigroup", 20),
+    "cl6": lambda: _large_variety_case("loop", 6),
+    "Z5*Z5/T": lambda: _sampled_diagram_case("Z5*Z5/T"),
+    **{
+        "%s-mutant%d" % (name, k): (lambda name=name, k=k: _mutant_case(name, k))
+        for name in TABLE_MUTANT_CASES
+        for k in range(3)
+    },
 }
 
 
@@ -1526,6 +1578,39 @@ def test_rule_index_lists_match_reference_filters_in_rule_order(name):
         assert index[key] == reference[key], key
         expected = sorted(reference.overlapping(key), key=lambda rule: number[rule.label])
         assert index.overlapping(key) == expected, key
+
+
+@pytest.mark.parametrize("name", list(INDEX_CASES))
+def test_unknown_symbol_or_arity_selects_no_rule(name):
+    rules, _keys = INDEX_CASES[name]()
+    index = _RuleIndex(rules)
+    roots = {(rule.lhs.symbol, len(rule.lhs.args)) for rule in rules}
+    longest = max(arity for _symbol, arity in roots)
+    unknown = [("no-such-symbol", arity) for arity in (0, 1, 2)] + [
+        (symbol, arity) for symbol, _ in roots for arity in range(longest + 2) if (symbol, arity) not in roots
+    ]
+    heads = [_arg_head(arg) for rule in rules for arg in rule.lhs.args]
+    some_head = next((head for head in heads if head is not None), Elem("a"))  # one the rules have, if any
+    for symbol, arity in unknown:
+        for key in [(symbol,) + (None,) * arity, (symbol,) + (some_head,) * arity]:
+            assert index[key] == [] and index.overlapping(key) == [], key
+
+
+def _index_system(rules):
+    """The parts of a system that `critical_pairs` reads; the rules of
+    "two-arities" have no Signature, and no case has a symbol named v<k>."""
+    return types.SimpleNamespace(rules=tuple(rules), _index=_RuleIndex(rules), signature=())
+
+
+@pytest.mark.parametrize(
+    "system",
+    [pytest.param(lambda name=name: _index_system(INDEX_CASES[name]()[0]), id=name) for name in INDEX_CASES]
+    + [pytest.param(UNF_CASES[name][0], id=name) for name in sorted(UNF_CASES)],
+)
+def test_critical_pairs_are_one_per_rule_pair_and_position(system):
+    # so sorting by (rule1, rule2, position) never ties
+    pairs = critical_pairs(system())
+    assert len({(cp.rule1, cp.rule2, cp.position) for cp in pairs}) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -1710,9 +1795,10 @@ def test_memoized_steps_are_the_rewrite_steps(case):
     trs, t = case
     steps = _step_memo(trs)
     expected = list(reference_successors(trs, t, positions))
-    for keep in (False, True, True):  # the last call reads the memo
-        found = steps(t, keep=keep)
+    for _call in range(2):  # the second call reads the memo
+        found = steps(t)
         assert len(found) == len(expected) and set(found) == set(expected), str(t)
+    assert list(rewriting._lifted(trs, t, steps)) == found  # the oracle's lift of a peak
     for _pos, sub in positions(t):  # each subterm's steps, kept by the calls above
         found = steps(sub)
         assert sorted(found, key=step_key) == sorted(reference_successors(trs, sub, positions), key=step_key), str(sub)
