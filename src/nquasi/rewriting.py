@@ -290,25 +290,22 @@ class _RuleIndex(dict):
         return found
 
 
-def _lifted(system, t: Term, below, root_last: bool = False):
+def _lifted(system, t: Term, below):
     """The steps (result, label, position) of t: its root steps, then each
-    argument's steps `below(arg)` lifted into t; root steps last if root_last."""
+    argument's steps `below(arg)` lifted into t."""
     if not isinstance(t, App):
         return
-    if not root_last:
-        yield from system.root_steps(t)
+    yield from system.root_steps(t)
     symbol, args = t.symbol, t.args
     for i, arg in enumerate(args):
         for result, label, pos in below(arg):
             yield App(symbol, (*args[:i], result, *args[i + 1 :])), label, (i + 1, *pos)
-    if root_last:
-        yield from system.root_steps(t)
 
 
-def _walk(system, root_last: bool = False):
-    """`walk(t)`: the steps of t, positions in pre-order (post-order with
-    root_last) and rules in order at each, computed only as consumed."""
-    walk = lambda t: _lifted(system, t, walk, root_last)
+def _walk(system):
+    """`walk(t)`: the steps of t, positions in pre-order and rules in order
+    at each, computed only as consumed."""
+    walk = lambda t: _lifted(system, t, walk)
     return walk
 
 
@@ -354,6 +351,15 @@ def normalize(
     one, children before parents (innermost) or parents first (outermost);
     `random` picks uniformly among all steps sorted by `step_key`.
     Without a step bound the system must terminate.
+
+    Leftmost-innermost runs as one post-order pass: normalize the
+    arguments left to right, then take the first root step and normalize
+    the result in place, until the root has no step.  This takes exactly
+    the steps of restarting the post-order walk from the root after each
+    step: the first redex of that walk lies in the leftmost argument that
+    is not yet normal, else at the root, and after a root step inside its
+    result, whose arguments may hold new redexes.  Outermost and random
+    walk the whole term again after every step.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
@@ -361,9 +367,37 @@ def normalize(
         raise TerminationNotVerified(
             "rules do not all strictly decrease size; pass max_steps to rewrite anyway"
         )
-    rng = Random(seed) if strategy == "random" else None
-    walk = _walk(system, root_last=strategy == "leftmost-innermost")
     trace = []
+
+    def record(label, pos):
+        trace.append((label, pos))
+        if max_steps is not None and len(trace) > max_steps:
+            raise StepBoundExceeded("no normal form within %d steps" % max_steps)
+
+    if strategy == "leftmost-innermost":
+
+        def nf(t: Term, pos: Position) -> Term:
+            # a loop over the steps at pos and over the arguments: a call per
+            # step, or a comprehension's frame per level, would cut the depth
+            # of term that fits under the recursion limit
+            while isinstance(t, App):
+                args = t.args
+                for i, arg in enumerate(t.args):
+                    u = nf(arg, (*pos, i + 1))
+                    if u is not arg:
+                        args = (*args[:i], u, *args[i + 1 :])
+                if args is not t.args:
+                    t = App(t.symbol, args)
+                steps = system.root_steps(t)
+                if not steps:
+                    break
+                t, label, _root = steps[0]
+                record(label, pos)
+            return t
+
+        return nf(t, ()), tuple(trace)
+    rng = Random(seed) if strategy == "random" else None
+    walk = _walk(system)
     current = t
     while True:
         if rng is None:
@@ -374,9 +408,7 @@ def normalize(
         if step is None:
             return current, tuple(trace)
         current, label, pos = step
-        trace.append((label, pos))
-        if max_steps is not None and len(trace) > max_steps:
-            raise StepBoundExceeded("no normal form within %d steps" % max_steps)
+        record(label, pos)
 
 
 def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:

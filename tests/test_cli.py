@@ -238,6 +238,15 @@ class TestNormalize:
         )
         assert code == 3 and "steps" in err
 
+    def test_step_bound_on_a_non_terminating_system(self, capsys, tmp_path):
+        path = tmp_path / "swap.trs"
+        path.write_text("sig f/2\nrule swap: f(x,y) -> f(y,x)\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "normalize", "--trs", str(path), "--term", "f(a,b)", "--max-steps", "5000"
+        )
+        assert (code, out) == (3, "")
+        assert "no normal form within 5000 steps" in err
+
 
 class TestComplete:
     def test_base_quasigroup(self, capsys, base_quasi_file):

@@ -22,7 +22,9 @@ the local-confluence oracle on one memoized step relation, checked
 against the oracle on `rewrite_steps` and `joinable` it replaced; the
 one-step relation as root steps plus lifted argument steps, checked for
 steps, reducts, normal forms and traces against the position walk with
-`replace_at` that it replaced; every
+`replace_at` that it replaced; innermost normalization in one post-order
+pass, checked for normal forms, traces, step bounds and root-step counts
+against the walk from the root after every step that it replaced; every
 invented variable name and completion label from `fresh_names`, checked
 against the counters of `rename_apart`, `_canonical` and `complete` and
 the fixed variable pool of `enumerate_terms` that it replaced; `unify`
@@ -1808,8 +1810,7 @@ def test_memoized_steps_are_the_rewrite_steps(case):
 @given(case=_STEP_CASES)
 def test_steps_and_reducts_are_the_position_walk_steps_and_reducts(case):
     trs, t = case
-    for root_last, order in ((False, positions), (True, reference_positions_postorder)):
-        assert list(rewriting._walk(trs, root_last)(t)) == list(reference_successors(trs, t, order)), str(t)
+    assert list(rewriting._walk(trs)(t)) == list(reference_successors(trs, t, positions)), str(t)
     assert rewrite_steps(trs, t) == set(reference_successors(trs, t, positions))
     assert reducts(trs, t) == reference_reducts(trs, t)
 
@@ -1820,6 +1821,14 @@ def test_normal_forms_and_traces_are_the_position_walk_ones(case):
     trs, t = case
     for strategy, seed in [("leftmost-innermost", 0), ("leftmost-outermost", 0)] + [("random", k) for k in range(4)]:
         assert normalize(trs, t, strategy, seed) == reference_normalize_by_positions(trs, t, strategy, seed), (strategy, seed, str(t))
+    for strategy in ("leftmost-innermost", "leftmost-outermost"):  # the bound stops at the same step
+        expected = reference_normalize_by_positions(trs, t, strategy)
+        for k in range(len(expected[1]) + 1):
+            if k < len(expected[1]):
+                with pytest.raises(StepBoundExceeded):
+                    normalize(trs, t, strategy, max_steps=k)
+            else:
+                assert normalize(trs, t, strategy, max_steps=k) == expected
 
 
 class CountingTrs:
@@ -1847,6 +1856,30 @@ def test_first_leftmost_step_asks_no_application_past_the_first_redex(strategy, 
     with pytest.raises(StepBoundExceeded):  # max_steps=0 stops after the first step
         normalize(counting, t, strategy, max_steps=0)
     assert counting.asked == apps[: redexes[0] + 1]
+
+
+def _postorder_applications(t):
+    return [sub for _pos, sub in reference_positions_postorder(t) if isinstance(sub, App)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=_STEP_CASES)
+def test_innermost_normalize_asks_each_application_once(case):
+    """Innermost normalization in one pass asks for the root steps of each
+    application of t once, and after each step of each application of the
+    step's result once more: no walk from the root again."""
+    trs, t = case
+    normal_form, trace = reference_normalize_by_positions(trs, t, "leftmost-innermost")
+    expected, current = len(_postorder_applications(t)), t
+    for label, pos in trace:
+        current = next(u for u, l, p in reference_successors(trs, current, positions) if (l, p) == (label, pos))
+        expected += len(_postorder_applications(subterm_at(current, pos)))
+    counting = CountingTrs(trs)
+    assert normalize(counting, t) == (normal_form, trace)
+    assert len(counting.asked) == expected, str(t)
+    counting = CountingTrs(trs)  # on an irreducible term, once per application in post-order
+    assert normalize(counting, normal_form) == (normal_form, ())
+    assert counting.asked == _postorder_applications(normal_form)
 
 
 # ---------------------------------------------------------------------------

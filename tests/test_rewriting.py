@@ -444,11 +444,29 @@ class TestNormalize:
         with pytest.raises(TerminationNotVerified):
             normalize(swap, parse_term("f(a,b)", sig))
 
-    def test_step_bound(self):
+    @pytest.mark.parametrize("max_steps", [5, 5000])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_step_bound(self, strategy, max_steps):
+        # thousands of steps at one position take no stack
         sig = Signature({"f": 2})
         swap = Trs(sig, [Rule(parse_term("f(x,y)", sig), parse_term("f(y,x)", sig), "swap")])
-        with pytest.raises(StepBoundExceeded):
-            normalize(swap, parse_term("f(a,b)", sig), max_steps=5)
+        with pytest.raises(StepBoundExceeded, match="no normal form within %d steps" % max_steps):
+            normalize(swap, parse_term("f(a,b)", sig), strategy, max_steps=max_steps)
+
+    @pytest.mark.parametrize("units, reducible", [(900, False), (450, True)])
+    def test_innermost_depth(self, units, reducible):
+        # one stack frame per level: under the default recursion limit a
+        # script normalizes at most 994 nested f(.,x) and 496 units
+        # f(g1(.,y),y); 900 and 450 leave room for the test runner's frames
+        x, y = Var("x"), Var("y")
+        t = x
+        for _ in range(units):
+            t = App("f", (App("g1", (t, y)), y)) if reducible else App("f", (t, x))
+        got, trace = normalize(CQ2, t)
+        if reducible:
+            assert got == x and len(trace) == units
+        else:
+            assert got is t and trace == ()  # irreducible: the term itself comes back
 
     def test_bounded_run_on_decreasing_system(self):
         t = bq2("f(g1(x1,x2),x2)")
