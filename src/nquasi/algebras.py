@@ -125,7 +125,8 @@ class FiniteAlgebra:
 
     def eval_term(self, t: Term, assignment=None) -> str:
         """Value of a term whose leaves are carrier elements (or variables
-        resolved through `assignment`)."""
+        resolved through `assignment`).  Its operations are f and g1..gn,
+        each with n arguments, and the constant e of a loop."""
         if isinstance(t, Elem):
             if t.name not in self._index:
                 raise AlgebraError("%r is not an element of %s" % (t.name, self.name))
@@ -134,16 +135,16 @@ class FiniteAlgebra:
             if not assignment or t.name not in assignment:
                 raise AlgebraError("unassigned variable %r" % (t.name,))
             return assignment[t.name]
-        if t.symbol == "e":
+        if t.symbol == "e" and not t.args:
             if self.identity is None:
                 raise AlgebraError("%s has no identity element" % self.name)
             return self.identity
+        names = ["f"] + ["g%d" % i for i in range(1, self.n + 1)]
+        if t.symbol not in names or len(t.args) != self.n:
+            raise AlgebraError("%s has no operation %r with %d arguments" % (self.name, t.symbol, len(t.args)))
         args = tuple(self.eval_term(a, assignment) for a in t.args)
-        if t.symbol == "f":
-            return self.table_f[args]
-        if t.symbol.startswith("g"):
-            return self.tables_g[int(t.symbol[1:]) - 1][args]
-        raise AlgebraError("unknown operation symbol %r" % (t.symbol,))
+        slot = names.index(t.symbol)
+        return (self.tables_g[slot - 1] if slot else self.table_f)[args]
 
     def rename(self, mapping) -> "FiniteAlgebra":
         """Same-named copy with every element renamed through an injective mapping."""

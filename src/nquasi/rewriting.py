@@ -462,14 +462,6 @@ def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
 # critical pairs and confluence
 
 
-def _canonical(sig: Signature, *terms: Term) -> tuple:
-    """The terms with their variables renamed v1, v2, ... in order of first
-    occurrence over all of them, skipping the symbols of sig: a variable so
-    named would read as the symbol."""
-    renaming = canonical_renaming(terms, sig)
-    return tuple(apply_substitution(renaming, t) for t in terms)
-
-
 @dataclass(frozen=True)
 class CriticalPair:
     """Two one-step results from a unifiable overlap of rule left sides.
@@ -519,11 +511,17 @@ def critical_pairs(trs: Trs) -> tuple:
     independent of the order in which pairs are found.  Renaming rule2
     apart depends only on rule1's variables, so rule2's renamed sides are
     made once per variable set for the whole call.
+
+    Each pair is named through its unifier sigma and built once.  Left and
+    right have no variable that the peak lacks, so their canonical names
+    are the peak's: first occurrences in sigma(x), x running over rule1's
+    left-side variables in order, an unbound x standing for itself.
     """
     out = []
     renamed = {}  # (rule1's variables, rule2 label) -> rule2's sides renamed apart from them
     for rule1 in trs.rules:
         names = frozenset(variables(rule1.lhs))  # the right side's are among them
+        occurring = [Var(x) for x in dict.fromkeys(iter_variables(rule1.lhs))]
         for pos, sub in positions(rule1.lhs):
             if not isinstance(sub, App):
                 continue
@@ -537,20 +535,21 @@ def critical_pairs(trs: Trs) -> tuple:
                 sigma = unify(sub, l2)
                 if sigma is None:
                     continue
-                peak = apply_substitution(sigma, rule1.lhs)
-                left = apply_substitution(sigma, rule1.rhs)
-                right = replace_at(peak, pos, apply_substitution(sigma, r2))
-                peak_c, left_c, right_c = _canonical(trs.signature, peak, left, right)
+                rho = canonical_renaming([sigma.get(x.name, x) for x in occurring], trs.signature)
+                theta = {**rho, **{x: apply_substitution(rho, t) for x, t in sigma.items()}}  # rho after sigma
+                peak = apply_substitution(theta, rule1.lhs)
+                left = apply_substitution(theta, rule1.rhs)
+                right = replace_at(peak, pos, apply_substitution(theta, r2))
                 out.append(
                     CriticalPair(
-                        left=left_c,
-                        right=right_c,
-                        peak=peak_c,
+                        left=left,
+                        right=right,
+                        peak=peak,
                         rule1=rule1.label,
                         rule2=rule2.label,
                         position=pos,
                         mgu=tuple(sorted(sigma.items())),
-                        trivial=left_c == right_c,
+                        trivial=left == right,
                     )
                 )
     # one unify per (rule1, position, rule2) gives at most one pair, and
@@ -682,7 +681,8 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
             big, small = (left_nf, right_nf) if size(left_nf) > size(right_nf) else (right_nf, left_nf)
             # big outgrows small, so it is an application, and as a normal form
             # of current it is no current rule's left side: the rule is new
-            lhs, rhs = _canonical(trs.signature, big, small)
+            renaming = canonical_renaming((big, small), trs.signature)
+            lhs, rhs = apply_substitution(renaming, big), apply_substitution(renaming, small)
             if variables(rhs) - variables(lhs):
                 raise UnorientableError(cp, "candidate violates rule invariants")
             label = fresh_names("cp", 1, {r.label for r in current.rules})[0]
@@ -714,14 +714,12 @@ def terms_up_to(leaves, symbols, max_size: int) -> list:
         bucket = []
         for symbol, k in symbols:
             for split in _compositions(n - 1, k):
-                if any(s not in by_size for s in split):
-                    continue
                 for args in itertools.product(*(by_size[s] for s in split)):
                     bucket.append(App(symbol, args))
         by_size[n] = bucket
     out = []
     for n in range(1, max_size + 1):
-        out.extend(by_size.get(n, ()))
+        out.extend(by_size[n])
     return out
 
 

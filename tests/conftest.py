@@ -16,7 +16,7 @@ from nquasi.codescent import (
     sub_permutation_embeddings,
 )
 from nquasi.rewriting import Rule, Trs, check_conditions, terms_up_to
-from nquasi.terms import App, Elem, Var, apply_substitution, variables
+from nquasi.terms import App, Elem, Var, apply_substitution, canonical_renaming, variables
 
 
 def child_env():
@@ -73,6 +73,16 @@ def diagram_with_rules(d, rules):
     mutant = copy.copy(d)
     Trs.__init__(mutant, d.signature, rules)
     return mutant
+
+
+def canonical_rule_set(trs):
+    """The rules as (lhs, rhs) pairs, each renamed v1, v2, ... in
+    first-occurrence order, skipping the symbols; labels are dropped."""
+    out = set()
+    for rule in trs.rules:
+        renaming = canonical_renaming((rule.lhs, rule.rhs), trs.signature)
+        out.add((apply_substitution(renaming, rule.lhs), apply_substitution(renaming, rule.rhs)))
+    return out
 
 
 def confluence_mutants(trs, count, seed, label_prefix):

@@ -25,19 +25,14 @@ from nquasi.rewriting import (
     complete,
     local_confluence_oracle,
 )
-from nquasi.rewriting import _canonical
 from nquasi.varieties import base_loop, base_quasigroup, complete_loop, complete_quasigroup
 
-from conftest import confluence_mutants, steiner3
+from conftest import canonical_rule_set, confluence_mutants, steiner3
 
 
 def criterion(tag, ok, detail=""):
     print("[%s] %s%s" % (tag, "PASS" if ok else "FAIL", " - " + detail if detail else ""))
     assert ok, "%s failed%s" % (tag, ": " + detail if detail else "")
-
-
-def canonical_rule_set(trs):
-    return {_canonical(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 def pair_shapes(verdict):

@@ -397,3 +397,15 @@ def test_eval_term_with_identity_constant(z3):
 
     assert z3.eval_term(App("f", (App("e"), Elem("2")))) == "2"
     assert z3.eval_term(App("g1", (Elem("0"), Elem("1")))) == "2"
+
+
+@pytest.mark.parametrize(
+    "symbol, args",
+    [("g0", "12"), ("e", "1"), ("g3", "12"), ("gx", "12"), ("f", "1")],
+    ids=["g0(1,2)", "e(1)", "g3(1,2)", "gx(1,2)", "f(1)"],
+)
+def test_eval_term_rejects_what_is_no_operation_at_its_arity(z3, symbol, args):
+    from nquasi.terms import App, Elem
+
+    with pytest.raises(AlgebraError, match="no operation '%s'" % symbol):
+        z3.eval_term(App(symbol, tuple(map(Elem, args))))

@@ -26,12 +26,12 @@ steps, reducts, normal forms and traces against the position walk with
 pass, checked for normal forms, traces, step bounds and root-step counts
 against the walk from the root after every step that it replaced; every
 invented variable name and completion label from `fresh_names`, checked
-against the counters of `rename_apart`, `_canonical` and `complete` and
-the fixed variable pool of `enumerate_terms` that it replaced; `unify`
-on triangular bindings, variable walks on one explicit stack and the
-two-part `step_key`, checked against the `unify` that applied every
-binding as it went, the recursive variable walk and the key that also
-printed the result; and the rule families, Prop. 3.6 and the
+against the counters of `rename_apart`, `canonical_renaming` and
+`complete` and the fixed variable pool of `enumerate_terms` that it
+replaced; `unify` on triangular bindings, variable walks on one
+explicit stack and the two-part `step_key`, checked against the `unify`
+that applied every binding as it went, the recursive variable walk and
+the key that also printed the result; and the rule families, Prop. 3.6 and the
 square-to-quasigroup step, checked against the hand-built code they
 replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
 constructor, checked against the three-pass `validate` it replaced.  The reference implementations below
@@ -87,7 +87,6 @@ from nquasi.rewriting import (
     Trs,
     UnorientableError,
     _RuleIndex,
-    _canonical,
     _rule_star,
     _step_memo,
     check_conditions,
@@ -1233,7 +1232,9 @@ def spied_critical_pairs(trs):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_variety_critical_pairs_match_reference(n, kind, complete):
     trs = generate_trs(VarietySpec(kind, n, complete))
-    assert critical_pairs(trs) == reference_critical_pairs(trs)
+    pairs = critical_pairs(trs)
+    assert pairs == reference_critical_pairs(trs)
+    assert all(variables(cp.left, cp.right) <= variables(cp.peak) for cp in pairs)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1299,6 +1300,8 @@ def random_rule_sets(draw):
 def test_critical_pairs_of_random_rule_sets_match_reference(trs):
     pairs, calls = spied_critical_pairs(trs)
     assert pairs == reference_critical_pairs(trs)
+    # what naming a pair through its peak alone rests on
+    assert all(variables(cp.left, cp.right) <= variables(cp.peak) for cp in pairs)
     assert not any(clash(s, t) for s, t in calls)
 
 
@@ -2094,8 +2097,9 @@ def test_constructor_raises_exactly_when_the_reference_finds_a_violation(case):
 
 # ---------------------------------------------------------------------------
 # invented names: `fresh_names` against the counter loop of `rename_apart`,
-# the name generator of `_canonical`, the label counter of `complete` and
-# the fixed variable pool of `enumerate_terms` that it replaced
+# the name generator of `canonical_renaming`, the label counter of
+# `complete` and the fixed variable pool of `enumerate_terms` that it
+# replaced
 
 
 def reference_iter_variables(t):
@@ -2234,7 +2238,8 @@ def test_renamings_match_reference(fixed, movable, sig):
     assert [list(iter_variables(t)) for t in movable] == [list(reference_iter_variables(t)) for t in movable]
     assert rename_apart(fixed, movable) == reference_rename_apart(fixed, movable)
     assert canonical_renaming(movable) == reference_canonical_renaming(movable)
-    assert _canonical(sig, *movable) == reference_canonical(sig, *movable)
+    renaming = canonical_renaming(movable, sig)
+    assert tuple(apply_substitution(renaming, t) for t in movable) == reference_canonical(sig, *movable)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -44,7 +44,7 @@ from nquasi.terms import (
 )
 from nquasi.varieties import VarietySpec, base_loop, base_quasigroup, complete_loop, complete_quasigroup, generate_trs
 
-from conftest import redex_terms
+from conftest import canonical_rule_set, redex_terms
 
 BQ2 = base_quasigroup(2)
 CQ2 = complete_quasigroup(2)
@@ -666,12 +666,6 @@ class TestCheckConditions:
         swap = BQ2.with_rules([Rule(bq2("f(x,y)"), bq2("f(y,x)"), "swap")])
         assert check_conditions(swap).star["swap"] is False and not swap.terminates
         assert check_conditions(BQ2) is report and report.star_ok
-
-
-def canonical_rule_set(trs):
-    from nquasi.rewriting import _canonical
-
-    return {_canonical(trs.signature, r.lhs, r.rhs) for r in trs.rules}
 
 
 class TestComplete:
