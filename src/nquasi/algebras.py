@@ -1,13 +1,15 @@
 """Finite n-quasigroups and n-loops as operation tables.
 
-An algebra is its total n-ary table for f; each division g_i is derived
-from f when first read, unless its table is supplied.  Algebras and
-embeddings are valid by construction: the constructors raise
-`InvalidAlgebraError` when an axiom fails, so no caller checks them
-again.  One closure kernel on an integer union-find builds the
-congruence generated by any set of pairs, under f alone (decisions) or
-also under every division (oracles; the same, see `codescent.check_cep`);
-the lattice is the set of joins of the principal congruences, one per pair.
+An algebra is one flat integer table for f, `flat_f`: the index of each
+value, in product order of the argument index tuples.  The divisions
+`flat_g` share its layout and are derived from f when first read, unless
+supplied; the name-keyed `table_f` and `tables_g` are views built when
+first read.  Algebras and embeddings are valid by construction: the
+constructors raise `InvalidAlgebraError` when an axiom fails.  One closure
+kernel on an integer union-find builds the congruence generated by any set
+of pairs, under f alone (decisions) or also under every division (oracles;
+the same, see `codescent.check_cep`); the lattice is the set of joins of
+the principal congruences, one per pair.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ class Violation:
 
 
 class FiniteAlgebra:
-    """Carrier plus a total table for f; the division tables g_1..g_n
-    (names, not indices) are derived from f when first read.
+    """Carrier plus a total table for f, given as value indices in product
+    order or as a mapping from element-name tuples to names (converted once).
 
     Built from f alone, every one-slot map of f must be a bijection (a
     failure raises from `derive_divisions`).  Supplied division tables are
-    kept and must satisfy identity 2.3, f(.., g_i(a), ..) = a_i in slot i:
-    on a finite carrier each one-slot map of f then has a right inverse, so
-    it is a bijection, g_i is its inverse and identity 2.4 holds too.  A
-    loop must satisfy the identity law."""
+    kept and must satisfy identity 2.3, f(.., g_i(a), ..) = a_i in slot i,
+    checked in product order: on a finite carrier each one-slot map of f
+    then has a right inverse, so it is a bijection, g_i is its inverse and
+    identity 2.4 holds too.  A loop must satisfy the identity law."""
 
     def __init__(self, name, n, kind, carrier, table_f, tables_g=None, identity=None):
         if kind not in ("quasigroup", "loop"):
@@ -74,38 +76,50 @@ class FiniteAlgebra:
         self.n = n
         self.kind = kind
         self.carrier = carrier
-        self.table_f = _check_total(n, carrier, table_f, "f")
         self._index = {a: i for i, a in enumerate(carrier)}
+        self.flat_f = _flat_table(self, table_f, "f")
         self._memo = {}  # ("rows" or "congruences", scope) -> what this algebra derives once
         if tables_g is None:
             if any(len(set(col)) < len(carrier) for rows in _slot_rows(self, "f") for col in zip(*rows)):
-                derive_divisions(n, carrier, self.table_f)  # a column is no permutation: raises
+                derive_divisions(n, carrier, self.flat_f)  # a column is no permutation: raises
         elif len(tables_g) != n:
             raise AlgebraError("expected %d division tables, got %d" % (n, len(tables_g)))
         else:
-            self.tables_g = tuple(
-                _check_total(n, carrier, tg, "g%d" % (i + 1)) for i, tg in enumerate(tables_g)
-            )
+            self.flat_g = tuple(_flat_table(self, tg, "g%d" % (i + 1)) for i, tg in enumerate(tables_g))
         if kind == "loop":
             if identity is None:
-                identity = _discover_identity(n, carrier, self.table_f)
+                identity = next((e for e in carrier if _identity_violation(self, e) is None), None)
+                if identity is None:
+                    raise AlgebraError("no identity element satisfies the loop law")
             elif identity not in carrier:
                 raise AlgebraError("identity %r not in carrier" % (identity,))
             else:
-                bad = _identity_violation(n, carrier, self.table_f, identity)
+                bad = _identity_violation(self, identity)
                 if bad:
                     raise InvalidAlgebraError("%s is not a valid loop: %s" % (name, bad))
         elif identity is not None:
             raise AlgebraError("a quasigroup has no identity element, got %r" % (identity,))
         if tables_g is not None:
-            bad = _division_violation(self.table_f, self.tables_g)
+            bad = _division_violation(self)
             if bad:
                 raise InvalidAlgebraError("%s is not a valid %s: %s" % (name, kind, bad))
         self.identity = identity
 
     @functools.cached_property
+    def flat_g(self) -> tuple:
+        return tuple(derive_divisions(self.n, self.carrier, self.flat_f))
+
+    @functools.cached_property
+    def table_f(self) -> dict:
+        return self._view(self.flat_f)
+
+    @functools.cached_property
     def tables_g(self) -> tuple:
-        return tuple(derive_divisions(self.n, self.carrier, self.table_f))
+        return tuple(map(self._view, self.flat_g))
+
+    def _view(self, flat) -> dict:
+        """A flat table keyed by element-name tuples, in carrier product order."""
+        return dict(zip(self.tuples(), map(self.carrier.__getitem__, flat)))
 
     def f(self, *args) -> str:
         return self.table_f[args]
@@ -147,98 +161,100 @@ class FiniteAlgebra:
         return (self.tables_g[slot - 1] if slot else self.table_f)[args]
 
     def rename(self, mapping) -> "FiniteAlgebra":
-        """Same-named copy with every element renamed through an injective mapping."""
+        """Same-named copy, same `flat_f`, with every element renamed through an injective mapping."""
         for a in self.carrier:
             if a not in mapping:
                 raise AlgebraError("renaming misses element %r" % (a,))
         if len(set(mapping.values())) != len(mapping):
             raise AlgebraError("renaming is not injective")
-        remap = lambda a: mapping[a]
-        return FiniteAlgebra(
-            name=self.name,
-            n=self.n,
-            kind=self.kind,
-            carrier=[remap(a) for a in self.carrier],
-            table_f={tuple(map(remap, k)): remap(v) for k, v in self.table_f.items()},
-            identity=None if self.identity is None else remap(self.identity),
-        )
+        carrier = [mapping[a] for a in self.carrier]
+        identity = None if self.identity is None else mapping[self.identity]
+        return FiniteAlgebra(self.name, self.n, self.kind, carrier, self.flat_f, None, identity)
 
     def __repr__(self) -> str:
         return "FiniteAlgebra(%s: %d-%s of order %d)" % (self.name, self.n, self.kind, self.order)
 
 
-def _check_total(n, carrier, table, opname):
-    table = {tuple(k): v for k, v in table.items()}
-    elems = set(carrier)
-    expected = len(carrier) ** n
+def _key(carrier, n, p) -> tuple:
+    """The element-name tuple at place p of a flat table."""
+    return next(itertools.islice(itertools.product(carrier, repeat=n), p, None))
+
+
+def _flat_table(alg: FiniteAlgebra, table, opname) -> tuple:
+    """A table as value indices in product order: a mapping from
+    element-name tuples to names is converted, value indices are checked
+    for length and range.  An entry outside the carrier raises, named."""
+    named = hasattr(table, "items")
+    table = {tuple(k): v for k, v in table.items()} if named else tuple(table)
+    expected = alg.order ** alg.n
     if len(table) != expected:
         raise AlgebraError("%s table has %d entries, expected %d" % (opname, len(table), expected))
-    for key, value in table.items():
-        if len(key) != n or not elems.issuperset(key) or value not in elems:
+    if named:
+        place = dict(zip(alg.tuples(), range(expected)))
+        flat = [0] * expected
+        for key, value in table.items():
+            if key not in place or value not in alg._index:
+                raise AlgebraError("%s table entry %r -> %r is out of carrier" % (opname, key, value))
+            flat[place[key]] = alg._index[value]
+        return tuple(flat)
+    for p, value in enumerate(table):
+        if not (isinstance(value, int) and 0 <= value < alg.order):
+            key = _key(alg.carrier, alg.n, p)
             raise AlgebraError("%s table entry %r -> %r is out of carrier" % (opname, key, value))
     return table
 
 
-def _identity_violation(n, carrier, table_f, e) -> Violation | None:
-    """The first failure of the loop law f(e,..,e,a,e,..,e) = a, or None;
-    n*m table lookups."""
-    for i in range(1, n + 1):
-        for a in carrier:
-            args = (e,) * (i - 1) + (a,) + (e,) * (n - i)
-            if table_f[args] != a:
-                return Violation("identity", args, "f%s = %r, expected %r" % (args, table_f[args], a))
+def _identity_violation(alg: FiniteAlgebra, e) -> Violation | None:
+    """The first failure of the loop law f(e,..,e,a,e,..,e) = a, or None; n*m
+    lookups.  Identities need not be unique once n >= 3 (both elements of the
+    parity 3-loop on two elements are), so the constructor takes the first."""
+    m, n, x = alg.order, alg.n, alg._index[e]
+    diagonal = sum(x * m**k for k in range(n))  # the place of (e, .., e)
+    for i in range(n):
+        for a in range(m):
+            got = alg.flat_f[diagonal + (a - x) * m ** (n - 1 - i)]
+            if got != a:
+                args = (e,) * i + (alg.carrier[a],) + (e,) * (n - 1 - i)
+                return Violation("identity", args, "f%s = %r, expected %r" % (args, alg.carrier[got], args[i]))
     return None
 
 
-def _discover_identity(n, carrier, table_f):
-    # Identity elements need not be unique once n >= 3 (in the parity
-    # 3-loop on two elements both elements qualify); take the first in
-    # carrier order for determinism.
-    for e in carrier:
-        if _identity_violation(n, carrier, table_f, e) is None:
-            return e
-    raise AlgebraError("no identity element satisfies the loop law")
-
-
-def derive_divisions(n, carrier, table_f) -> list:
-    """Division tables: g_i(a_1..a_n) is the unique b solving f with b in
-    slot i equal to a_i.  Raises NotAQuasigroupError when a solution is
-    missing or ambiguous.
+def derive_divisions(n, carrier, flat_f) -> list:
+    """Division tables laid out as `flat_f`: place p of g_i holds the unique
+    b for which f, with b in slot i of p, gives slot i of p.  Raises
+    NotAQuasigroupError, naming the element tuple, when none or several do.
 
     Each one-slot map b -> f(..b..) is inverted in one pass over the
     table, so the cost is O(m^n) per slot rather than a search over b."""
-    table_f = {tuple(k): v for k, v in table_f.items()}
+    m = len(carrier)
     tables = []
     for i in range(n):
-        solution, count = {}, {}
-        for args in itertools.product(carrier, repeat=n):
-            solved = args[:i] + (table_f[args],) + args[i + 1 :]
-            solution[solved] = args[i]
-            count[solved] = count.get(solved, 0) + 1
-        gi = {}
-        for args in itertools.product(carrier, repeat=n):
-            if count.get(args) != 1:
-                raise NotAQuasigroupError(
-                    "slot %d: %d solutions for %r" % (i + 1, count.get(args, 0), args)
-                )
-            gi[args] = solution[args]
-        tables.append(gi)
+        stride = m ** (n - 1 - i)
+        solution, count = [0] * len(flat_f), [0] * len(flat_f)
+        for p, value in enumerate(flat_f):
+            b = p // stride % m
+            solved = p + (value - b) * stride  # place p with value in slot i
+            solution[solved] = b
+            count[solved] += 1
+        for p, c in enumerate(count):
+            if c != 1:
+                raise NotAQuasigroupError("slot %d: %d solutions for %r" % (i + 1, c, _key(carrier, n, p)))
+        tables.append(tuple(solution))
     return tables
 
 
-def _division_violation(table_f, tables_g) -> Violation | None:
+def _division_violation(alg: FiniteAlgebra) -> Violation | None:
     """The first failure of identity 2.3, f(.., g_i(a), ..) = a_i, in slot
-    order and then in the order of the g_i table, or None; n*m^n table
-    lookups."""
-    for i, gi in enumerate(tables_g):
-        for args, b in gi.items():
-            got = table_f[args[:i] + (b,) + args[i + 1 :]]
-            if got != args[i]:
-                return Violation(
-                    "f-of-division",
-                    args,
-                    "f(.., g%d(..) ,..) gave %r, expected %r" % (i + 1, got, args[i]),
-                )
+    order and then in product order, or None; n*m^n table lookups."""
+    m, n = alg.order, alg.n
+    for i, gi in enumerate(alg.flat_g):
+        stride = m ** (n - 1 - i)
+        for p, b in enumerate(gi):
+            a = p // stride % m
+            got = alg.flat_f[p + (b - a) * stride]
+            if got != a:
+                detail = "f(.., g%d(..) ,..) gave %r, expected %r" % (i + 1, alg.carrier[got], alg.carrier[a])
+                return Violation("f-of-division", _key(alg.carrier, n, p), detail)
     return None
 
 
@@ -297,19 +313,13 @@ def _slot_rows(alg: FiniteAlgebra, scope: str) -> tuple:
     """The one-slot maps of the scope's tables over carrier indices, built
     once per algebra and scope.  One entry per (table, slot); entry[a] is
     the tuple of value indices with element a in that slot, over every
-    context of the other slots in product order.  Each table entry is
-    looked up once, into a flat list of value indices in product order,
-    which `_slot_readers` cuts into rows."""
+    context of the other slots in product order, cut out of the flat table
+    by `_slot_readers`."""
     rows = alg._memo.get(("rows", scope))
     if rows is None:
-        tables = (alg.table_f,) if scope == "f" else (alg.table_f,) + alg.tables_g
-        keys = list(itertools.product(alg.carrier, repeat=alg.n))
+        tables = (alg.flat_f,) if scope == "f" else (alg.flat_f, *alg.flat_g)
         readers = _slot_readers(alg.order, alg.n)
-        rows = []
-        for table in tables:
-            flat = list(map(alg._index.__getitem__, map(table.__getitem__, keys)))
-            rows.extend(tuple([read(flat) for read in per]) for per in readers)
-        rows = alg._memo[("rows", scope)] = tuple(rows)
+        rows = alg._memo[("rows", scope)] = tuple(tuple([read(f) for read in per]) for f in tables for per in readers)
     return rows
 
 
@@ -464,9 +474,13 @@ def validate_embedding(emb: Embedding) -> Violation | None:
         return Violation("codomain", (), "map image leaves the target carrier")
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
-    for args in src.tuples():
-        if m[src.table_f[args]] != tgt.table_f[tuple(map(m.__getitem__, args))]:
-            return Violation("preserve-f", args, "f is not preserved")
+    image = [tgt._index[m[a]] for a in src.carrier]  # source index -> target index
+    places = [0]  # the target place of each source argument tuple, in product order
+    for _ in range(src.n):
+        places = [q * tgt.order + y for q in places for y in image]
+    for p, (value, q) in enumerate(zip(src.flat_f, places)):
+        if image[value] != tgt.flat_f[q]:
+            return Violation("preserve-f", _key(src.carrier, src.n, p), "f is not preserved")
     if src.kind == "loop" and m[src.identity] != tgt.identity:
         return Violation("preserve-identity", (src.identity,), "identity is not preserved")
     return None
@@ -482,31 +496,32 @@ def restrict(cong: Congruence, emb: Embedding) -> Congruence:
 # file format and convenience constructors
 
 
-def _nest_table(n, carrier, table):
-    def build(prefix):
-        if len(prefix) == n:
-            return table[prefix]
-        return [build(prefix + (a,)) for a in carrier]
-
-    return build(())
+def _nest_table(alg, flat):
+    level = [alg.carrier[v] for v in flat]
+    for _ in range(alg.n):
+        level = [level[k : k + alg.order] for k in range(0, len(level), alg.order)]
+    return level[0]
 
 
-def _flatten_table(n, carrier, nested, opname) -> dict:
-    table = {}
+def _flatten_table(n, carrier, nested, opname) -> list:
+    """A nested JSON table as value indices in product order; a name outside
+    the carrier is kept, for the constructor's range check to name."""
+    index = {a: i for i, a in enumerate(carrier)}
+    flat = []
 
-    def walk(prefix, level):
-        if len(prefix) == n:
+    def walk(level, depth):
+        if depth == n:
             if not isinstance(level, str):
                 raise AlgebraError("%s table entry %r is not an element name" % (opname, level))
-            table[prefix] = level
+            flat.append(index.get(level, level))
             return
         if not isinstance(level, list) or len(level) != len(carrier):
             raise AlgebraError("%s table is not a %d-deep array over the carrier" % (opname, n))
-        for a, sub in zip(carrier, level):
-            walk(prefix + (a,), sub)
+        for sub in level:
+            walk(sub, depth + 1)
 
-    walk((), nested)
-    return table
+    walk(nested, 0)
+    return flat
 
 
 def algebra_to_json(alg: FiniteAlgebra) -> dict:
@@ -515,8 +530,8 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
         "n": alg.n,
         "kind": alg.kind,
         "carrier": list(alg.carrier),
-        "f": _nest_table(alg.n, alg.carrier, alg.table_f),
-        "g": [_nest_table(alg.n, alg.carrier, tg) for tg in alg.tables_g],
+        "f": _nest_table(alg, alg.flat_f),
+        "g": [_nest_table(alg, flat) for flat in alg.flat_g],
     }
     if alg.identity is not None:
         obj["e"] = alg.identity
@@ -551,25 +566,16 @@ def algebra_from_json(obj) -> FiniteAlgebra:
 
 
 def algebra_from_function(name, n, kind, carrier, func, identity=None) -> FiniteAlgebra:
-    """Build tables for f by evaluating `func` on index tuples (0-based)."""
+    """Build f from the value index `func` gives each argument index tuple (0-based)."""
     carrier = tuple(carrier)
-    indices = itertools.product(range(len(carrier)), repeat=n)
-    table_f = {
-        args: carrier[func(*ix)] for args, ix in zip(itertools.product(carrier, repeat=n), indices)
-    }
-    return FiniteAlgebra(name, n, kind, carrier, table_f, identity=identity)
+    flat = [func(*ix) for ix in itertools.product(range(len(carrier)), repeat=n)]
+    return FiniteAlgebra(name, n, kind, carrier, flat, identity=identity)
 
 
 def cyclic_loop(order: int, n: int = 2, name=None) -> FiniteAlgebra:
     """The n-loop on {0..order-1} with f = sum mod order and identity 0."""
-    return algebra_from_function(
-        name or "Z%d" % order,
-        n,
-        "loop",
-        [str(i) for i in range(order)],
-        lambda *ix: sum(ix) % order,
-        identity="0",
-    )
+    carrier = [str(i) for i in range(order)]
+    return algebra_from_function(name or "Z%d" % order, n, "loop", carrier, lambda *ix: sum(ix) % order, identity="0")
 
 
 def permutation_quasigroup(perm, name=None) -> FiniteAlgebra:
@@ -577,10 +583,4 @@ def permutation_quasigroup(perm, name=None) -> FiniteAlgebra:
     order = len(perm)
     if sorted(perm) != list(range(order)):
         raise AlgebraError("not a permutation: %r" % (perm,))
-    return algebra_from_function(
-        name or "perm%d" % order,
-        1,
-        "quasigroup",
-        [str(i) for i in range(order)],
-        lambda i: perm[i],
-    )
+    return FiniteAlgebra(name or "perm%d" % order, 1, "quasigroup", [str(i) for i in range(order)], perm)

@@ -21,7 +21,6 @@ from .algebras import (
     Congruence,
     Embedding,
     FiniteAlgebra,
-    algebra_from_function,
     check_scope,
     enumerate_congruences,
     generated_congruence,
@@ -301,9 +300,8 @@ def _closed_subsets_along(squares, order):
 
 
 def quasigroup_from_square(square, name: str) -> FiniteAlgebra:
-    return algebra_from_function(
-        name, 2, "quasigroup", [str(i) for i in range(len(square))], lambda a, b: square[a][b]
-    )
+    carrier = [str(i) for i in range(len(square))]
+    return FiniteAlgebra(name, 2, "quasigroup", carrier, [v for row in square for v in row])
 
 
 def search_noncep_monomorphism(max_order: int = 5):

@@ -184,6 +184,16 @@ def klein_in_dihedral8(subgroup, n=2, kind="quasigroup"):
     return source, target, {str(i): str(a) for i, a in enumerate(subgroup)}
 
 
+def flat_table(n, carrier, table):
+    """A table keyed by element-name tuples as value indices in product order."""
+    return [carrier.index(table[args]) for args in itertools.product(carrier, repeat=n)]
+
+
+def named_table(n, carrier, flat):
+    """Value indices in product order as a table keyed by element-name tuples."""
+    return {args: carrier[v] for args, v in zip(itertools.product(carrier, repeat=n), flat)}
+
+
 def congruence_from_blocks(alg, blocks):
     """A `Congruence` with the given blocks in canonical order, without any
     check that they partition the carrier or are compatible: reference

@@ -33,7 +33,7 @@ from nquasi.codescent import (
 )
 from nquasi.varieties import VarietySpec, generate_trs
 
-from conftest import CONGRUENCE_ALGEBRAS, order8_quasigroups, steiner3
+from conftest import CONGRUENCE_ALGEBRAS, flat_table, order8_quasigroups, steiner3
 
 
 def brute_force_division(n, carrier, table_f, i):
@@ -105,6 +105,16 @@ class TestValidation:
         with pytest.raises(AlgebraError):
             FiniteAlgebra("bad", 2, "quasigroup", ("a", "b"), {("a", "a"): "a"})
 
+    @pytest.mark.parametrize(
+        "func, entry",
+        [(lambda i: (i + 1) % 3 - 1, "('2',) -> -1"), (lambda i: i + 1, "('2',) -> 3")],
+        ids=["negative", "too-large"],
+    )
+    def test_value_index_outside_the_carrier_names_its_entry(self, func, entry):
+        # a negative index must not wrap round to the end of the carrier
+        with pytest.raises(AlgebraError, match=re.escape("f table entry %s is out of carrier" % entry)):
+            algebra_from_function("P3", 1, "quasigroup", ["0", "1", "2"], func)
+
 
 class TestDeriveDivisions:
     def test_cyclic_group_divisions(self, z3):
@@ -135,8 +145,9 @@ class TestDeriveDivisions:
     def test_not_a_quasigroup(self):
         carrier = ("a", "b")
         table = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
-        with pytest.raises(NotAQuasigroupError):
-            derive_divisions(2, carrier, table)
+        # slot 1 solves everywhere; in slot 2 both elements solve f(a, b) = a
+        with pytest.raises(NotAQuasigroupError, match=re.escape("slot 2: 2 solutions for ('a', 'a')")):
+            derive_divisions(2, carrier, flat_table(2, carrier, table))
 
     @pytest.mark.parametrize(
         "alg",
@@ -378,6 +389,14 @@ class TestJsonFormat:
         obj = algebra_to_json(z3)
         obj["f"] = [["0", "1"], ["1", "2"]]
         with pytest.raises(AlgebraError):
+            algebra_from_json(obj)
+
+    @pytest.mark.parametrize("op, path, entry", [("f", (1, 2), "('1', '2')"), ("g1", (2, 0), "('2', '0')")])
+    def test_name_outside_the_carrier_names_its_entry(self, z3, op, path, entry):
+        obj = algebra_to_json(z3)
+        table = obj["f"] if op == "f" else obj["g"][0]
+        table[path[0]][path[1]] = "zz"
+        with pytest.raises(AlgebraError, match=re.escape("%s table entry %s -> 'zz' is out of carrier" % (op, entry))):
             algebra_from_json(obj)
 
     def test_quasigroup_with_identity_rejected(self):

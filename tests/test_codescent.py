@@ -199,7 +199,7 @@ class TestProp36:
         # is compatible with the transposition (0 1) but not with g1.
         def shifted_division(perm):
             alg = permutation_quasigroup(perm)
-            alg.tables_g = ({(a,): alg.carrier[(i + 1) % alg.order] for i, a in enumerate(alg.carrier)},)
+            alg.flat_g = (tuple((i + 1) % alg.order for i in range(alg.order)),)
             return alg
 
         monkeypatch.setattr(codescent, "permutation_quasigroup", shifted_division)

@@ -33,11 +33,17 @@ explicit stack and the two-part `step_key`, checked against the `unify`
 that applied every binding as it went, the recursive variable walk and
 the key that also printed the result; and the rule families, Prop. 3.6 and the
 square-to-quasigroup step, checked against the hand-built code they
-replaced; and the one identity-2.3 pass of the `FiniteAlgebra`
-constructor, checked against the three-pass `validate` it replaced.  The reference implementations below
+replaced; the one identity-2.3 pass of the `FiniteAlgebra`
+constructor, checked against the three-pass `validate` it replaced; and
+one flat integer table per operation, checked for views, JSON, renaming,
+error messages and embedding violations against the name-keyed
+total-table check, JSON nesting, division derivation and embedding loop
+it replaced.  The reference implementations below
 are kept only for these comparisons."""
 
+import functools
 import itertools
+import json
 import random
 import types
 
@@ -45,11 +51,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nquasi.algebras import (
+    AlgebraError,
     FiniteAlgebra,
     InvalidAlgebraError,
     NotAQuasigroupError,
     Violation,
     algebra_from_function,
+    algebra_to_json,
     cyclic_loop,
     derive_divisions,
     enumerate_congruences,
@@ -132,7 +140,9 @@ from conftest import (
     congruence_from_blocks,
     diagram_with_rules,
     element_terms,
+    flat_table,
     klein_in_dihedral8,
+    named_table,
     random_element_term,
     random_latin_square,
     redex_terms,
@@ -609,6 +619,16 @@ def test_scan_builds_each_source_table_once(monkeypatch):
     assert len([name for name in names if name.startswith("S")]) <= 2
 
 
+def test_scan_builds_no_name_keyed_table(monkeypatch):
+    def no_view(alg):
+        raise AssertionError("a name-keyed table was built")
+
+    monkeypatch.setattr(FiniteAlgebra, "table_f", property(no_view))  # the scan reads only flat tables
+    monkeypatch.setattr(FiniteAlgebra, "tables_g", property(no_view))
+    stats = {"squares": 590, "targets": 88, "sources": 2, "embeddings": 96}
+    assert search_noncep_monomorphism(4) == (None, stats)
+
+
 def test_scan_computes_each_source_lattice_once(monkeypatch):
     computed = []
     calls = []
@@ -757,6 +777,12 @@ def kernel_algebra(n, m, variant):
     constructor."""
     if variant == "cyclic":
         return cyclic_loop(m, n)
+    return FiniteAlgebra("Iso%d" % m, n, "quasigroup", *kernel_tables(n, m, variant))
+
+
+def kernel_tables(n, m, variant):
+    """Carrier, f table and division tables (None unless "supplied"), keyed
+    by element names, of a kernel case that is not cyclic."""
     rng = random.Random("%d-%d" % (n, m))
     alpha = [rng.sample(range(m), m) for _ in range(n)]
     gamma = rng.sample(range(m), m)
@@ -767,7 +793,7 @@ def kernel_algebra(n, m, variant):
         for ix in itertools.product(range(m), repeat=n)
     }
     tables_g = reference_divisions(n, names, table) if variant == "supplied" else None
-    return FiniteAlgebra("Iso%d" % m, n, "quasigroup", names, table, tables_g)
+    return names, table, tables_g
 
 
 def _kernel_id(case):
@@ -851,7 +877,9 @@ def _division_cases():
 def test_divisions_match_reference(case):
     n, carrier, table = case
     expected = [list(t.items()) for t in reference_divisions(n, carrier, table)]
-    assert [list(t.items()) for t in derive_divisions(n, carrier, table)] == expected
+    derived = derive_divisions(n, carrier, flat_table(n, carrier, table))
+    assert all(type(flat) is tuple for flat in derived)
+    assert [list(named_table(n, carrier, flat).items()) for flat in derived] == expected
     # the constructor keeps f only; its division view is derived on first read
     alg = FiniteAlgebra("A", n, "quasigroup", carrier, table, tables_g=None)
     assert [list(t.items()) for t in alg.tables_g] == expected
@@ -863,7 +891,7 @@ def test_division_errors_match_reference(case):
     with pytest.raises(NotAQuasigroupError) as expected:
         reference_divisions(n, carrier, table)
     with pytest.raises(NotAQuasigroupError) as got:
-        derive_divisions(n, carrier, table)
+        derive_divisions(n, carrier, flat_table(n, carrier, table))
     assert str(got.value) == str(expected.value)
     # the constructor checks f's one-slot rows and raises the same message
     with pytest.raises(NotAQuasigroupError) as built:
@@ -2093,6 +2121,162 @@ def test_constructor_raises_exactly_when_the_reference_finds_a_violation(case):
     assert message.startswith("A is not a valid %s: f-of-division at " % kind)
     if expected.axiom == "f-of-division":
         assert message == "A is not a valid %s: %s" % (kind, expected)
+
+
+# ---------------------------------------------------------------------------
+# flat tables: the name-keyed total-table check, JSON nesting, division
+# derivation and embedding loop that one flat integer table per operation
+# replaced
+
+
+def reference_check_total(n, carrier, table, opname):
+    table = {tuple(k): v for k, v in table.items()}
+    elems = set(carrier)
+    expected = len(carrier) ** n
+    if len(table) != expected:
+        raise AlgebraError("%s table has %d entries, expected %d" % (opname, len(table), expected))
+    for key, value in table.items():
+        if len(key) != n or not elems.issuperset(key) or value not in elems:
+            raise AlgebraError("%s table entry %r -> %r is out of carrier" % (opname, key, value))
+    return table
+
+
+def reference_nest_table(n, carrier, table):
+    def build(prefix):
+        if len(prefix) == n:
+            return table[prefix]
+        return [build(prefix + (a,)) for a in carrier]
+
+    return build(())
+
+
+def reference_derive_divisions(n, carrier, table_f):
+    """Each one-slot map of a name-keyed f inverted in one pass."""
+    table_f = {tuple(k): v for k, v in table_f.items()}
+    tables = []
+    for i in range(n):
+        solution, count = {}, {}
+        for args in itertools.product(carrier, repeat=n):
+            solved = args[:i] + (table_f[args],) + args[i + 1 :]
+            solution[solved] = args[i]
+            count[solved] = count.get(solved, 0) + 1
+        gi = {}
+        for args in itertools.product(carrier, repeat=n):
+            if count.get(args) != 1:
+                raise NotAQuasigroupError("slot %d: %d solutions for %r" % (i + 1, count.get(args, 0), args))
+            gi[args] = solution[args]
+        tables.append(gi)
+    return tables
+
+
+def reference_preserve_f(source_f, target_f, n, carrier, mapping):
+    """The first argument tuple, in product order, whose f value the map
+    does not preserve, or None."""
+    for args in itertools.product(carrier, repeat=n):
+        if mapping[source_f[args]] != target_f[tuple(map(mapping.__getitem__, args))]:
+            return Violation("preserve-f", args, "f is not preserved")
+    return None
+
+
+def reference_tables(alg, given=None):
+    """(f, divisions) as the name-keyed constructor kept them: the given
+    name-keyed tables (f, divisions or None) through
+    `reference_check_total`, or, for an algebra built from value indices, f
+    read off `flat_f`; divisions derived by `reference_derive_divisions`
+    unless given."""
+    n, carrier = alg.n, alg.carrier
+    table_f, tables_g = given or (named_table(n, carrier, alg.flat_f), None)
+    table_f = reference_check_total(n, carrier, table_f, "f")
+    if tables_g is None:
+        return table_f, reference_derive_divisions(n, carrier, table_f)
+    return table_f, [reference_check_total(n, carrier, tg, "g%d" % (i + 1)) for i, tg in enumerate(tables_g)]
+
+
+def check_flat_tables(alg, targets, rng, given=None):
+    """The views, the JSON form and a renamed copy of `alg` against the
+    references, and the first preserve-f violation of one seeded injective
+    map into each target against `reference_preserve_f`.  Returns the
+    number of maps with such a violation."""
+    n, carrier = alg.n, alg.carrier
+    table_f, tables_g = reference_tables(alg, given)
+    order = list(itertools.product(carrier, repeat=n))
+    assert alg.table_f == table_f and list(alg.table_f) == order
+    assert list(alg.tables_g) == tables_g and all(list(view) == order for view in alg.tables_g)
+    expected = {"name": alg.name, "n": n, "kind": alg.kind, "carrier": list(carrier)}
+    expected["f"] = reference_nest_table(n, carrier, table_f)
+    expected["g"] = [reference_nest_table(n, carrier, tg) for tg in tables_g]
+    if alg.identity is not None:
+        expected["e"] = alg.identity
+    assert json.dumps(algebra_to_json(alg)) == json.dumps(expected)
+    mapping = {a: "r" + carrier[(k + 1) % alg.order] for k, a in enumerate(carrier)}
+    renamed = alg.rename(mapping)
+    assert renamed.flat_f == alg.flat_f
+    assert renamed.table_f == {tuple(map(mapping.get, args)): mapping[v] for args, v in table_f.items()}
+    violations = 0
+    for target in targets:
+        mapping = dict(zip(carrier, rng.sample(target.carrier, alg.order)))
+        got = algebras.validate_embedding(types.SimpleNamespace(source=alg, target=target, mapping=mapping))
+        target_f = named_table(n, target.carrier, target.flat_f)
+        expected = reference_preserve_f(table_f, target_f, n, carrier, mapping)
+        assert (got if got is not None and got.axiom == "preserve-f" else None) == expected, (alg, target, mapping)
+        violations += expected is not None
+    return violations
+
+
+def _targets(alg, pool, rng, count=2):
+    """`alg` itself and `count` seeded algebras of the pool of its n and
+    kind and at least its order."""
+    fitting = [t for t in pool if (t.n, t.kind) == (alg.n, alg.kind) and t.order >= alg.order]
+    return [alg] + rng.sample(fitting, min(count, len(fitting)))
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_pool():
+    return tuple(kernel_algebra(*case) for case in KERNEL_CASES)
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_id)
+def test_kernel_flat_tables_match_the_name_keyed_references(case):
+    alg = kernel_algebra(*case)
+    given = None if case[2] == "cyclic" else kernel_tables(*case)[1:]
+    rng = random.Random(_kernel_id(case))
+    violations = check_flat_tables(alg, _targets(alg, _kernel_pool(), rng), rng, given)
+    # f of a unary cyclic loop is the identity, which every map preserves
+    assert violations > 0 or alg.order <= 2 or case[::2] == (1, "cyclic")
+
+
+@pytest.mark.parametrize(
+    "pool", [DERIVED_ALGEBRAS, CONGRUENCE_ALGEBRAS], ids=["derived", "congruence"]
+)
+def test_flat_tables_match_the_name_keyed_references(pool):
+    rng = random.Random(len(pool))
+    violations = sum(check_flat_tables(alg, _targets(alg, pool, rng), rng) for alg in pool)
+    assert violations >= len(pool) // 2
+
+
+def _malformed_z3_tables():
+    z3 = {(str(a), str(b)): str((a + b) % 3) for a in range(3) for b in range(3)}
+    last = dict(list(z3.items())[:-1])  # without ("2", "2")
+    two_bad = {**last, ("0", "1"): "x", ("9", "9"): "0"}
+    return {
+        "missing": last,
+        "extra": {**z3, ("0", "3"): "0"},
+        "value": {**z3, ("1", "2"): "7"},
+        "key": {**last, ("2", "9"): "0"},
+        "short-key": {**last, ("2",): "0"},
+        "two-bad": two_bad,
+        "two-bad-reversed": dict(reversed(list(two_bad.items()))),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_malformed_z3_tables()))
+def test_name_keyed_table_errors_match_reference(label):
+    table = _malformed_z3_tables()[label]
+    with pytest.raises(AlgebraError) as expected:
+        reference_check_total(2, ("0", "1", "2"), table, "f")
+    with pytest.raises(AlgebraError) as got:
+        FiniteAlgebra("Z3", 2, "loop", ("0", "1", "2"), table, identity="0")
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
