@@ -5,11 +5,12 @@ value, in product order of the argument index tuples.  The divisions
 `flat_g` share its layout and are derived from f when first read, unless
 supplied; the name-keyed `table_f` and `tables_g` are views built when
 first read.  Algebras and embeddings are valid by construction: the
-constructors raise `InvalidAlgebraError` when an axiom fails.  One closure
-kernel on an integer union-find builds the congruence generated by any set
-of pairs, under f alone (decisions) or also under every division (oracles;
-the same, see `codescent.check_cep`); the lattice is the set of joins of
-the principal congruences, one per pair.
+constructors raise `InvalidAlgebraError` when an axiom fails.  A congruence
+is its canonical labels, and its name blocks are a view.  One closure kernel
+on an integer union-find builds the congruence generated by any set of
+pairs, under f alone (decisions) or also under every division (oracles; the
+same, see `codescent.check_cep`); the lattice is the set of joins of the
+principal congruences, one per pair.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def _flat_table(alg: FiniteAlgebra, table, opname) -> tuple:
     for length and range.  An entry outside the carrier raises, named."""
     named = hasattr(table, "items")
     table = {tuple(k): v for k, v in table.items()} if named else tuple(table)
-    expected = alg.order ** alg.n
+    m = alg.order
+    expected = m ** alg.n
     if len(table) != expected:
         raise AlgebraError("%s table has %d entries, expected %d" % (opname, len(table), expected))
     if named:
@@ -198,7 +200,7 @@ def _flat_table(alg: FiniteAlgebra, table, opname) -> tuple:
             flat[place[key]] = alg._index[value]
         return tuple(flat)
     for p, value in enumerate(table):
-        if not (isinstance(value, int) and 0 <= value < alg.order):
+        if not (isinstance(value, int) and 0 <= value < m):
             key = _key(alg.carrier, alg.n, p)
             raise AlgebraError("%s table entry %r -> %r is out of carrier" % (opname, key, value))
     return table
@@ -264,26 +266,31 @@ def _division_violation(alg: FiniteAlgebra) -> Violation | None:
 
 @dataclass(frozen=True)
 class Congruence:
-    """A compatible partition of the carrier, built by the closure kernel;
-    blocks are kept in a canonical order (by first element in carrier order)."""
+    """A compatible partition as canonical labels: labels[x] is the least
+    index of x's class, so equal partitions compare equal.  `blocks` is a
+    view, the names of each class in carrier order, classes by least index."""
 
-    blocks: tuple
+    carrier: tuple
+    labels: tuple
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        named = tuple(zip(self.carrier, self.labels))
+        return tuple(tuple(a for a, k in named if k == x) for x, k in enumerate(self.labels) if k == x)
 
     def relates(self, a: str, b: str) -> bool:
         return any(a in block and b in block for block in self.blocks)
 
     def pairs(self):
-        for block in self.blocks:
-            for a, b in itertools.combinations(block, 2):
-                yield a, b
+        return (pair for block in self.blocks for pair in itertools.combinations(block, 2))
 
     @property
     def is_identity(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return self.labels == tuple(range(len(self.labels)))
 
     @property
     def is_full(self) -> bool:
-        return len(self.blocks) == 1
+        return not any(self.labels)
 
     def __str__(self) -> str:
         return " | ".join("{" + ",".join(b) + "}" for b in self.blocks)
@@ -362,15 +369,6 @@ def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list)
     return tuple(_find(parent, a) for a in range(len(parent)))
 
 
-def _congruence(alg: FiniteAlgebra, labels) -> Congruence:
-    """The congruence whose blocks group carrier indices by label.  Blocks
-    come out in canonical order: members ascending, blocks by first member."""
-    groups = {}
-    for a, label in zip(alg.carrier, labels):
-        groups.setdefault(label, []).append(a)
-    return Congruence(blocks=tuple(map(tuple, groups.values())))
-
-
 def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
     """All scope-congruences of the carrier, fewest blocks first, as a
     fresh list on every call.
@@ -418,8 +416,8 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
-    out = [_congruence(alg, labels) for labels in found]
-    out.sort(key=lambda c: (len(c.blocks), c.blocks))
+    out = [Congruence(alg.carrier, labels) for labels in found]
+    out.sort(key=lambda c: (len(c.blocks), c.blocks))  # by names, not indices
     return tuple(out)
 
 
@@ -427,15 +425,14 @@ def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congru
     """Least scope-congruence containing the seed pairs: the seeds merged
     in an integer union-find, then closed under one-slot compatibility."""
     check_scope(scope)
-    parent = list(range(alg.order))
-    pending = []
+    parent, pending = list(range(alg.order)), []
     for a, b in seed_pairs:
         if a not in alg._index or b not in alg._index:
             raise AlgebraError("seed pair (%r, %r) is not in the carrier" % (a, b))
         pair = (alg._index[a], alg._index[b])
         if _union(parent, *pair):
             pending.append(pair)
-    return _congruence(alg, _closing_merges(alg, scope, parent, pending))
+    return Congruence(alg.carrier, _closing_merges(alg, scope, parent, pending))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +472,9 @@ def validate_embedding(emb: Embedding) -> Violation | None:
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
     image = [tgt._index[m[a]] for a in src.carrier]  # source index -> target index
-    places = [0]  # the target place of each source argument tuple, in product order
+    places, width = [0], tgt.order  # the target place of each source argument tuple, in product order
     for _ in range(src.n):
-        places = [q * tgt.order + y for q in places for y in image]
+        places = [q * width + y for q in places for y in image]
     for p, (value, q) in enumerate(zip(src.flat_f, places)):
         if image[value] != tgt.flat_f[q]:
             return Violation("preserve-f", _key(src.carrier, src.n, p), "f is not preserved")
@@ -487,9 +484,12 @@ def validate_embedding(emb: Embedding) -> Violation | None:
 
 
 def restrict(cong: Congruence, emb: Embedding) -> Congruence:
-    """Pull a target congruence back along an embedding."""
-    label = {x: k for k, block in enumerate(cong.blocks) for x in block}
-    return _congruence(emb.source, [label[emb(a)] for a in emb.source.carrier])
+    """Pull a target congruence back along an embedding, reading its labels at the image indices."""
+    if cong.carrier != emb.target.carrier:
+        raise AlgebraError("congruence is not on the carrier of the target %s" % emb.target.name)
+    image = (cong.labels[emb.target._index[emb.mapping[a]]] for a in emb.source.carrier)
+    first = {}  # target label -> the least source index reading it: the canonical source label
+    return Congruence(emb.source.carrier, tuple(first.setdefault(label, x) for x, label in enumerate(image)))
 
 
 # ---------------------------------------------------------------------------

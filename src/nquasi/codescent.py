@@ -77,7 +77,7 @@ def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
         extension = generated_congruence(emb.target, seeds, "f")
         back = restrict(extension, emb)
         witnesses.append((cong, extension, back))
-        if failing is None and back.blocks != cong.blocks:
+        if failing is None and back != cong:
             failing = cong
     return CepReport(
         embedding=emb,
@@ -99,10 +99,10 @@ def cep_by_enumeration(emb: Embedding, scope: str = "full"):
     for each source congruence whether some restriction matches.  Returns
     (verdict, per-source-congruence booleans)."""
     target_congs = enumerate_congruences(emb.target, scope)
-    restrictions = [restrict(c, emb).blocks for c in target_congs]
+    restrictions = {restrict(c, emb) for c in target_congs}
     per_congruence = []
     for cong in enumerate_congruences(emb.source, scope):
-        per_congruence.append((cong, cong.blocks in restrictions))
+        per_congruence.append((cong, cong in restrictions))
     return all(ok for _, ok in per_congruence), tuple(per_congruence)
 
 
@@ -162,7 +162,7 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
             perm = permutation_from_cycle_type(cycle_type)
             alg = permutation_quasigroup(perm)
             for cong in enumerate_congruences(alg, "f"):
-                if generated_congruence(alg, cong.pairs(), "full").blocks != cong.blocks:
+                if generated_congruence(alg, cong.pairs(), "full") != cong:
                     return Prop36Counterexample(
                         order=order,
                         permutation=perm,

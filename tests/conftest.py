@@ -195,12 +195,16 @@ def named_table(n, carrier, flat):
 
 
 def congruence_from_blocks(alg, blocks):
-    """A `Congruence` with the given blocks in canonical order, without any
-    check that they partition the carrier or are compatible: reference
-    code hands its partitions over in this form."""
+    """A `Congruence` with the given blocks, each element labelled with the
+    least carrier index of its block, without any check that the blocks
+    are compatible: reference code hands its partitions over in this form."""
     idx = {a: i for i, a in enumerate(alg.carrier)}
-    canon = sorted((tuple(sorted(b, key=idx.__getitem__)) for b in blocks), key=lambda b: idx[b[0]])
-    return Congruence(blocks=tuple(canon))
+    labels = [None] * alg.order
+    for block in blocks:
+        least = min(map(idx.__getitem__, block))
+        for a in block:
+            labels[idx[a]] = least
+    return Congruence(alg.carrier, tuple(labels))
 
 
 def random_latin_square(order, rng):
@@ -218,6 +222,13 @@ def random_latin_square(order, rng):
     return tuple(rows)
 
 
+def reversed_klein():
+    """The Klein loop a ^ b on the carrier d, c, b, a, whose string order is
+    the reverse of its index order."""
+    klein = algebra_from_function("V4:dcba", 2, "loop", "0123", lambda a, b: a ^ b, identity="0")
+    return klein.rename({"0": "d", "1": "c", "2": "b", "3": "a"})
+
+
 def congruence_test_algebras():
     rng = random.Random(20240327)
     algebras = [cyclic_loop(6), cyclic_loop(3, n=3, name="Z3:n=3"), cyclic_loop(4, n=3, name="Z4:n=3")]
@@ -225,7 +236,7 @@ def congruence_test_algebras():
         for k in range(count):
             square = random_latin_square(order, rng)
             algebras.append(quasigroup_from_square(square, "L%d.%d" % (order, k)))
-    return algebras
+    return algebras + [reversed_klein()]
 
 
 CONGRUENCE_ALGEBRAS = congruence_test_algebras()

@@ -33,7 +33,7 @@ from nquasi.codescent import (
 )
 from nquasi.varieties import VarietySpec, generate_trs
 
-from conftest import CONGRUENCE_ALGEBRAS, flat_table, order8_quasigroups, steiner3
+from conftest import CONGRUENCE_ALGEBRAS, flat_table, order8_quasigroups, reversed_klein, steiner3
 
 
 def brute_force_division(n, carrier, table_f, i):
@@ -223,6 +223,13 @@ class TestCongruences:
         blocks = {c.blocks for c in congs}
         assert (("0", "2"), ("1", "3")) in blocks
 
+    def test_lattice_is_sorted_by_names_not_indices(self):
+        # sorted by index labels, the three middle congruences would come
+        # in reverse order
+        expected = ["{d,c,b,a}", "{d,a} | {c,b}", "{d,b} | {c,a}", "{d,c} | {b,a}", "{d} | {c} | {b} | {a}"]
+        for scope in ("f", "full"):
+            assert [str(c) for c in enumerate_congruences(reversed_klein(), scope)] == expected
+
     def test_singleton_has_exactly_one(self, trivial_loop):
         assert len(enumerate_congruences(trivial_loop)) == 1
 
@@ -364,6 +371,14 @@ class TestEmbeddings:
         half = generated_congruence(z4, [("1", "3")])
         assert half.blocks == (("0", "2"), ("1", "3"))
         assert restrict(half, emb).is_full
+
+    def test_restrict_refuses_a_congruence_off_the_target(self, z4, z6):
+        # a congruence of another algebra, and one of the source itself
+        z2 = cyclic_loop(2)
+        emb = Embedding(z2, z4, {"0": "0", "1": "2"})
+        for cong in (generated_congruence(z6, [("0", "3")]), generated_congruence(z2, [])):
+            with pytest.raises(AlgebraError, match="congruence is not on the carrier of the target Z4"):
+                restrict(cong, emb)
 
 
 class TestJsonFormat:

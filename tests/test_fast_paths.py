@@ -136,6 +136,7 @@ from nquasi.varieties import VarietySpec, complete_loop, const_run, generate_trs
 
 from conftest import (
     CONGRUENCE_ALGEBRAS,
+    cep_fixtures,
     confluence_mutants,
     congruence_from_blocks,
     diagram_with_rules,
@@ -382,7 +383,7 @@ def draining_generated_congruence(alg, seed_pairs, scope):
         pair = (alg.index(a), alg.index(b))
         if algebras._union(parent, *pair):
             pending.append(pair)
-    return algebras._congruence(alg, draining_closing_merges(alg, scope, parent, pending)).blocks
+    return algebras.Congruence(alg.carrier, draining_closing_merges(alg, scope, parent, pending)).blocks
 
 
 def dense_congruence_lattice(alg, scope):
@@ -408,7 +409,7 @@ def dense_congruence_lattice(alg, scope):
             if joined not in found:
                 found.add(joined)
                 frontier.append(joined)
-    out = [algebras._congruence(alg, labels) for labels in found]
+    out = [algebras.Congruence(alg.carrier, labels) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))
     return [c.blocks for c in out]
 
@@ -761,6 +762,52 @@ def test_generated_congruence_on_isotopes_of_cyclic_groups(data, order, scope):
     seeds = data.draw(st.lists(st.tuples(element, element), max_size=3))
     expected = reference_generated_congruence(alg, seeds, scope)
     assert generated_congruence(alg, seeds, scope).blocks == expected
+
+
+def reference_restrict(cong, emb):
+    """The name-keyed pull-back: a label per target name read off the
+    blocks, taken through the map; returns the source blocks, source names
+    grouped by label in carrier order."""
+    label = {x: k for k, block in enumerate(cong.blocks) for x in block}
+    groups = {}
+    for a in emb.source.carrier:
+        groups.setdefault(label[emb(a)], []).append(a)
+    return tuple(map(tuple, groups.values()))
+
+
+def assert_canonical(cong):
+    labels = cong.labels
+    assert all(labels[labels[x]] == labels[x] <= x for x in range(len(labels))), cong
+
+
+CEP_FIXTURES = cep_fixtures()
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+@pytest.mark.parametrize("emb", [emb for _, emb in CEP_FIXTURES], ids=[label for label, _ in CEP_FIXTURES])
+def test_restrict_matches_the_name_keyed_reference(emb, scope, monkeypatch):
+    # every restriction that check_cep and cep_by_enumeration make: first
+    # each witness's extension, then each target congruence
+    original, restricted = codescent.restrict, []
+
+    def recording(cong, emb):
+        back = original(cong, emb)
+        restricted.append((cong, back))
+        return back
+
+    monkeypatch.setattr(codescent, "restrict", recording)
+    witnesses = codescent.check_cep(emb, scope).witnesses
+    codescent.cep_by_enumeration(emb, scope)
+    target_congs = enumerate_congruences(emb.target, scope)
+    assert restricted == [(ext, back) for _, ext, back in witnesses] + [(c, original(c, emb)) for c in target_congs]
+    for cong, back in restricted:
+        expected = reference_restrict(cong, emb)
+        assert back.blocks == expected
+        assert back == congruence_from_blocks(emb.source, expected)
+        assert_canonical(cong)
+        assert_canonical(back)
+    for cong, _, _ in witnesses:
+        assert_canonical(cong)
 
 
 # cyclic n-loops and relabelled n-quasigroups with m^n <= 300
