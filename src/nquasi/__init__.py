@@ -18,7 +18,7 @@ _EXPORTS = {
         generate_trs""",
     "algebras": """AlgebraError CarrierTooLargeError Congruence Embedding FiniteAlgebra
         NotAQuasigroupError algebra_from_function algebra_from_json algebra_to_json
-        cyclic_loop derive_divisions enumerate_congruences generated_congruence
+        cyclic_loop derive_divisions enumerate_congruences extend generated_congruence
         permutation_quasigroup restrict validate_embedding""",
     "amalgams": """AmalgamDiagram AmalgamElement UnknownElementError apply_op build_amalgam
         check_strong_amalgamation check_unique_normal_forms normalize_element

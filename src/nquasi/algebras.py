@@ -346,18 +346,19 @@ def _union(parent: list, x: int, y: int) -> bool:
     return True
 
 
-def _closing_merges(alg: FiniteAlgebra, scope: str, parent: list, pending: list) -> tuple:
+def _closure(alg: FiniteAlgebra, scope: str, pairs) -> tuple:
     """Congruence closure on an integer union-find over carrier indices.
 
-    `parent` holds the classes, made from singletons by one merge per pair
-    in `pending`; `pending` holds pairs already in one class whose images
-    under the one-slot maps have not been merged yet.  Merges until the
-    classes form the least scope-congruence containing the classes it
-    started from, and returns each index's class label, the least index of
-    its class.  One slot at a time suffices: transitivity chains cover full
-    tuples.  The closure stops once one class is left, counted from the
-    merges, since the full relation is a congruence."""
+    Merges the given index pairs from singletons; a pair that joined two
+    classes is pending until its images under the one-slot maps are merged
+    too.  Merges until the classes form the least scope-congruence
+    containing the pairs, and returns each index's class label, the least
+    index of its class.  One slot at a time suffices: transitivity chains
+    cover full tuples.  The closure stops once one class is left, counted
+    from the merges, since the full relation is a congruence."""
     maps = _slot_rows(alg, scope)
+    parent = list(range(alg.order))
+    pending = [pair for pair in pairs if _union(parent, *pair)]
     classes = len(parent) - len(pending)
     while pending and classes > 1:
         a, b = pending.pop()
@@ -397,9 +398,7 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
         )
     principal = {}  # labels of Cg(a, b) -> one generating pair (a, b)
     for a, b in itertools.combinations(range(m), 2):
-        parent = list(range(m))
-        _union(parent, a, b)
-        principal.setdefault(_closing_merges(alg, scope, parent, [(a, b)]), (a, b))
+        principal.setdefault(_closure(alg, scope, [(a, b)]), (a, b))
     # a join with Cg(a, b) merges each index x with its label y there, x != y
     joins = [(pair, [(x, y) for x, y in enumerate(other) if x != y]) for other, pair in principal.items()]
     found = {tuple(range(m))}
@@ -422,17 +421,15 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
 
 
 def generated_congruence(alg: FiniteAlgebra, seed_pairs, scope="full") -> Congruence:
-    """Least scope-congruence containing the seed pairs: the seeds merged
-    in an integer union-find, then closed under one-slot compatibility."""
+    """Least scope-congruence containing the seed pairs of element names,
+    each resolved to its index pair and checked, then closed."""
     check_scope(scope)
-    parent, pending = list(range(alg.order)), []
+    pairs = []
     for a, b in seed_pairs:
         if a not in alg._index or b not in alg._index:
             raise AlgebraError("seed pair (%r, %r) is not in the carrier" % (a, b))
-        pair = (alg._index[a], alg._index[b])
-        if _union(parent, *pair):
-            pending.append(pair)
-    return Congruence(alg.carrier, _closing_merges(alg, scope, parent, pending))
+        pairs.append((alg._index[a], alg._index[b]))
+    return Congruence(alg.carrier, _closure(alg, scope, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +468,7 @@ def validate_embedding(emb: Embedding) -> Violation | None:
         return Violation("codomain", (), "map image leaves the target carrier")
     if len(set(m.values())) != len(m):
         return Violation("injectivity", (), "map identifies distinct elements")
-    image = [tgt._index[m[a]] for a in src.carrier]  # source index -> target index
+    emb.image = image = tuple(tgt._index[m[a]] for a in src.carrier)  # the target index of each source index
     places, width = [0], tgt.order  # the target place of each source argument tuple, in product order
     for _ in range(src.n):
         places = [q * width + y for q in places for y in image]
@@ -483,11 +480,20 @@ def validate_embedding(emb: Embedding) -> Violation | None:
     return None
 
 
+def extend(cong: Congruence, emb: Embedding) -> Congruence:
+    """The least f-congruence (so also full, see `codescent.check_cep`) of
+    the target relating the images of each source index and its label."""
+    if cong.carrier != emb.source.carrier:
+        raise AlgebraError("congruence is not on the carrier of the source %s" % emb.source.name)
+    pairs = [(emb.image[x], emb.image[label]) for x, label in enumerate(cong.labels) if label != x]
+    return Congruence(emb.target.carrier, _closure(emb.target, "f", pairs))
+
+
 def restrict(cong: Congruence, emb: Embedding) -> Congruence:
     """Pull a target congruence back along an embedding, reading its labels at the image indices."""
     if cong.carrier != emb.target.carrier:
         raise AlgebraError("congruence is not on the carrier of the target %s" % emb.target.name)
-    image = (cong.labels[emb.target._index[emb.mapping[a]]] for a in emb.source.carrier)
+    image = (cong.labels[y] for y in emb.image)
     first = {}  # target label -> the least source index reading it: the canonical source label
     return Congruence(emb.source.carrier, tuple(first.setdefault(label, x) for x, label in enumerate(image)))
 
@@ -551,6 +557,8 @@ def algebra_from_json(obj) -> FiniteAlgebra:
         f = obj["f"]
     except KeyError as exc:
         raise AlgebraError("algebra object is missing field %s" % exc) from None
+    if not isinstance(name, str):
+        raise AlgebraError("name must be a string, got %r" % (name,))
     if type(n) is not int or n < 1:
         raise AlgebraError("n must be an integer of at least 1, got %r" % (n,))
     if not isinstance(carrier, list) or not all(isinstance(a, str) for a in carrier):

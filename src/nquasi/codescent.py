@@ -23,6 +23,7 @@ from .algebras import (
     FiniteAlgebra,
     check_scope,
     enumerate_congruences,
+    extend,
     generated_congruence,
     permutation_quasigroup,
     restrict,
@@ -56,9 +57,9 @@ class CepReport:
 
 
 def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
-    """For every congruence R on the source, extend least and restrict
-    back; the verdict is the conjunction over all R.  The embedding and its
-    algebras were checked when they were built.
+    """For every congruence R on the source, `extend` least and `restrict`
+    back, on carrier indices; the verdict is the conjunction over all R.
+    The embedding and its algebras were checked when they were built.
 
     Both scopes close under f alone, and `scope` only labels the report:
     Cg_f(S) = Cg_full(S) for every set S of pairs.  A one-slot translation
@@ -73,8 +74,7 @@ def check_cep(emb: Embedding, scope: str = "full") -> CepReport:
     witnesses = []
     failing = None
     for cong in enumerate_congruences(emb.source, "f"):
-        seeds = [(emb(a), emb(b)) for a, b in cong.pairs()]
-        extension = generated_congruence(emb.target, seeds, "f")
+        extension = extend(cong, emb)
         back = restrict(extension, emb)
         witnesses.append((cong, extension, back))
         if failing is None and back != cong:

@@ -537,9 +537,9 @@ def critical_pairs(trs: Trs) -> tuple:
                     continue
                 rho = canonical_renaming([sigma.get(x.name, x) for x in occurring], trs.signature)
                 theta = {**rho, **{x: apply_substitution(rho, t) for x, t in sigma.items()}}  # rho after sigma
-                peak = apply_substitution(theta, rule1.lhs)
-                left = apply_substitution(theta, rule1.rhs)
-                right = replace_at(peak, pos, apply_substitution(theta, r2))
+                terms = rule1.lhs, rule1.rhs, r2  # taken as they are when theta is empty: all ground
+                peak, left, r2 = (apply_substitution(theta, t) for t in terms) if theta else terms
+                right = replace_at(peak, pos, r2)
                 out.append(
                     CriticalPair(
                         left=left,

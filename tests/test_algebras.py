@@ -17,6 +17,7 @@ from nquasi.algebras import (
     cyclic_loop,
     derive_divisions,
     enumerate_congruences,
+    extend,
     generated_congruence,
     permutation_quasigroup,
     restrict,
@@ -348,6 +349,13 @@ class TestEmbeddings:
         emb.mapping["1"] = "0"
         assert validate_embedding(emb).axiom == "injectivity"
 
+    def test_validation_reads_the_image_of_the_map_as_it_is(self, z4):
+        # still injective, so only the image indices of the changed map see it
+        emb = Embedding(cyclic_loop(2), z4, {"0": "0", "1": "2"})
+        emb.mapping["1"] = "1"
+        assert validate_embedding(emb).axiom == "preserve-f"
+        assert emb.image == (0, 1)
+
     def test_non_injective_rejected(self, z4):
         with pytest.raises(InvalidAlgebraError, match="invalid embedding: injectivity"):
             Embedding(cyclic_loop(2), z4, {"0": "0", "1": "0"})
@@ -380,6 +388,21 @@ class TestEmbeddings:
             with pytest.raises(AlgebraError, match="congruence is not on the carrier of the target Z4"):
                 restrict(cong, emb)
 
+    def test_extend_refuses_a_congruence_off_the_source(self, z4, z6):
+        # a congruence of another algebra, and one of the target itself
+        emb = Embedding(cyclic_loop(2, name="Z2"), z4, {"0": "0", "1": "2"})
+        for cong in (generated_congruence(z6, [("0", "3")]), generated_congruence(z4, [])):
+            with pytest.raises(AlgebraError, match="congruence is not on the carrier of the source Z2"):
+                extend(cong, emb)
+
+    def test_extend_identity_and_full(self, z4):
+        emb = Embedding(cyclic_loop(2), z4, {"0": "0", "1": "2"})
+        full, identity = enumerate_congruences(emb.source, "f")  # fewest blocks first
+        assert identity.is_identity and full.is_full
+        assert extend(identity, emb).is_identity
+        assert extend(full, emb) == generated_congruence(z4, [("0", "2")], "f")
+        assert extend(full, emb).blocks == (("0", "2"), ("1", "3"))
+
 
 class TestJsonFormat:
     def test_round_trip(self, z4):
@@ -399,6 +422,11 @@ class TestJsonFormat:
     def test_missing_field(self):
         with pytest.raises(AlgebraError):
             algebra_from_json({"name": "x", "n": 2, "kind": "loop"})
+
+    @pytest.mark.parametrize("name", [["x"], {"a": 1}, 7, None])
+    def test_non_string_name_rejected(self, z3, name):
+        with pytest.raises(AlgebraError, match=re.escape("name must be a string, got %r" % (name,))):
+            algebra_from_json(dict(algebra_to_json(z3), name=name))
 
     def test_malformed_table_shape(self, z3):
         obj = algebra_to_json(z3)

@@ -486,7 +486,10 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", "2"), ("n", 0), ("n", True), ("kind", "group"), ("carrier", "01"), ("carrier", [0, 1])],
+        [
+            ("n", "2"), ("n", 0), ("n", True), ("kind", "group"), ("carrier", "01"), ("carrier", [0, 1]),
+            ("name", ["x"]), ("name", {"a": 1}),
+        ],
     )
     def test_algebra_schema(self, capsys, tmp_path, field, value):
         source = dict(algebra_to_json(cyclic_loop(2)), **{field: value})
@@ -506,8 +509,9 @@ class TestHostileInput:
             (lambda d: dict(d, factors=5), "factors"),
             (lambda d: dict(d, embeddings=3), "embeddings"),
             (lambda d: dict(d, embeddings=[["0"], {"0": "0"}]), "embedding"),
+            (lambda d: dict(d, base=dict(d["base"], name=["x"])), "name must be a string"),
         ],
-        ids=["list-as-file", "factors-not-a-list", "embeddings-not-a-list", "embedding-as-list"],
+        ids=["list-as-file", "factors-not-a-list", "embeddings-not-a-list", "embedding-as-list", "name-as-list"],
     )
     def test_diagram_schema(self, capsys, diagram_file, change, message):
         with open(diagram_file, encoding="utf-8") as handle:

@@ -61,6 +61,7 @@ from nquasi.algebras import (
     cyclic_loop,
     derive_divisions,
     enumerate_congruences,
+    extend,
     generated_congruence,
     permutation_quasigroup,
 )
@@ -630,6 +631,17 @@ def test_scan_builds_no_name_keyed_table(monkeypatch):
     assert search_noncep_monomorphism(4) == (None, stats)
 
 
+def test_scan_builds_and_resolves_no_name_pair(monkeypatch):
+    def no_names(*args, **kwargs):
+        raise AssertionError("the decision went through element names")
+
+    monkeypatch.setattr(algebras.Congruence, "pairs", no_names)  # check_cep runs on labels and image indices
+    monkeypatch.setattr(algebras.Embedding, "__call__", no_names)
+    monkeypatch.setattr(codescent, "generated_congruence", no_names)
+    stats = {"squares": 590, "targets": 88, "sources": 2, "embeddings": 96}
+    assert search_noncep_monomorphism(4) == (None, stats)
+
+
 def test_scan_computes_each_source_lattice_once(monkeypatch):
     computed = []
     calls = []
@@ -775,6 +787,12 @@ def reference_restrict(cong, emb):
     return tuple(map(tuple, groups.values()))
 
 
+def reference_extension(cong, emb):
+    """The name-seeded least extension: every pair of a source block taken
+    through the map, then closed under f on the target."""
+    return generated_congruence(emb.target, [(emb(a), emb(b)) for a, b in cong.pairs()], "f")
+
+
 def assert_canonical(cong):
     labels = cong.labels
     assert all(labels[labels[x]] == labels[x] <= x for x in range(len(labels))), cong
@@ -808,6 +826,21 @@ def test_restrict_matches_the_name_keyed_reference(emb, scope, monkeypatch):
         assert_canonical(back)
     for cong, _, _ in witnesses:
         assert_canonical(cong)
+
+
+@pytest.mark.parametrize("emb", [emb for _, emb in CEP_FIXTURES], ids=[label for label, _ in CEP_FIXTURES])
+def test_image_matches_the_name_lookups(emb):
+    assert emb.image == tuple(emb.target.index(emb(a)) for a in emb.source.carrier)
+
+
+@pytest.mark.parametrize("emb", [emb for _, emb in CEP_FIXTURES], ids=[label for label, _ in CEP_FIXTURES])
+def test_extend_matches_the_name_seeded_reference(emb):
+    for cong in enumerate_congruences(emb.source, "f"):
+        expected = reference_extension(cong, emb)
+        extension = extend(cong, emb)
+        assert extension.labels == expected.labels, cong
+        assert extension.blocks == expected.blocks, cong
+        assert_canonical(extension)
 
 
 # cyclic n-loops and relabelled n-quasigroups with m^n <= 300

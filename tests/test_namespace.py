@@ -29,7 +29,7 @@ EXPORTS = {
     "algebras": [
         "AlgebraError", "CarrierTooLargeError", "Congruence", "Embedding", "FiniteAlgebra",
         "NotAQuasigroupError", "algebra_from_function", "algebra_from_json", "algebra_to_json",
-        "cyclic_loop", "derive_divisions", "enumerate_congruences", "generated_congruence",
+        "cyclic_loop", "derive_divisions", "enumerate_congruences", "extend", "generated_congruence",
         "permutation_quasigroup", "restrict", "validate_embedding",
     ],
     "amalgams": [
