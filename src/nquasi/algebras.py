@@ -149,7 +149,10 @@ class FiniteAlgebra:
         if isinstance(t, Var):
             if not assignment or t.name not in assignment:
                 raise AlgebraError("unassigned variable %r" % (t.name,))
-            return assignment[t.name]
+            value = assignment[t.name]
+            if value not in self.carrier:  # compared, not hashed: an unhashable value is refused too
+                raise AlgebraError("%r is not an element of %s" % (value, self.name))
+            return value
         if t.symbol == "e" and not t.args:
             if self.identity is None:
                 raise AlgebraError("%s has no identity element" % self.name)

@@ -305,7 +305,6 @@ def check_unique_normal_forms(
 @dataclass
 class StrongAmalgamationReport:
     ok: bool
-    factor_images: tuple = ()
     base_image: frozenset = frozenset()
     intersection: frozenset = frozenset()
 
@@ -326,7 +325,6 @@ def check_strong_amalgamation(base, a1, a2, embeddings) -> StrongAmalgamationRep
     images = tuple(frozenset(factor.carrier) for factor in d.factors)
     return StrongAmalgamationReport(
         ok=True,
-        factor_images=images,
         base_image=frozenset(base.carrier),
         intersection=images[0] & images[1],
     )

@@ -263,10 +263,7 @@ def _closed_subsets_along(squares, order):
 
     S is closed when every row a in S maps S into S, so the closed
     candidates are the bits that survive the AND of the square's row masks
-    (see `_subset_table`).  The fold keeps prefix[a], the AND of the masks
-    of rows 0..a-1 of the previous square, and ANDs only the rows from the
-    first one that differs from the previous square's; squares in walk
-    order share all rows but the last two.
+    (see `_subset_table`), taken in row order until the mask is 0.
 
     Only sizes up to order/2 need testing.  If S is closed and b is outside
     S, the products s*b for s in S are |S| distinct elements (b's column
@@ -275,22 +272,16 @@ def _closed_subsets_along(squares, order):
     permutes the finite closed set S.  So S and S*b are disjoint, and
     2|S| <= order."""
     candidates, table = _subset_table(order)
-    prefix = [(1 << len(candidates)) - 1] * (order + 1)
-    previous = (None,) * order
+    every = (1 << len(candidates)) - 1
     for square in squares:
-        start = 0
-        while start < order and square[start] == previous[start]:
-            start += 1
-        mask = prefix[start]
-        for a in range(start, order):
-            if mask:
-                row = square[a]
-                masks = table.get(row)
-                if masks is None:
-                    masks = table[row] = _row_masks(row, candidates)
-                mask &= masks[a]
-            prefix[a + 1] = mask
-        previous = square
+        mask = every
+        for a, row in enumerate(square):
+            if not mask:
+                break
+            masks = table.get(row)
+            if masks is None:
+                masks = table[row] = _row_masks(row, candidates)
+            mask &= masks[a]
         subsets = []
         while mask:
             low = mask & -mask

@@ -243,9 +243,9 @@ def _head(t: Term):
 
 class _RuleIndex(dict):
     """(root symbol, head of each argument) -> the rules that may match an
-    application with that key; `overlapping(key)` gives the rules that may
-    unify with it.  Both lists are in rule order, filled on first use and
-    cached per key.
+    application with that key, filled on first use and cached per key;
+    `overlapping(key)` gives the rules that may unify with it.  Both lists
+    are in rule order.
 
     Rule k is bit k of a mask.  Each (root symbol, arity) keeps the mask of
     its rules and, for each argument slot, the mask of its rules with each
@@ -258,7 +258,6 @@ class _RuleIndex(dict):
     def __init__(self, rules):
         super().__init__()
         self.rules = tuple(rules)
-        self.overlaps = {}  # key -> the rules that may unify there
         self.roots = {}  # (root symbol, arity) -> (mask of its rules, per slot {head: mask of its rules with it there})
         for i, rule in enumerate(self.rules):
             bit, args = 1 << i, rule.lhs.args
@@ -273,9 +272,7 @@ class _RuleIndex(dict):
         return found
 
     def overlapping(self, key) -> list:
-        if key not in self.overlaps:  # a key without a variable unifies as it matches
-            self.overlaps[key] = self._fitting(key, True) if None in key else self[key]
-        return self.overlaps[key]
+        return self._fitting(key, True)
 
     def _fitting(self, key, unifying: bool) -> list:
         mask, slots = self.roots.get((key[0], len(key) - 1), (0, ()))
@@ -564,7 +561,6 @@ class ConfluenceVerdict:
     witness: CriticalPair | None = None
     nonjoinable: tuple = ()
     pairs_total: int = 0
-    pairs_trivial: int = 0
 
     @property
     def confluent(self) -> bool:
@@ -586,7 +582,6 @@ def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdi
         witness=bad[0] if bad else None,
         nonjoinable=bad,
         pairs_total=len(pairs),
-        pairs_trivial=sum(cp.trivial for cp in pairs),
     )
 
 

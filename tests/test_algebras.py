@@ -471,3 +471,11 @@ def test_eval_term_rejects_what_is_no_operation_at_its_arity(z3, symbol, args):
 
     with pytest.raises(AlgebraError, match="no operation '%s'" % symbol):
         z3.eval_term(App(symbol, tuple(map(Elem, args))))
+
+
+@pytest.mark.parametrize("value", ["zz", ["0"]], ids=["unknown", "unhashable"])
+def test_eval_term_refuses_an_assigned_value_outside_the_carrier(z3, value):
+    from nquasi.terms import App, Elem, Var
+
+    with pytest.raises(AlgebraError, match="is not an element of"):
+        z3.eval_term(App("f", (Var("x"), Elem("0"))), {"x": value})

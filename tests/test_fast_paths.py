@@ -4,8 +4,8 @@ found as joins of principal ones against a filter over every set
 partition; the flat bitmask Latin-square walk against the cell-by-cell
 walk and the per-level row-filter walk; the lattice memoized per algebra
 and scope against fresh algebras and a count of its computations; the
-closed-subset masks folded along the walk against the per-square table
-AND; slot rows read from one flat index table against rows looked up
+closed-subset masks of each square against the test of every subset;
+slot rows read from one flat index table against rows looked up
 entry by entry; the closure that stops at one class and the sparse
 lattice join against the closure that drains every pending pair and the
 join over every index); amalgam reduction by ground rules on the shared rewriting
@@ -75,8 +75,6 @@ from nquasi.amalgams import (
 from nquasi import algebras, codescent, rewriting
 from nquasi.codescent import (
     _closed_subsets_along,
-    _row_masks,
-    _subset_table,
     integer_partitions,
     latin_squares,
     permutation_from_cycle_type,
@@ -238,24 +236,6 @@ def reference_closed_subsets(square, order):
             members = set(subset)
             if all(square[a][b] in members for a in subset for b in subset):
                 yield subset
-
-
-def table_closed_subsets(square, order):
-    """Closed subsets by one table lookup and one AND per row of each
-    square, stopping as soon as the mask is 0."""
-    candidates, table = _subset_table(order)
-    mask = (1 << len(candidates)) - 1
-    for a, row in enumerate(square):
-        if not mask:
-            return
-        masks = table.get(row)
-        if masks is None:
-            masks = table[row] = _row_masks(row, candidates)
-        mask &= masks[a]
-    while mask:
-        low = mask & -mask
-        yield candidates[low.bit_length() - 1]
-        mask ^= low
 
 
 def _scope_tables(alg, scope):
@@ -494,20 +474,19 @@ def test_subquasigroup_bound_on_seeded_order_five_squares():
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
-def test_folded_closed_subsets_match_the_per_square_and_in_any_order(order):
-    # the fold must not carry a prefix over from a square that shares fewer
-    # rows, so every square is also folded in a seeded shuffled order, and
-    # squares are folded twice in a row, which reads every prefix back
+def test_closed_subsets_match_the_reference_in_any_order(order):
+    # no square may see anything left over from the one before, so every
+    # square is also tested in a seeded shuffled order, and squares are
+    # tested twice in a row
     squares = list(latin_squares(order))
-    expected = {square: list(table_closed_subsets(square, order)) for square in squares}
-    assert all(closed == list(reference_closed_subsets(square, order)) for square, closed in expected.items())
+    expected = {square: list(reference_closed_subsets(square, order)) for square in squares}
     shuffled = list(squares)
     random.Random(order).shuffle(shuffled)
     repeated = [square for square in shuffled[:3000] for _ in range(2)]
     for sequence in (squares, shuffled, repeated):
-        folded = list(_closed_subsets_along(sequence, order))
-        assert [square for square, _ in folded] == sequence
-        assert all(closed == expected[square] for square, closed in folded)
+        tested = list(_closed_subsets_along(sequence, order))
+        assert [square for square, _ in tested] == sequence
+        assert all(closed == expected[square] for square, closed in tested)
     assert sum(map(bool, expected.values())) == {2: 0, 3: 0, 4: 88, 5: 5550}[order]
 
 

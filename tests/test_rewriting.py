@@ -352,10 +352,28 @@ class TestRuleIndex:
                 got = [r.label for r in index.overlapping(("f",) + key_heads)]
                 assert sorted(got) == sorted(fits), key_heads
 
-    def test_overlapping_lists_are_cached_per_key(self):
+    def test_overlapping_lists_are_the_matching_lists_for_keys_without_a_variable(self, monkeypatch):
+        # every left side of CQ2 has a variable argument at each application,
+        # so the ground rules of an amalgam supply the keys without a variable
+        trivial = algebra_from_function("T", 2, "loop", ["0"], lambda a, b: 0, identity="0")
+        d = build_amalgam(trivial, [cyclic_loop(3, name="Z3a"), cyclic_loop(3, name="Z3b")], [{"0": "0"}] * 2)
+        met = []
+        overlapping = _RuleIndex.overlapping
+        monkeypatch.setattr(_RuleIndex, "overlapping", lambda index, key: met.append((index, key)) or overlapping(index, key))
+        for system in (CQ2, d):
+            critical_pairs(system)
+        monkeypatch.undo()
+        ground = [(index, key) for index, key in met if None not in key]
+        assert len(met) == 81 and len(ground) == 51
+        for index, key in ground:
+            assert index.overlapping(key) == index[key], key
         index = _RuleIndex(CQ2.rules)
-        for key in [("g1", None, "f"), ("f", "g1", None), ("g1", None, None)]:
-            assert index.overlapping(key) is index.overlapping(key)
+        for key, labels in [
+            (("g1", None, "f"), ["2.4[i=1]"]),
+            (("f", "g1", None), ["2.3[i=1]", "2.3[i=2]"]),
+            (("g1", None, None), ["2.4[i=1]", "2.7[i=1,j=2]"]),
+        ]:
+            assert [r.label for r in index.overlapping(key)] == labels
 
     def test_nonlinear_rule_is_a_candidate_that_match_rejects(self):
         lhs = App("g1", (Var("x"), Var("x")))
