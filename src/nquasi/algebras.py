@@ -379,12 +379,14 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
 
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and a join of congruences is their join as equivalence
-    relations.  So each pair is closed once, and the lattice is generated
-    from the trivial congruence by union-find joins with the principal
-    congruences, with no further closure; a principal congruence whose
-    generating pair is already related adds nothing.  The lattice depends
-    only on the algebra and the scope, so it is computed once per algebra
-    and scope and kept beside the slot rows."""
+    relations.  So each pair is closed once, and the lattice is built in
+    one pass over the distinct principal congruences: the k-th, Cg(a, b),
+    is joined by union-find merges, with no further closure, into each
+    congruence found so far that does not relate a and b.  By induction
+    the found set then holds every join of the first k, since a
+    congruence that relates a and b contains Cg(a, b).  The lattice
+    depends only on the algebra and the scope, so it is computed once per
+    algebra and scope and kept beside the slot rows."""
     check_scope(scope)
     lattice = alg._memo.get(("congruences", scope))
     if lattice is None:
@@ -402,22 +404,14 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
     principal = {}  # labels of Cg(a, b) -> one generating pair (a, b)
     for a, b in itertools.combinations(range(m), 2):
         principal.setdefault(_closure(alg, scope, [(a, b)]), (a, b))
-    # a join with Cg(a, b) merges each index x with its label y there, x != y
-    joins = [(pair, [(x, y) for x, y in enumerate(other) if x != y]) for other, pair in principal.items()]
     found = {tuple(range(m))}
-    frontier = list(found)
-    while frontier:
-        labels = frontier.pop()
-        for (a, b), moved in joins:
-            if labels[a] == labels[b]:
-                continue
+    for other, (a, b) in principal.items():
+        moved = [(x, y) for x, y in enumerate(other) if x != y]  # a join with Cg(a, b) merges these
+        for labels in [labels for labels in found if labels[a] != labels[b]]:
             parent = list(labels)
             for x, y in moved:
                 _union(parent, x, y)
-            joined = tuple(_find(parent, x) for x in range(m))
-            if joined not in found:
-                found.add(joined)
-                frontier.append(joined)
+            found.add(tuple(_find(parent, x) for x in range(m)))
     out = [Congruence(alg.carrier, labels) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))  # by names, not indices
     return tuple(out)

@@ -162,7 +162,8 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
             perm = permutation_from_cycle_type(cycle_type)
             alg = permutation_quasigroup(perm)
             for cong in enumerate_congruences(alg, "f"):
-                if generated_congruence(alg, cong.pairs(), "full") != cong:
+                seeds = [(alg.carrier[x], alg.carrier[y]) for x, y in enumerate(cong.labels) if x != y]
+                if generated_congruence(alg, seeds, "full") != cong:
                     return Prop36Counterexample(
                         order=order,
                         permutation=perm,

@@ -603,10 +603,6 @@ class ConditionsReport:
     def star3_ok(self) -> bool:
         return all(self.star3.values())
 
-    @property
-    def ok(self) -> bool:
-        return self.star_ok and self.star2 == "holds" and self.star3_ok
-
 
 def _rule_star(rule: Rule) -> bool:
     lhs_vars, rhs_vars = list(iter_variables(rule.lhs)), list(iter_variables(rule.rhs))

@@ -6,9 +6,9 @@ walk and the per-level row-filter walk; the lattice memoized per algebra
 and scope against fresh algebras and a count of its computations; the
 closed-subset masks of each square against the test of every subset;
 slot rows read from one flat index table against rows looked up
-entry by entry; the closure that stops at one class and the sparse
-lattice join against the closure that drains every pending pair and the
-join over every index); amalgam reduction by ground rules on the shared rewriting
+entry by entry; the closure that stops at one class and the sparse,
+one-pass lattice join against the closure that drains every pending pair
+and the frontier search joining over every index); amalgam reduction by ground rules on the shared rewriting
 engine, checked against the separate amalgam engine with its collapse
 step that it replaced; rule selection by argument heads, checked against
 the root-symbol index it replaced; critical pairs from the rules that
@@ -368,8 +368,9 @@ def draining_generated_congruence(alg, seed_pairs, scope):
 
 
 def dense_congruence_lattice(alg, scope):
-    """The lattice by draining closures and joins that merge every index
-    with its label in the principal congruence."""
+    """The lattice by draining closures and a frontier search: every
+    congruence found is joined with every principal congruence, by merges
+    of every index with its label there."""
     m = alg.order
     principal = {}
     for a, b in itertools.combinations(range(m), 2):
@@ -893,6 +894,16 @@ def test_enumerated_congruences_match_the_dense_join(case):
     for scope in ("f", "full"):
         expected = dense_congruence_lattice(alg, scope)
         assert [c.blocks for c in enumerate_congruences(alg, scope)] == expected, scope
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_enumerated_congruences_of_every_cycle_type_match_the_dense_join(order):
+    # the largest lattices within the carrier bound: Bell(8) = 4,140 for the identity
+    for cycle_type in integer_partitions(order):
+        alg = permutation_quasigroup(permutation_from_cycle_type(cycle_type))
+        for scope in ("f", "full"):
+            expected = dense_congruence_lattice(alg, scope)
+            assert [c.blocks for c in enumerate_congruences(alg, scope)] == expected, (cycle_type, scope)
 
 
 # ---------------------------------------------------------------------------
@@ -2064,6 +2075,19 @@ def test_prop_3_6_kernel_scopes_match_reference_scan(order):
             for scope in ("f", "full")
         ]
         assert tuple(kernel) == reference_prop_3_6_partitions(perm), cycle_type
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_prop_3_6_label_seeds_generate_what_every_block_pair_generates(order):
+    # `verify_prop_3_6` seeds each x with the least member of its class
+    for cycle_type in integer_partitions(order):
+        alg = permutation_quasigroup(permutation_from_cycle_type(cycle_type))
+        for cong in enumerate_congruences(alg, "f"):
+            seeds = [(alg.carrier[x], alg.carrier[y]) for x, y in enumerate(cong.labels) if x != y]
+            assert len(seeds) == alg.order - len(cong.blocks)
+            for scope in ("f", "full"):
+                expected = generated_congruence(alg, cong.pairs(), scope)
+                assert generated_congruence(alg, seeds, scope) == expected, (cycle_type, cong, scope)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
