@@ -6,11 +6,11 @@ value, in product order of the argument index tuples.  The divisions
 supplied; the name-keyed `table_f` and `tables_g` are views built when
 first read.  Algebras and embeddings are valid by construction: the
 constructors raise `InvalidAlgebraError` when an axiom fails.  A congruence
-is its canonical labels, and its name blocks are a view.  One closure kernel
-on an integer union-find builds the congruence generated by any set of
-pairs, under f alone (decisions) or also under every division (oracles; the
-same, see `codescent.check_cep`); the lattice is the set of joins of the
-principal congruences, one per pair.
+is its canonical labels; its name blocks are a view for printing and
+sorting.  One closure kernel on an integer union-find builds the congruence
+generated by any set of pairs, under f alone (decisions) or also under
+every division (oracles; the same, see `codescent.check_cep`); the lattice
+is the set of joins of the principal congruences, one per pair.
 """
 
 from __future__ import annotations
@@ -271,7 +271,8 @@ def _division_violation(alg: FiniteAlgebra) -> Violation | None:
 class Congruence:
     """A compatible partition as canonical labels: labels[x] is the least
     index of x's class, so equal partitions compare equal.  `blocks` is a
-    view, the names of each class in carrier order, classes by least index."""
+    view, the names of each class in carrier order, classes by least index,
+    read only by `str` and to sort the lattice."""
 
     carrier: tuple
     labels: tuple
@@ -280,12 +281,6 @@ class Congruence:
     def blocks(self) -> tuple:
         named = tuple(zip(self.carrier, self.labels))
         return tuple(tuple(a for a, k in named if k == x) for x, k in enumerate(self.labels) if k == x)
-
-    def relates(self, a: str, b: str) -> bool:
-        return any(a in block and b in block for block in self.blocks)
-
-    def pairs(self):
-        return (pair for block in self.blocks for pair in itertools.combinations(block, 2))
 
     @property
     def is_identity(self) -> bool:

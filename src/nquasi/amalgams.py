@@ -20,7 +20,6 @@ from .algebras import Embedding
 from .rewriting import (
     DEFAULT_REDUCT_CAP,
     Rule,
-    TerminationNotVerified,
     Trs,
     check_confluence,
     normalize,
@@ -287,14 +286,13 @@ def check_unique_normal_forms(
     variety rules is joinable, because the complete system is confluent,
     and in a pair with a ground rule, condition star3 (every application
     in a left side holds all of that side's variables) makes the mgu bind
-    every variable to an element.
+    every variable to an element.  On rules edited not to shrink it raises
+    check_confluence's TerminationNotVerified, which no `nq` command reaches.
 
     `depth`, `trials`, `seed` and `rand_depth` are unused; they remain
     only because the benchmark's `amalgam` workload passes them.
     """
     verdict = check_confluence(d, cap)
-    if verdict.status == "termination-not-verified":
-        raise TerminationNotVerified("unique normal forms need size-decreasing rules")
     if verdict.confluent:
         return None
     cp = verdict.witness

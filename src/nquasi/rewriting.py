@@ -50,7 +50,7 @@ class RewriteError(Exception):
 
 
 class TerminationNotVerified(RewriteError):
-    """The size-decrease condition failed and no step bound was given."""
+    """The size-decrease condition failed and the operation needs termination."""
 
 
 class CapExceeded(RewriteError):
@@ -557,7 +557,7 @@ def critical_pairs(trs: Trs) -> tuple:
 
 @dataclass
 class ConfluenceVerdict:
-    status: str  # confluent | not-confluent | termination-not-verified
+    status: str  # confluent | not-confluent
     witness: CriticalPair | None = None
     nonjoinable: tuple = ()
     pairs_total: int = 0
@@ -570,9 +570,9 @@ class ConfluenceVerdict:
 def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdict:
     """Confluent iff every critical pair is joinable (for a terminating
     system).  Termination is certified via the size-decrease check; if that
-    fails the verdict is termination-not-verified rather than a guess."""
+    fails, TerminationNotVerified is raised rather than a guess returned."""
     if not check_conditions(trs).star_ok:
-        return ConfluenceVerdict(status="termination-not-verified")
+        raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     pairs = critical_pairs(trs)
     bad = tuple(
         cp for cp in pairs if not cp.trivial and not joinable(trs, cp.left, cp.right, cap)[0]
@@ -726,7 +726,7 @@ def _compositions(total: int, parts: int):
 
 @dataclass
 class OracleVerdict:
-    status: str  # confluent | not-confluent | termination-not-verified
+    status: str  # confluent | not-confluent
     peak: Term | None = None
     pair: tuple | None = None
     peaks_checked: int = 0
@@ -753,9 +753,10 @@ def local_confluence_oracle(
     most of the universe (peak RSS 31 MB against 21 MB on complete_loop(2)
     at size 7), and looking them up would hash every peak for almost no
     hits.  The steps of the reducts that the joinability walks visit are
-    kept."""
+    kept.  Like check_confluence, it raises TerminationNotVerified on a
+    system whose termination the size-decrease check does not certify."""
     if not check_conditions(trs).star_ok:
-        return OracleVerdict(status="termination-not-verified")
+        raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     steps = _step_memo(trs)
     checked = 0
     for peak in enumerate_terms(trs.signature, max_size, num_vars):

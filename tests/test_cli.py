@@ -167,11 +167,15 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--trs", "/nonexistent.trs")
         assert code == 2 and "error" in err
 
-    def test_termination_not_verified(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [(), ("--json",), ("--conditions", "--confluence", "--critical-pairs")], ids=" ".join
+    )
+    def test_termination_not_verified(self, capsys, tmp_path, flags):
         path = tmp_path / "swap.trs"
         path.write_text("sig f/2\nrule swap: f(x,y) -> f(y,x)\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "check", "--trs", str(path))
-        assert code == 2 and "termination" in err
+        code, out, err = run_cli(capsys, "check", "--trs", str(path), *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: termination not verified (rules do not strictly decrease size)\n"
 
     def test_reduct_cap_env(self, capsys, complete_loop_file, monkeypatch):
         monkeypatch.setenv("NQ_REDUCT_CAP", "1")

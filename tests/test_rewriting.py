@@ -644,7 +644,9 @@ class TestCheckConfluence:
     def test_termination_not_verified(self):
         sig = Signature({"f": 2})
         swap = Trs(sig, [Rule(parse_term("f(x,y)", sig), parse_term("f(y,x)", sig), "swap")])
-        assert check_confluence(swap).status == "termination-not-verified"
+        with pytest.raises(TerminationNotVerified) as refused:
+            check_confluence(swap)
+        assert str(refused.value) == "termination not verified (rules do not strictly decrease size)"
 
 
 class TestCheckConditions:
