@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
-from dataclasses import dataclass
 
-from .terms import Elem, Term, Var
+from .terms import Elem, Term, Var, _Frozen, _Record, _setattr
 
 DEFAULT_CARRIER_BOUND = 8
 
@@ -44,11 +42,13 @@ class InvalidAlgebraError(AlgebraError):
     violation."""
 
 
-@dataclass
-class Violation:
-    axiom: str
-    where: tuple
-    detail: str
+class Violation(_Record):
+    _fields = ("axiom", "where", "detail")
+
+    def __init__(self, axiom: str, where: tuple, detail: str):
+        self.axiom = axiom
+        self.where = where
+        self.detail = detail
 
     def __str__(self) -> str:
         return "%s at %s: %s" % (self.axiom, list(self.where), self.detail)
@@ -267,15 +267,27 @@ def _division_violation(alg: FiniteAlgebra) -> Violation | None:
 # congruences
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Frozen):
     """A compatible partition as canonical labels: labels[x] is the least
     index of x's class, so equal partitions compare equal.  `blocks` is a
     view, the names of each class in carrier order, classes by least index,
-    read only by `str` and to sort the lattice."""
+    read only by `str` and to sort the lattice.  Equality and hashing are
+    those of the field tuple (carrier, labels)."""
 
-    carrier: tuple
-    labels: tuple
+    def __init__(self, carrier: tuple, labels: tuple):
+        _setattr(self, "carrier", carrier)
+        _setattr(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is Congruence:
+            return self.labels == other.labels and self.carrier == other.carrier
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.labels))
+
+    def __repr__(self) -> str:
+        return "Congruence(carrier=%r, labels=%r)" % (self.carrier, self.labels)
 
     @functools.cached_property
     def blocks(self) -> tuple:
@@ -538,6 +550,8 @@ def algebra_to_json(alg: FiniteAlgebra) -> dict:
 
 def algebra_from_json(obj) -> FiniteAlgebra:
     if isinstance(obj, str):
+        import json
+
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise AlgebraError("algebra must be a JSON object")

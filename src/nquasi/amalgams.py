@@ -14,8 +14,6 @@ carriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import Embedding
 from .rewriting import (
     DEFAULT_REDUCT_CAP,
@@ -32,6 +30,9 @@ from .terms import (
     Elem,
     Term,
     Var,
+    _FrozenRecord,
+    _Record,
+    _setattr,
     apply_substitution,
     iter_variables,
     parse_term,
@@ -54,11 +55,13 @@ class UnknownElementError(AmalgamError):
     pass
 
 
-@dataclass(frozen=True)
-class AmalgamElement:
+class AmalgamElement(_FrozenRecord):
     """An element of the free product, held by its irreducible term."""
 
-    normal_form: Term
+    __slots__ = _fields = ("normal_form",)
+
+    def __init__(self, normal_form: Term):
+        _setattr(self, "normal_form", normal_form)
 
     def __str__(self) -> str:
         return str(self.normal_form)
@@ -255,10 +258,12 @@ def _resolve_name(d: AmalgamDiagram, name: str) -> str:
 # checks: unique normal forms, strong amalgamation
 
 
-@dataclass
-class UnfCounterexample:
-    term: Term
-    normal_forms: tuple
+class UnfCounterexample(_Record):
+    _fields = ("term", "normal_forms")
+
+    def __init__(self, term: Term, normal_forms: tuple):
+        self.term = term
+        self.normal_forms = normal_forms
 
     def __str__(self) -> str:
         forms = ", ".join(str(t) for t in self.normal_forms)
@@ -300,11 +305,13 @@ def check_unique_normal_forms(
     return UnfCounterexample(term=cp.peak, normal_forms=tuple(normal_forms))
 
 
-@dataclass
-class StrongAmalgamationReport:
-    ok: bool
-    base_image: frozenset = frozenset()
-    intersection: frozenset = frozenset()
+class StrongAmalgamationReport(_Record):
+    _fields = ("ok", "base_image", "intersection")
+
+    def __init__(self, ok: bool, base_image: frozenset = frozenset(), intersection: frozenset = frozenset()):
+        self.ok = ok
+        self.base_image = base_image
+        self.intersection = intersection
 
     def __str__(self) -> str:
         return "strong amalgamation holds (intersection of size %d)" % len(self.intersection)

@@ -9,9 +9,7 @@ safety cap.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
-import json
 import os
 import sys
 
@@ -38,11 +36,12 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-# Each subcommand imports the layers it runs beyond `terms` and `rewriting`,
-# so a call pays only for those.  The per-layer tracer of
-# perfbench/tracing.py rebinds these names in this module: each resolves
-# through its defining layer on first access and is then kept here.  The
-# subcommands call the layer's own binding.
+# Each subcommand imports only what it runs: the layers beyond `terms` and
+# `rewriting`, and `json` where it reads or writes JSON.  The sha256 digest
+# of its input, and so `hashlib`, is computed only for --json.  The
+# per-layer tracer of perfbench/tracing.py rebinds these names in this
+# module: each resolves through its defining layer on first access and is
+# then kept here.  The subcommands call the layer's own binding.
 _LAYER_OF = {
     "generate_trs": "varieties",
     "validate_embedding": "algebras",
@@ -87,6 +86,8 @@ def _reduct_cap() -> int:
 
 
 def _digest(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -133,23 +134,25 @@ def _pair_json(cp) -> dict:
     }
 
 
-def _emit(args, report: dict, human_lines) -> int:
+def _emit(args, command, inputs, verdict, details, exit_code, human_lines) -> int:
+    """Print the report and return its exit code.  With --json the report
+    is one JSON object, and only then is `inputs()` called for its input
+    digests; otherwise the human lines are printed."""
     if getattr(args, "json", False):
+        import json
+
+        report = {
+            "command": command,
+            "inputs": inputs(),
+            "verdict": verdict,
+            "details": details,
+            "exit_code": exit_code,
+        }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
-    return report["exit_code"]
-
-
-def _report(command, inputs, verdict, details, exit_code) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "verdict": verdict,
-        "details": details,
-        "exit_code": exit_code,
-    }
+    return exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +172,7 @@ def cmd_check(args) -> int:
     trs = parse_trs(text)
     cap = _reduct_cap()
     do_confluence = args.confluence or not (args.conditions or args.critical_pairs)
-    inputs = {"trs": _digest(text)}
+    inputs = lambda: {"trs": _digest(text)}
     details = {}
     human = []
     ok = True
@@ -218,7 +221,7 @@ def cmd_check(args) -> int:
         ok = ok and verdict.confluent
 
     code = EXIT_OK if ok else EXIT_FAIL
-    return _emit(args, _report("check", inputs, "ok" if ok else "fail", details, code), human)
+    return _emit(args, "check", inputs, "ok" if ok else "fail", details, code, human)
 
 
 def cmd_normalize(args) -> int:
@@ -228,21 +231,21 @@ def cmd_normalize(args) -> int:
     result, trace = normalize(
         trs, term, strategy=args.strategy, seed=args.seed, max_steps=args.max_steps
     )
-    inputs = {"trs": _digest(text), "term": args.term}
+    inputs = lambda: {"trs": _digest(text), "term": args.term}
     details = {"normal_form": str(result), "steps": [[label, list(pos)] for label, pos in trace]}
     human = ["normal form: %s" % result]
     if args.trace:
         for label, pos in trace:
             human.append("  %s at %s" % (label, list(pos)))
         human.append("  (%d steps)" % len(trace))
-    return _emit(args, _report("normalize", inputs, str(result), details, EXIT_OK), human)
+    return _emit(args, "normalize", inputs, str(result), details, EXIT_OK, human)
 
 
 def cmd_complete(args) -> int:
     text = _read(args.trs)
     trs = parse_trs(text)
     result = complete(trs, max_rounds=args.max_rounds, cap=_reduct_cap())
-    inputs = {"trs": _digest(text)}
+    inputs = lambda: {"trs": _digest(text)}
     details = {
         "rounds": result.rounds,
         "adopted": [
@@ -256,10 +259,12 @@ def cmd_complete(args) -> int:
         human.append("  adopted %s" % rule)
         human.append("    from pair %s" % cp)
     human.append(format_trs(result.trs).rstrip("\n"))
-    return _emit(args, _report("complete", inputs, "confluent", details, EXIT_OK), human)
+    return _emit(args, "complete", inputs, "confluent", details, EXIT_OK, human)
 
 
 def cmd_amalgam(args) -> int:
+    import json
+
     from .algebras import algebra_from_json
     from .amalgams import (
         build_amalgam,
@@ -286,28 +291,23 @@ def cmd_amalgam(args) -> int:
                 raise ValueError("each embedding must be an object of element names")
     except (KeyError, ValueError) as exc:
         raise _InputError("bad diagram file: %s" % exc) from None
-    inputs = {"diagram": _digest(text)}
+    inputs = lambda: {"diagram": _digest(text)}
 
     if args.normalize is not None:
         diagram = build_amalgam(base, factors, embeddings)
         term = parse_element_term(diagram, args.normalize)
         element = normalize_element(diagram, term, strategy=args.strategy, seed=args.seed)
         details = {"normal_form": str(element)}
-        return _emit(
-            args,
-            _report("amalgam", inputs, str(element), details, EXIT_OK),
-            ["normal form: %s" % element],
-        )
+        return _emit(args, "amalgam", inputs, str(element), details, EXIT_OK, ["normal form: %s" % element])
 
     if args.check_unf:
         diagram = build_amalgam(base, factors, embeddings)
         bad = check_unique_normal_forms(diagram, cap=_reduct_cap())
         if bad is None:
-            report = _report("amalgam", inputs, "unique-normal-forms", {"depth": args.depth}, EXIT_OK)
-            return _emit(args, report, ["unique normal forms up to size %d: ok" % args.depth])
+            human = ["unique normal forms up to size %d: ok" % args.depth]
+            return _emit(args, "amalgam", inputs, "unique-normal-forms", {"depth": args.depth}, EXIT_OK, human)
         details = {"counterexample": str(bad)}
-        report = _report("amalgam", inputs, "counterexample", details, EXIT_FAIL)
-        return _emit(args, report, ["counterexample: %s" % bad])
+        return _emit(args, "amalgam", inputs, "counterexample", details, EXIT_FAIL, ["counterexample: %s" % bad])
 
     if len(factors) != 2:
         raise _InputError("strong amalgamation check needs exactly two factors")
@@ -317,10 +317,12 @@ def cmd_amalgam(args) -> int:
         "intersection": sorted(sa.intersection),
         "base_image": sorted(sa.base_image),
     }
-    return _emit(args, _report("amalgam", inputs, str(sa), details, EXIT_OK), [str(sa)])
+    return _emit(args, "amalgam", inputs, str(sa), details, EXIT_OK, [str(sa)])
 
 
 def cmd_codescent(args) -> int:
+    import json
+
     from .algebras import Embedding
     from .codescent import check_cep
 
@@ -338,7 +340,7 @@ def cmd_codescent(args) -> int:
         raise _InputError("bad embedding file: map must be an object of element names")
     emb = Embedding(source, target, mapping)
     report = check_cep(emb, scope=args.scope)
-    inputs = {"embedding": _digest(text)}
+    inputs = lambda: {"embedding": _digest(text)}
     details = {
         "scope": args.scope,
         "congruences_checked": len(report.witnesses),
@@ -350,7 +352,7 @@ def cmd_codescent(args) -> int:
         human.insert(0, "effective codescent morphism" if report.verdict
                      else "not an effective codescent morphism")
     code = EXIT_OK if report.verdict else EXIT_FAIL
-    return _emit(args, _report("codescent", inputs, verdict, details, code), human)
+    return _emit(args, "codescent", inputs, verdict, details, code, human)
 
 
 def _load_algebra_field(obj, role, embedding_path):

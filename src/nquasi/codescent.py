@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .algebras import (
     Congruence,
@@ -28,6 +27,7 @@ from .algebras import (
     permutation_quasigroup,
     restrict,
 )
+from .terms import _Record
 
 # `Embedding` checks itself when built; `validate_embedding` stays bound
 # here so that the per-layer tracer of perfbench/tracing.py can rebind it
@@ -35,13 +35,17 @@ from .algebras import (
 from .algebras import validate_embedding  # noqa: F401
 
 
-@dataclass
-class CepReport:
-    embedding: Embedding
-    scope: str
-    verdict: bool
-    witnesses: tuple = ()  # (source congruence, generated extension, its restriction)
-    failing: Congruence | None = None
+class CepReport(_Record):
+    _fields = ("embedding", "scope", "verdict", "witnesses", "failing")
+
+    def __init__(
+        self, embedding: Embedding, scope: str, verdict: bool, witnesses: tuple = (), failing: Congruence | None = None
+    ):
+        self.embedding = embedding
+        self.scope = scope
+        self.verdict = verdict
+        self.witnesses = witnesses  # (source congruence, generated extension, its restriction)
+        self.failing = failing
 
     def __str__(self) -> str:
         word = "holds" if self.verdict else "fails"
@@ -110,11 +114,13 @@ def cep_by_enumeration(emb: Embedding, scope: str = "full"):
 # finite 1-quasigroups: every f-congruence is a full congruence
 
 
-@dataclass
-class Prop36Counterexample:
-    order: int
-    permutation: tuple
-    blocks: tuple
+class Prop36Counterexample(_Record):
+    _fields = ("order", "permutation", "blocks")
+
+    def __init__(self, order: int, permutation: tuple, blocks: tuple):
+        self.order = order
+        self.permutation = permutation
+        self.blocks = blocks
 
     def __str__(self) -> str:
         return "order %d, permutation %s, partition %s" % (

@@ -11,8 +11,6 @@ terms provides an independent cross-check of the critical-pair route.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from random import Random
 
 from .terms import (
     _IDENT_RE,
@@ -24,6 +22,9 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _FrozenRecord,
+    _Record,
+    _setattr,
     apply_substitution,
     canonical_renaming,
     check_well_formed,
@@ -75,21 +76,22 @@ class MaxRoundsExceeded(RewriteError):
         self.trs = trs
 
 
-@dataclass(frozen=True)
-class Rule:
-    lhs: Term
-    rhs: Term
-    label: str
+class Rule(_FrozenRecord):
+    """lhs -> rhs, named by its label; the left side is an application and
+    the right side has no variable that the left side lacks."""
 
-    def __post_init__(self):
-        if not isinstance(self.lhs, App):
-            leaf = "a variable" if isinstance(self.lhs, Var) else "an element"
-            raise ValueError("rule %s: left-hand side is %s" % (self.label, leaf))
-        extra = variables(self.rhs) - variables(self.lhs)
+    __slots__ = _fields = ("lhs", "rhs", "label")
+
+    def __init__(self, lhs: Term, rhs: Term, label: str):
+        if not isinstance(lhs, App):
+            leaf = "a variable" if isinstance(lhs, Var) else "an element"
+            raise ValueError("rule %s: left-hand side is %s" % (label, leaf))
+        extra = variables(rhs) - variables(lhs)
         if extra:
-            raise ValueError(
-                "rule %s: right-hand side has fresh variables %s" % (self.label, sorted(extra))
-            )
+            raise ValueError("rule %s: right-hand side has fresh variables %s" % (label, sorted(extra)))
+        _setattr(self, "lhs", lhs)
+        _setattr(self, "rhs", rhs)
+        _setattr(self, "label", label)
 
     def __str__(self) -> str:
         return "%s: %s -> %s" % (self.label, self.lhs, self.rhs)
@@ -393,7 +395,11 @@ def normalize(
             return t
 
         return nf(t, ()), tuple(trace)
-    rng = Random(seed) if strategy == "random" else None
+    rng = None
+    if strategy == "random":
+        from random import Random  # imported only by the strategy that uses it
+
+        rng = Random(seed)
     walk = _walk(system)
     current = t
     while True:
@@ -459,8 +465,7 @@ def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
 # critical pairs and confluence
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(_FrozenRecord):
     """Two one-step results from a unifiable overlap of rule left sides.
 
     left/right/peak are canonically renamed (v1, v2, ... in first-occurrence
@@ -469,14 +474,19 @@ class CriticalPair:
     at the root and to right by rule2 at `position`.
     """
 
-    left: Term
-    right: Term
-    peak: Term
-    rule1: str
-    rule2: str
-    position: Position
-    mgu: tuple
-    trivial: bool
+    __slots__ = _fields = ("left", "right", "peak", "rule1", "rule2", "position", "mgu", "trivial")
+
+    def __init__(
+        self, left: Term, right: Term, peak: Term, rule1: str, rule2: str, position: Position, mgu: tuple, trivial: bool
+    ):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _setattr(self, "peak", peak)
+        _setattr(self, "rule1", rule1)
+        _setattr(self, "rule2", rule2)
+        _setattr(self, "position", position)
+        _setattr(self, "mgu", mgu)
+        _setattr(self, "trivial", trivial)
 
     @property
     def mgu_dict(self) -> Substitution:
@@ -555,12 +565,14 @@ def critical_pairs(trs: Trs) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class ConfluenceVerdict:
-    status: str  # confluent | not-confluent
-    witness: CriticalPair | None = None
-    nonjoinable: tuple = ()
-    pairs_total: int = 0
+class ConfluenceVerdict(_Record):
+    _fields = ("status", "witness", "nonjoinable", "pairs_total")
+
+    def __init__(self, status: str, witness: CriticalPair | None = None, nonjoinable: tuple = (), pairs_total: int = 0):
+        self.status = status  # confluent | not-confluent
+        self.witness = witness
+        self.nonjoinable = nonjoinable
+        self.pairs_total = pairs_total
 
     @property
     def confluent(self) -> bool:
@@ -589,11 +601,13 @@ def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdi
 # syntactic conditions
 
 
-@dataclass
-class ConditionsReport:
-    star: dict
-    star2: str  # holds | undetermined
-    star3: dict
+class ConditionsReport(_Record):
+    _fields = ("star", "star2", "star3")
+
+    def __init__(self, star: dict, star2: str, star3: dict):
+        self.star = star
+        self.star2 = star2  # holds | undetermined
+        self.star3 = star3
 
     @property
     def star_ok(self) -> bool:
@@ -633,11 +647,13 @@ def check_conditions(trs: Trs) -> ConditionsReport:
 # completion
 
 
-@dataclass
-class CompletionResult:
-    trs: Trs
-    rounds: int
-    adopted: tuple = ()  # (Rule, CriticalPair) in adoption order
+class CompletionResult(_Record):
+    _fields = ("trs", "rounds", "adopted")
+
+    def __init__(self, trs: Trs, rounds: int, adopted: tuple = ()):
+        self.trs = trs
+        self.rounds = rounds
+        self.adopted = adopted  # (Rule, CriticalPair) in adoption order
 
 
 def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> CompletionResult:
@@ -724,12 +740,14 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@dataclass
-class OracleVerdict:
-    status: str  # confluent | not-confluent
-    peak: Term | None = None
-    pair: tuple | None = None
-    peaks_checked: int = 0
+class OracleVerdict(_Record):
+    _fields = ("status", "peak", "pair", "peaks_checked")
+
+    def __init__(self, status: str, peak: Term | None = None, pair: tuple | None = None, peaks_checked: int = 0):
+        self.status = status  # confluent | not-confluent
+        self.peak = peak
+        self.pair = pair
+        self.peaks_checked = peaks_checked
 
     @property
     def confluent(self) -> bool:

@@ -16,38 +16,150 @@ variable, which keeps the symbol and variable namespaces disjoint.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from collections.abc import Iterator, Mapping
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+# the frozen classes store their fields through this in `__init__`; bound
+# once, it saves an attribute lookup per field on every construction
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Refuses to assign or delete a field after `__init__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class _Record:
+    """Equality and repr over the fields named in `_fields`: equal only to
+    an instance of its own class with equal fields, in order, and
+    unhashable unless a subclass defines `__hash__`."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+
+class _FrozenRecord(_Frozen, _Record):
+    """A `_Record` whose fields are set once, in `__init__`, and hashed as
+    their tuple; `__init__` takes the fields in order."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Leaf(_Frozen):
+    """A named leaf, equal only to a leaf of its own class and name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __reduce__(self):
+        return self.__class__, (self.name,)
+
+    def __repr__(self) -> str:
+        return "%s(name=%r)" % (self.__class__.__name__, self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Elem:
-    name: str
+class Var(_Leaf):
+    """A variable leaf."""
+
+    __slots__ = ()
+
+
+class Elem(_Leaf):
+    """An element leaf: a rigid constant naming an element of a finite algebra."""
+
+    __slots__ = ()
+
+
+class App(_Frozen):
+    """A signature symbol applied to a tuple of argument terms; a constant
+    has no arguments.
+
+    Equality and hashing are those of the field tuple (symbol, args), so
+    sets and dicts of terms keep one iteration order for given inputs."""
+
+    __slots__ = ("symbol", "args")
+
+    def __init__(self, symbol: str, args: tuple = ()):
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is App:
+            return self.symbol == other.symbol and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self.args))
+
+    def __reduce__(self):
+        return App, (self.symbol, self.args)
+
+    def __repr__(self) -> str:
+        return "App(symbol=%r, args=%r)" % (self.symbol, self.args)
 
     def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class App:
-    symbol: str
-    args: tuple = ()
-
-    def __str__(self) -> str:
+        # the open argument iterators on an explicit stack, so that a term
+        # of any depth prints without recursion
         if not self.args:
             return self.symbol
-        return "%s(%s)" % (self.symbol, ",".join(str(a) for a in self.args))
+        parts = [self.symbol, "("]
+        stack = [iter(self.args)]
+        while stack:
+            for t in stack[-1]:
+                if t.__class__ is App and t.args:
+                    parts.append(t.symbol)
+                    parts.append("(")
+                    stack.append(iter(t.args))
+                    break
+                parts.append(t.symbol if t.__class__ is App else t.name)
+                parts.append(",")
+            else:  # the arguments are done: close over the last one's comma
+                parts[-1] = ")"
+                parts.append(",")
+                stack.pop()
+        parts.pop()
+        return "".join(parts)
 
 
-Term = Union[Var, Elem, App]
+Term = Var | Elem | App
 Position = tuple
 Substitution = dict
 

@@ -10,23 +10,21 @@ indices, e.g. ``2.7[i=1,j=3]``, and are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rewriting import Rule, Trs
-from .terms import App, Signature, Term, Var
+from .terms import App, Signature, Term, Var, _FrozenRecord, _setattr
 
 
-@dataclass(frozen=True)
-class VarietySpec:
-    kind: str  # quasigroup | loop
-    n: int
-    complete: bool = False
+class VarietySpec(_FrozenRecord):
+    __slots__ = _fields = ("kind", "n", "complete")
 
-    def __post_init__(self):
-        if self.kind not in ("quasigroup", "loop"):
-            raise ValueError("kind must be 'quasigroup' or 'loop', got %r" % (self.kind,))
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("n must be a positive integer, got %r" % (self.n,))
+    def __init__(self, kind: str, n: int, complete: bool = False):
+        if kind not in ("quasigroup", "loop"):
+            raise ValueError("kind must be 'quasigroup' or 'loop', got %r" % (kind,))
+        if not isinstance(n, int) or n < 1:
+            raise ValueError("n must be a positive integer, got %r" % (n,))
+        _setattr(self, "kind", kind)  # quasigroup | loop
+        _setattr(self, "n", n)
+        _setattr(self, "complete", complete)
 
 
 def var_run(lo: int, hi: int) -> tuple:

@@ -637,32 +637,38 @@ def test_console_entry_point_runs():
 
 
 # ---------------------------------------------------------------------------
-# one call per fresh interpreter: the layers each subcommand imports, and the
-# errors main() maps for layers it never imports itself
+# one call per fresh interpreter: the layers and standard modules each
+# subcommand imports, and the errors main() maps for layers it never imports
+# itself
 
 LAYERS = {"varieties", "algebras", "amalgams", "codescent"}
 
+# the module list is taken before this script imports json for its own output
 FRESH_MAIN = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from nquasi.cli import main
 
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = main(sys.argv[1:])
-layers = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("nquasi."))
-print(json.dumps([code, out.getvalue(), err.getvalue(), layers]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([code, out.getvalue(), err.getvalue(), modules]))
 """
 
 
 def run_fresh(*argv):
-    """main(argv) in a new interpreter: exit code, stdout, stderr and the
-    layers of LAYERS that the call imported."""
+    """main(argv) in a new interpreter: exit code, stdout, stderr, the
+    layers of LAYERS that the call imported and every module it had
+    loaded.  The child runs with -S, so that no module a `site` hook loads
+    (a .pth file of an installed package) counts."""
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_MAIN, *argv], capture_output=True, text=True, env=child_env(), timeout=60
+        [sys.executable, "-S", "-c", FRESH_MAIN, *argv], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    code, out, err, layers = json.loads(proc.stdout)
-    return code, out, err, LAYERS.intersection(layers)
+    code, out, err, modules = json.loads(proc.stdout)
+    layers = {m.split(".", 1)[1] for m in modules if m.startswith("nquasi.")}
+    return code, out, err, LAYERS.intersection(layers), set(modules)
 
 
 @pytest.mark.parametrize(
@@ -679,9 +685,21 @@ def run_fresh(*argv):
 )
 def test_each_subcommand_imports_only_its_layers(capsys, base_quasi_file, diagram_file, embedding_file, argv, layers):
     argv = [a.format(trs=base_quasi_file, diagram=diagram_file, embedding=embedding_file) for a in argv]
-    code, out, err, loaded = run_fresh(*argv)
+    code, out, err, loaded, modules = run_fresh(*argv)
     assert loaded == layers
+    # no decision needs these; the input digest is computed only for --json
+    assert not {"dataclasses", "inspect", "typing"} & modules
+    assert ("hashlib" in modules) == ("--json" in argv)
+    if argv[0] in ("gen-trs", "normalize", "complete"):  # no JSON read or written
+        assert "json" not in modules
     assert (code, out, err) == run_cli(capsys, *argv)
+
+
+def test_a_deep_well_formed_term_prints_as_its_own_normal_form(complete_loop_file):
+    # 800 levels fit under the recursion limit in the parser and in
+    # innermost normalization, one frame a level; printing takes none
+    term = "f(" * 800 + "x" + ",x)" * 800
+    assert run_fresh("normalize", "--trs", complete_loop_file, "--term", term)[:3] == (0, "normal form: %s\n" % term, "")
 
 
 def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_file):

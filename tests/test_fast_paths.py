@@ -38,12 +38,16 @@ constructor, checked against the three-pass `validate` it replaced; and
 one flat integer table per operation, checked for views, JSON, renaming,
 error messages and embedding violations against the name-keyed
 total-table check, JSON nesting, division derivation and embedding loop
-it replaced.  The reference implementations below
+it replaced; and the hand-written term classes with their iterative
+`str`, checked for equality, hashes, set order, `repr` and immutability
+against the frozen dataclasses they replaced.  The reference implementations below
 are kept only for these comparisons."""
 
+import dataclasses
 import functools
 import itertools
 import json
+import pickle
 import random
 import types
 
@@ -2596,3 +2600,124 @@ def test_oracle_witness_reads_back_when_a_symbol_is_named_v1():
     for t in (verdict.peak, *verdict.pair):
         assert parse_term(str(t), trs.signature) == t
     assert verdict == reference_local_confluence_oracle(trs, max_size=3)
+
+
+# ---------------------------------------------------------------------------
+# the hand-written term classes against the frozen dataclasses they replaced
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceVar:
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceElem:
+    name: str
+
+    def __str__(self) -> str:
+        return self.name
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ReferenceApp:
+    symbol: str
+    args: tuple = ()
+
+    def __str__(self) -> str:
+        if not self.args:
+            return self.symbol
+        return "%s(%s)" % (self.symbol, ",".join(str(a) for a in self.args))
+
+
+def reference_term(t):
+    if isinstance(t, App):
+        return ReferenceApp(t.symbol, tuple(map(reference_term, t.args)))
+    return (ReferenceVar if isinstance(t, Var) else ReferenceElem)(t.name)
+
+
+def rebuilt(t):
+    """An equal copy of t that shares no node with it."""
+    if isinstance(t, App):
+        return App(t.symbol, tuple(map(rebuilt, t.args)))
+    return type(t)(t.name)
+
+
+TERM_CLASS_CASES = [
+    *enumerate_terms(complete_loop(2).signature, 6),
+    Elem("a"),
+    Elem("v1"),
+    Elem("e"),
+    App("f", (Elem("a"), Var("v1"))),
+    App("g1", (App("e"), Elem("v1"))),
+    App("f", (App("f", (Elem("a"), Elem("b"))), Elem("a"))),
+]
+
+
+def test_term_classes_match_the_dataclasses():
+    refs = [reference_term(t) for t in TERM_CLASS_CASES]
+    for t, ref in zip(TERM_CLASS_CASES, refs):
+        copy = rebuilt(t)
+        assert (hash(t), hash(copy)) == (hash(ref), hash(ref))
+        assert t == copy and not t != copy
+        assert repr(t) == repr(ref).replace("Reference", "")
+        assert str(t) == str(ref)
+        assert pickle.loads(pickle.dumps(t)) == t
+        fields = ("symbol", "args") if isinstance(t, App) else ("name",)
+        for field in fields:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(t, field, getattr(t, field))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ref, field, getattr(ref, field))
+    rng = random.Random(32)
+    pairs = [*zip(TERM_CLASS_CASES, TERM_CLASS_CASES[1:])]
+    pairs += [(rng.choice(TERM_CLASS_CASES), rng.choice(TERM_CLASS_CASES)) for _ in range(3000)]
+    for a, b in pairs:
+        expected = reference_term(a) == reference_term(b)
+        assert (a == b, a != b, b == a) == (expected, not expected, expected)
+    # equal hashes and equality give sets and dicts one iteration order
+    assert [reference_term(t) for t in set(TERM_CLASS_CASES)] == list(set(refs))
+    assert [reference_term(t) for t in dict.fromkeys(reversed(TERM_CLASS_CASES))] == list(dict.fromkeys(reversed(refs)))
+
+
+@pytest.mark.parametrize("name", ["x", "v1", "e", "a"])
+def test_leaves_of_different_classes_differ(name):
+    assert Var(name) != Elem(name) and Elem(name) != Var(name)
+    assert not Var(name) == Elem(name)
+    assert len({Var(name), Elem(name), App(name)}) == 3
+    assert (ReferenceVar(name) != ReferenceElem(name)) and len({ReferenceVar(name), ReferenceElem(name)}) == 2
+
+
+def test_deep_terms_print_without_recursion():
+    t, ref = Var("x"), ReferenceVar("x")
+    for _ in range(200):
+        t, ref = App("f", (t, Var("x"))), ReferenceApp("f", (ref, ReferenceVar("x")))
+        assert str(t) == str(ref)
+    for _ in range(5000 - 200):
+        t = App("f", (t, Var("x")))
+    assert str(t) == "f(" * 5000 + "x" + ",x)" * 5000
+
+
+def test_records_compare_hash_and_print_by_their_fields():
+    rule = Rule(App("f", (Var("x"), App("e"))), Var("x"), "r")
+    assert repr(rule) == "Rule(lhs=App(symbol='f', args=(Var(name='x'), App(symbol='e', args=()))), rhs=Var(name='x'), label='r')"
+    spec = VarietySpec("loop", 2)
+    assert repr(spec) == "VarietySpec(kind='loop', n=2, complete=False)"
+    pair = critical_pairs(complete_loop(2))[0]
+    for record, values in [
+        (rule, (rule.lhs, rule.rhs, "r")),
+        (spec, ("loop", 2, False)),
+        (pair, (pair.left, pair.right, pair.peak, pair.rule1, pair.rule2, pair.position, pair.mgu, pair.trivial)),
+    ]:
+        assert hash(record) == hash(values)
+        assert record == type(record)(*values) and pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(record, "rule1" if record is pair else "n" if record is spec else "label", values[0])
+    verdict = check_confluence(complete_loop(2))
+    assert repr(verdict) == "ConfluenceVerdict(status='confluent', witness=None, nonjoinable=(), pairs_total=%d)" % verdict.pairs_total
+    assert verdict == check_confluence(complete_loop(2)) and verdict != OracleVerdict("confluent")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(verdict)
