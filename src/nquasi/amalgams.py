@@ -109,9 +109,8 @@ class AmalgamDiagram(Trs):
             for a in factor.carrier:
                 self.membership.setdefault(a, set()).add(i)
         self.membership = {a: frozenset(s) for a, s in self.membership.items()}
-        self.carrier_union = tuple(
-            sorted(self.membership, key=lambda a: (a not in set(base.carrier), a))
-        )
+        base_carrier = set(base.carrier)
+        self.carrier_union = tuple(sorted(self.membership, key=lambda a: (a not in base_carrier, a)))
 
     def owns(self, element: str) -> frozenset:
         try:

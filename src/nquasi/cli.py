@@ -205,7 +205,13 @@ def cmd_check(args) -> int:
             human.append("  %s%s" % (cp, flag))
 
     if do_confluence:
-        verdict = check_confluence(trs, cap)
+        try:
+            verdict = check_confluence(trs, cap)
+        except TerminationNotVerified:
+            if not args.json:  # the text sections computed so far, then main reports the refusal
+                for line in human:
+                    print(line)
+            raise
         details["confluence"] = {
             "status": verdict.status,
             "witness": _pair_json(verdict.witness) if verdict.witness else None,

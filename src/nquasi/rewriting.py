@@ -19,7 +19,6 @@ from .terms import (
     ParseError,
     Position,
     Signature,
-    Substitution,
     Term,
     Var,
     _FrozenRecord,
@@ -301,21 +300,9 @@ def _lifted(system, t: Term, below):
             yield App(symbol, (*args[:i], result, *args[i + 1 :])), label, (i + 1, *pos)
 
 
-def _walk(system):
-    """`walk(t)`: the steps of t, positions in pre-order and rules in order
-    at each, computed only as consumed."""
-    walk = lambda t: _lifted(system, t, walk)
-    return walk
-
-
-def rewrite_steps(system, t: Term) -> set:
-    """All one-step successors of t: (result, step label, position)."""
-    return set(_walk(system)(t))
-
-
 def _step_memo(system):
-    """`steps(t)`: the list of `_lifted` steps of t, computed once per term
-    and kept."""
+    """`steps(t)`: the list of `_lifted` steps of t, positions in pre-order
+    and rules in order at each, computed once per term and kept."""
     memo = {}
 
     def steps(t: Term) -> list:
@@ -327,6 +314,11 @@ def _step_memo(system):
         return found
 
     return steps
+
+
+def rewrite_steps(system, t: Term) -> set:
+    """All one-step successors of t: (result, step label, position)."""
+    return set(_step_memo(system)(t))
 
 
 def step_key(step) -> tuple:
@@ -400,7 +392,7 @@ def normalize(
         from random import Random  # imported only by the strategy that uses it
 
         rng = Random(seed)
-    walk = _walk(system)
+    walk = lambda t: _lifted(system, t, walk)  # pre-order, computed only as consumed
     current = t
     while True:
         if rng is None:
@@ -423,7 +415,7 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     """
     if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
-    return _reach(_walk(system), t, cap)
+    return _reach(_step_memo(system), t, cap)
 
 
 def _reach(steps, t: Term, cap: int) -> set:
@@ -442,6 +434,13 @@ def _reach(steps, t: Term, cap: int) -> set:
                     fresh.append(v)
         frontier = fresh
     return seen
+
+
+def _joins(steps, t1: Term, t2: Term, cap: int) -> bool:
+    """Whether t1 and t2 have a common reduct under the one-step relation
+    `steps`: t2 is a reduct of t1, or the two reduct sets meet."""
+    reach1 = _reach(steps, t1, cap)
+    return t2 in reach1 or not reach1.isdisjoint(_reach(steps, t2, cap))
 
 
 def joinable(system, t1: Term, t2: Term, cap: int = DEFAULT_REDUCT_CAP):
@@ -487,10 +486,6 @@ class CriticalPair(_FrozenRecord):
         _setattr(self, "position", position)
         _setattr(self, "mgu", mgu)
         _setattr(self, "trivial", trivial)
-
-    @property
-    def mgu_dict(self) -> Substitution:
-        return dict(self.mgu)
 
     def __str__(self) -> str:
         return "(%s, %s) from %s x %s at %s" % (
@@ -582,13 +577,13 @@ class ConfluenceVerdict(_Record):
 def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdict:
     """Confluent iff every critical pair is joinable (for a terminating
     system).  Termination is certified via the size-decrease check; if that
-    fails, TerminationNotVerified is raised rather than a guess returned."""
+    fails, TerminationNotVerified is raised rather than a guess returned.
+    One memoized step relation (`_step_memo`) serves every pair of a call."""
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     pairs = critical_pairs(trs)
-    bad = tuple(
-        cp for cp in pairs if not cp.trivial and not joinable(trs, cp.left, cp.right, cap)[0]
-    )
+    steps = _step_memo(trs)
+    bad = tuple(cp for cp in pairs if not cp.trivial and not _joins(steps, cp.left, cp.right, cap))
     return ConfluenceVerdict(
         status="not-confluent" if bad else "confluent",
         witness=bad[0] if bad else None,
@@ -787,7 +782,6 @@ def local_confluence_oracle(
             if term not in succs:
                 succs.append(term)
         for t1, t2 in itertools.combinations(succs, 2):
-            reach1 = _reach(steps, t1, cap)
-            if t2 not in reach1 and reach1.isdisjoint(_reach(steps, t2, cap)):
+            if not _joins(steps, t1, t2, cap):
                 return OracleVerdict(status="not-confluent", peak=peak, pair=(t1, t2), peaks_checked=checked)
     return OracleVerdict(status="confluent", peaks_checked=checked)

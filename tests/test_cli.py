@@ -167,14 +167,25 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--trs", "/nonexistent.trs")
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize(
-        "flags", [(), ("--json",), ("--conditions", "--confluence", "--critical-pairs")], ids=" ".join
-    )
+    # stdout on refusal: text mode prints the sections computed before it
+    SWAP_REFUSAL_OUT = {
+        (): "",
+        ("--json",): "",
+        ("--conditions", "--confluence", "--json"): "",
+        ("--conditions", "--confluence", "--critical-pairs"): (
+            "conditions: size-decrease FAIL, constants holds, subterm-variables ok\n"
+            "  size-decrease fails for rule swap\n"
+            "1 critical pairs (1 trivial)\n"
+            "  (f(v2,v1), f(v2,v1)) from swap x swap at [] [trivial]\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", list(SWAP_REFUSAL_OUT), ids=" ".join)
     def test_termination_not_verified(self, capsys, tmp_path, flags):
         path = tmp_path / "swap.trs"
         path.write_text("sig f/2\nrule swap: f(x,y) -> f(y,x)\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "check", "--trs", str(path), *flags)
-        assert (code, out) == (2, "")
+        assert (code, out) == (2, self.SWAP_REFUSAL_OUT[flags])
         assert err == "error: termination not verified (rules do not strictly decrease size)\n"
 
     def test_reduct_cap_env(self, capsys, complete_loop_file, monkeypatch):

@@ -19,7 +19,9 @@ per-slot head masks of the rule index for matching and unifying, checked
 against the two-branch `unify`, the leftmost loop and the two filters they
 replaced;
 the local-confluence oracle on one memoized step relation, checked
-against the oracle on `rewrite_steps` and `joinable` it replaced; the
+against the oracle on `rewrite_steps` and `joinable` it replaced;
+`check_confluence` on the oracle's join test, checked against the
+`joinable` decision on each critical pair that it replaced; the
 one-step relation as root steps plus lifted argument steps, checked for
 steps, reducts, normal forms and traces against the position walk with
 `replace_at` that it replaced; innermost normalization in one post-order
@@ -1872,6 +1874,75 @@ def _system_and_term(trs, elements=()):
 
 
 # ---------------------------------------------------------------------------
+# check_confluence on the oracle's join test over one memoized step relation
+# per call, against the decision by `joinable` on each pair that it replaced
+
+
+def reference_nonjoinable(trs, cap=DEFAULT_REDUCT_CAP):
+    """The non-trivial critical pairs for which `joinable` finds no common reduct."""
+    return tuple(cp for cp in critical_pairs(trs) if not cp.trivial and not joinable(trs, cp.left, cp.right, cap)[0])
+
+
+def _confluence_cases():
+    cases = {}
+    for kind in ("quasigroup", "loop"):
+        for n in range(1, 5):
+            for complete in (False, True):
+                name = "%s_%s(%d)" % ("complete" if complete else "base", kind, n)
+                cases[name] = lambda kind=kind, n=n, complete=complete: generate_trs(VarietySpec(kind, n, complete))
+    for kind, seed, prefix in (("quasigroup", 71, "mq"), ("loop", 72, "ml")):  # the AC07 mutants
+        for i in range(10):
+            build = lambda kind=kind, seed=seed, prefix=prefix, i=i: confluence_mutants(
+                generate_trs(VarietySpec(kind, 2, True)), 10, seed=seed, label_prefix=prefix
+            )[i]
+            cases["ac07_%s_mutant#%d" % (kind, i)] = build
+    cases["handmade"] = lambda: parse_trs(HANDMADE_TRS)
+    for name in sorted(UNF_CASES):
+        cases[name] = UNF_CASES[name][0]
+    for name in TABLE_MUTANT_CASES:
+        for k in range(3):
+            cases["%s-mutant%d" % (name, k)] = lambda name=name, k=k: table_value_mutants(UNF_CASES[name][0](), 3, seed=name)[k]
+    return cases
+
+
+CONFLUENCE_CASES = _confluence_cases()
+
+
+def confluence_outcome(decide):
+    """The non-joinable pairs that `decide()` returns, or the message of the CapExceeded it raises."""
+    try:
+        return decide()
+    except CapExceeded as exc:
+        return "cap exceeded: %s" % exc
+
+
+@pytest.mark.parametrize("name", list(CONFLUENCE_CASES))
+def test_check_confluence_matches_the_joinable_decision(name):
+    trs = CONFLUENCE_CASES[name]()
+    expected = reference_nonjoinable(trs)
+    verdict = check_confluence(trs)
+    assert verdict.nonjoinable == expected
+    assert verdict.witness == (expected[0] if expected else None)
+    assert verdict.status == ("not-confluent" if expected else "confluent")
+    for cap in (1, 2):
+        expected = confluence_outcome(lambda: reference_nonjoinable(trs, cap))
+        assert confluence_outcome(lambda: check_confluence(trs, cap).nonjoinable) == expected
+
+
+def test_confluence_cases_cover_both_verdicts_the_cap_and_a_join_below_both_sides():
+    verdicts = [check_confluence(build()) for build in CONFLUENCE_CASES.values()]
+    assert {v.status for v in verdicts} == {"confluent", "not-confluent"}
+    trs = CONFLUENCE_CASES["handmade"]()  # neither side of such a pair is a reduct of the other
+    assert any(
+        joinable(trs, cp.left, cp.right)[0] and cp.right not in reducts(trs, cp.left) and cp.left not in reducts(trs, cp.right)
+        for cp in critical_pairs(trs)
+    )
+    for cap in (1, 2):
+        outcomes = [confluence_outcome(lambda: reference_nonjoinable(build(), cap)) for build in CONFLUENCE_CASES.values()]
+        assert any(isinstance(o, str) for o in outcomes) and any(isinstance(o, tuple) for o in outcomes), cap
+
+
+# ---------------------------------------------------------------------------
 # the one-step relation: the position walk that `_lifted` replaced, which
 # rebuilt the term at each position with a step by `replace_at`
 
@@ -1933,7 +2004,7 @@ def test_memoized_steps_are_the_rewrite_steps(case):
 @given(case=_STEP_CASES)
 def test_steps_and_reducts_are_the_position_walk_steps_and_reducts(case):
     trs, t = case
-    assert list(rewriting._walk(trs)(t)) == list(reference_successors(trs, t, positions)), str(t)
+    assert _step_memo(trs)(t) == list(reference_successors(trs, t, positions)), str(t)
     assert rewrite_steps(trs, t) == set(reference_successors(trs, t, positions))
     assert reducts(trs, t) == reference_reducts(trs, t)
 

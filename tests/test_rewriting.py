@@ -597,7 +597,7 @@ class TestCriticalPairs:
             for cp in critical_pairs(BL2)
             if cp.rule1 == "2.2[i=1]" and cp.rule2 == "2.3[i=1]" and cp.position == ()
         ]
-        assert {k: str(v) for k, v in cp.mgu_dict.items()} == {"x": "g1(x1,e)", "x2": "e"}
+        assert {k: str(v) for k, v in dict(cp.mgu).items()} == {"x": "g1(x1,e)", "x2": "e"}
         assert str(cp.peak) == "f(g1(v1,e),e)"
 
     def test_division_overlap_unifier_provenance(self):
@@ -608,7 +608,7 @@ class TestCriticalPairs:
             for cp in critical_pairs(BQ2)
             if cp.rule1 == "2.4[i=1]" and cp.rule2 == "2.3[i=2]" and cp.position == (1,)
         ]
-        sigma = cp.mgu_dict
+        sigma = dict(cp.mgu)
         assert str(sigma["x2"]).startswith("g2(")
         assert sigma["x1"] == subterm_at(sigma["x2"], (1,))
 
