@@ -207,7 +207,7 @@ def cmd_check(args) -> int:
     if do_confluence:
         try:
             verdict = check_confluence(trs, cap)
-        except TerminationNotVerified:
+        except (TerminationNotVerified, CapExceeded):
             if not args.json:  # the text sections computed so far, then main reports the refusal
                 for line in human:
                     print(line)

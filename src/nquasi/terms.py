@@ -425,73 +425,67 @@ def strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "(),":
-            tokens.append(c)
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if not m:
-            raise ParseError("unexpected character %r in term" % c)
-        tokens.append(m.group())
-        i = m.end()
-    return tokens
+# a token of a term: punctuation, an identifier or, in group 1, any other
+# non-space character, which is an error
+_TOKEN_RE = re.compile(r"[(),]|%s|(\S)" % _IDENT_RE.pattern)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse the concrete term syntax.  Identifiers not in the signature
-    become variables; declared symbols must be applied at their arity."""
-    tokens = _tokenize(strip_comments(text))
-    pos = 0
+    become variables; declared symbols must be applied at their arity.
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
+    The whole text is tokenized first, so a bad character is reported
+    before any syntax error.  One loop then reads the tokens, keeping each
+    application whose `)` is still to come on an explicit stack as
+    (symbol, arguments so far), so a term of any depth parses."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(strip_comments(text)):
+        if m.lastindex:
+            raise ParseError("unexpected character %r in term" % m[1])
+        tokens.append(m[0])
+    tokens.append(None)  # the end of the term
+    stack = []
+    i = 0
+    while True:  # a term starts at tokens[i]
+        name = tokens[i]
+        if name is None:
             raise ParseError("unexpected end of term in %r" % text)
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, found %r in %r" % (expected, tok, text))
-        pos += 1
-        return tok
-
-    def term():
-        name = take()
+        i += 1
         if name in "(),":
             raise ParseError("unexpected %r in %r" % (name, text))
-        if peek() == "(":
+        if tokens[i] == "(":
             if name not in sig:
                 raise ParseError("undeclared symbol %r in %r" % (name, text))
-            take("(")
-            args = [term()]
-            while peek() == ",":
-                take(",")
-                args.append(term())
-            take(")")
-            if sig.arity(name) != len(args):
+            stack.append((name, []))
+            i += 1
+            continue
+        if name not in sig:
+            t = Var(name)
+        elif sig.arity(name):
+            raise ParseError("symbol %s expects %d arguments" % (name, sig.arity(name)))
+        else:
+            t = App(name)
+        while stack:  # t is whole: close each application whose last argument it is
+            symbol, args = stack[-1]
+            args.append(t)
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                break
+            if tok is None:
+                raise ParseError("unexpected end of term in %r" % text)
+            if tok != ")":
+                raise ParseError("expected ')', found %r in %r" % (tok, text))
+            stack.pop()
+            if sig.arity(symbol) != len(args):
                 raise ParseError(
-                    "symbol %s expects %d arguments, got %d" % (name, sig.arity(name), len(args))
+                    "symbol %s expects %d arguments, got %d" % (symbol, sig.arity(symbol), len(args))
                 )
-            return App(name, tuple(args))
-        if name in sig:
-            if sig.arity(name) != 0:
-                raise ParseError("symbol %s expects %d arguments" % (name, sig.arity(name)))
-            return App(name)
-        return Var(name)
-
-    result = term()
-    if pos != len(tokens):
-        raise ParseError("trailing input %r in %r" % (tokens[pos:], text))
-    return result
+            t = App(symbol, tuple(args))
+        else:  # no application is open: t is the whole term
+            if tokens[i] is not None:
+                raise ParseError("trailing input %r in %r" % (tokens[i:-1], text))
+            return t
 
 
 def term_key(t: Term):

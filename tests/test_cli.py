@@ -193,6 +193,15 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--trs", complete_loop_file)
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_reduct_cap_refusal_keeps_the_sections_before_it(self, capsys, tmp_path, monkeypatch, json_flag):
+        path = tmp_path / "cq2.trs"
+        path.write_text(format_trs(generate_trs(VarietySpec("quasigroup", 2, complete=True))), encoding="utf-8")
+        monkeypatch.setenv("NQ_REDUCT_CAP", "1")
+        code, out, err = run_cli(capsys, "check", "--trs", str(path), "--conditions", "--confluence", *json_flag)
+        expected = "" if json_flag else "conditions: size-decrease ok, constants holds, subterm-variables ok\n"
+        assert (code, out, err) == (3, expected, "error: reduct set exceeded cap 1\n")
+
 
 class TestNormalize:
     def test_simple(self, capsys, base_quasi_file):
@@ -572,20 +581,22 @@ class TestHostileInput:
         assert err.startswith("error: " + message)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, reason",
         [
-            ["gen-trs", "--kind", "quasigroup", "--n", "-1"],
-            ["normalize", "--trs", "{trs}", "--term", "f(g1(x1,x2),x2)", "--max-steps", "-1"],
-            ["complete", "--trs", "{trs}", "--max-rounds", "-1"],
-            ["amalgam", "--diagram", "{diagram}", "--check-unf", "--depth", "-1"],
+            (["gen-trs", "--kind", "quasigroup", "--n", "-1"], "must be at least 1, got -1"),
+            (["normalize", "--trs", "{trs}", "--term", "f(g1(x1,x2),x2)", "--max-steps", "-1"], "must be at least 0, got -1"),
+            (["complete", "--trs", "{trs}", "--max-rounds", "-1"], "must be at least 0, got -1"),
+            (["amalgam", "--diagram", "{diagram}", "--check-unf", "--depth", "-1"], "must be at least 0, got -1"),
+            (["normalize", "--trs", "{trs}", "--term", "f(g1(x1,x2),x2)", "--max-steps", "1.5"], "invalid int value: '1.5'"),
         ],
-        ids=["n", "max-steps", "max-rounds", "depth"],
+        ids=["n", "max-steps", "max-rounds", "depth", "max-steps-not-an-int"],
     )
-    def test_negative_count(self, capsys, base_quasi_file, diagram_file, argv):
+    def test_negative_count(self, capsys, base_quasi_file, diagram_file, argv, reason):
         argv = [arg.format(trs=base_quasi_file, diagram=diagram_file) for arg in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert "error: argument %s: must be at least" % argv[-2] in err
+        # argparse's usage lines come first, wrapped to the terminal width
+        assert err.endswith("\nnq %s: error: argument %s: %s\n" % (argv[0], argv[-2], reason))
 
     @pytest.mark.parametrize("subcommand", ["check", "amalgam", "codescent"])
     def test_non_utf8_file(self, capsys, tmp_path, subcommand):
@@ -707,8 +718,8 @@ def test_each_subcommand_imports_only_its_layers(capsys, base_quasi_file, diagra
 
 
 def test_a_deep_well_formed_term_prints_as_its_own_normal_form(complete_loop_file):
-    # 800 levels fit under the recursion limit in the parser and in
-    # innermost normalization, one frame a level; printing takes none
+    # 800 levels fit under the recursion limit in innermost normalization,
+    # one frame a level; parsing and printing take none
     term = "f(" * 800 + "x" + ",x)" * 800
     assert run_fresh("normalize", "--trs", complete_loop_file, "--term", term)[:3] == (0, "normal form: %s\n" % term, "")
 
@@ -721,12 +732,27 @@ def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_
     bad_map = tmp_path / "bad_map.json"
     z2, z4, z9 = (algebra_to_json(cyclic_loop(m)) for m in (2, 4, 9))
     bad_map.write_text(json.dumps({"source": z2, "target": z4, "map": {"0": "0", "1": "1"}}), encoding="utf-8")
+    list_map, int_map = tmp_path / "list_map.json", tmp_path / "int_map.json"
+    list_map.write_text(json.dumps({"source": z2, "target": z4, "map": [["0", "0"], ["1", "2"]]}), encoding="utf-8")
+    int_map.write_text(json.dumps({"source": z2, "target": z4, "map": {"0": "0", "1": 2}}), encoding="utf-8")
+    three_factors = tmp_path / "three_factors.json"
+    three_factors.write_text(
+        json.dumps(dict(diagram, factors=diagram["factors"] + [algebra_to_json(cyclic_loop(3, name="Z3c"))], embeddings=[{"0": "0"}] * 3)),
+        encoding="utf-8",
+    )
     too_large = tmp_path / "too_large.json"
     too_large.write_text(
         json.dumps({"source": z9, "target": z9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8"
     )
     cases = [
         (["amalgam", "--diagram", str(one_embedding), "--check-unf"], 2, "error: need one embedding per factor\n"),
+        (
+            ["amalgam", "--diagram", str(three_factors), "--check-strong-amalgamation"],
+            2,
+            "error: strong amalgamation check needs exactly two factors\n",
+        ),
+        (["codescent", "--embedding", str(list_map)], 2, "error: bad embedding file: map must be an object of element names\n"),
+        (["codescent", "--embedding", str(int_map)], 2, "error: bad embedding file: map must be an object of element names\n"),
         (
             ["codescent", "--embedding", str(bad_map)],
             2,

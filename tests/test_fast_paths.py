@@ -42,7 +42,10 @@ error messages and embedding violations against the name-keyed
 total-table check, JSON nesting, division derivation and embedding loop
 it replaced; and the hand-written term classes with their iterative
 `str`, checked for equality, hashes, set order, `repr` and immutability
-against the frozen dataclasses they replaced.  The reference implementations below
+against the frozen dataclasses they replaced; and the term reader as one
+loop over regex tokens with an explicit stack, checked for every parsed
+term and error message against the character-loop tokenizer and
+recursive-descent parser it replaced.  The reference implementations below
 are kept only for these comparisons."""
 
 import dataclasses
@@ -51,6 +54,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import types
 
 import pytest
@@ -119,8 +123,10 @@ from nquasi.rewriting import (
 )
 from nquasi.terms import (
     _first_occurrences,
+    _IDENT_RE,
     App,
     Elem,
+    ParseError,
     Signature,
     Var,
     apply_substitution,
@@ -133,6 +139,7 @@ from nquasi.terms import (
     rename_apart,
     replace_at,
     size,
+    strip_comments,
     subterm_at,
     unify,
     variables,
@@ -2792,3 +2799,151 @@ def test_records_compare_hash_and_print_by_their_fields():
     assert verdict == check_confluence(complete_loop(2)) and verdict != OracleVerdict("confluent")
     with pytest.raises(TypeError, match="unhashable"):
         hash(verdict)
+
+
+# ---------------------------------------------------------------------------
+# the term reader: the character-loop tokenizer and recursive-descent parser
+# that one loop over regex tokens with an explicit stack replaced
+
+
+def reference_tokenize(text: str) -> list:
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "(),":
+            tokens.append(c)
+            i += 1
+            continue
+        m = _IDENT_RE.match(text, i)
+        if not m:
+            raise ParseError("unexpected character %r in term" % c)
+        tokens.append(m.group())
+        i = m.end()
+    return tokens
+
+
+def reference_parse_term(text: str, sig: Signature):
+    tokens = reference_tokenize(strip_comments(text))
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ParseError("unexpected end of term in %r" % text)
+        tok = tokens[pos]
+        if expected is not None and tok != expected:
+            raise ParseError("expected %r, found %r in %r" % (expected, tok, text))
+        pos += 1
+        return tok
+
+    def term():
+        name = take()
+        if name in "(),":
+            raise ParseError("unexpected %r in %r" % (name, text))
+        if peek() == "(":
+            if name not in sig:
+                raise ParseError("undeclared symbol %r in %r" % (name, text))
+            take("(")
+            args = [term()]
+            while peek() == ",":
+                take(",")
+                args.append(term())
+            take(")")
+            if sig.arity(name) != len(args):
+                raise ParseError(
+                    "symbol %s expects %d arguments, got %d" % (name, sig.arity(name), len(args))
+                )
+            return App(name, tuple(args))
+        if name in sig:
+            if sig.arity(name) != 0:
+                raise ParseError("symbol %s expects %d arguments" % (name, sig.arity(name)))
+            return App(name)
+        return Var(name)
+
+    result = term()
+    if pos != len(tokens):
+        raise ParseError("trailing input %r in %r" % (tokens[pos:], text))
+    return result
+
+
+def parsed(parse, text, sig):
+    """repr of the parsed term, or the ParseError message."""
+    try:
+        return repr(parse(text, sig))
+    except ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+# the eight messages, each by a pattern that no other one matches
+PARSE_ERRORS = {
+    "bad character": r"unexpected character .+ in term",
+    "end": r"unexpected end of term in .+",
+    "expected": r"expected '\)', found .+ in .+",
+    "unexpected": r"unexpected '[(),]' in .+",
+    "undeclared": r"undeclared symbol .+ in .+",
+    "arity": r"symbol \S+ expects \d+ arguments, got \d+",
+    "bare symbol": r"symbol \S+ expects \d+ arguments",
+    "trailing": r"trailing input \[.+\] in .+",
+}
+
+# every str.splitlines boundary, other Unicode whitespace, the comment sign,
+# identifier characters, punctuation and characters no term contains
+MUTATION_CHARS = (
+    "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" + " \t\x1f\xa0\u2003\u3000" + "#" * 4 + "@._xe01" + "(),,))" + "$-\xe9\x00"
+)
+
+
+def random_term(rng, sig, depth):
+    applied = [s for s, k in sig.symbols.items() if k]
+    if depth and rng.random() < 0.7:
+        symbol = rng.choice(applied)
+        return App(symbol, tuple(random_term(rng, sig, depth - 1) for _ in range(sig.arity(symbol))))
+    leaf = rng.choice(["x", "y1", "a.b", "2@1", "_"] + sig.constants())
+    return App(leaf) if leaf in sig else Var(leaf)
+
+
+def mutated_terms(sig, count, seed):
+    """Printed random terms over sig, most with one to three single-character
+    insertions, deletions or replacements."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = str(random_term(rng, sig, rng.randint(0, 3)))
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            i = rng.randint(0, len(text))
+            kind = rng.randrange(3)  # insert, replace, delete
+            c = rng.choice(MUTATION_CHARS)
+            text = text[:i] + (c if kind < 2 else "") + text[i + (kind > 0) :]
+        yield text
+
+
+def test_term_reader_matches_the_recursive_parser_on_a_mutated_corpus():
+    sig = complete_loop(2).signature  # f, g1, g2 and the constant e
+    seen = set()
+    corpus = list(mutated_terms(sig, 100_000, 34))
+    for text in corpus:
+        expected = parsed(reference_parse_term, text, sig)
+        assert parsed(parse_term, text, sig) == expected, text
+        if expected.startswith("ParseError: "):
+            message = expected[len("ParseError: ") :]
+            seen.update(name for name, pattern in PARSE_ERRORS.items() if re.fullmatch(pattern, message, re.S))
+    assert seen == set(PARSE_ERRORS)
+    for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\xa0\u3000#@.":
+        assert any(c in text for text in corpus), repr(c)
+
+
+def test_a_deep_term_parses_and_prints_back():
+    sig = Signature({"f": 2})
+    text = "f(" * 10_000 + "." + ",x)" * 10_000
+    t = parse_term(text, sig)
+    assert str(t) == text
+    for _ in range(10_000):  # down the first arguments, without ==
+        assert (t.symbol, len(t.args), t.args[1].__class__, t.args[1].name) == ("f", 2, Var, "x")
+        t = t.args[0]
+    assert (t.__class__, t.name) == (Var, ".")

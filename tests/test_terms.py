@@ -239,6 +239,11 @@ class TestParser:
 
     def test_whitespace_and_comments(self):
         assert t2(" f( x1 ,\n x2 ) # trailing comment") == t2("f(x1,x2)")
+        # a comment ends at every line boundary of str.splitlines, and only there
+        for boundary in ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+            assert t2("f(x1, # comment )%sx2)" % boundary) == t2("f(x1,x2)")
+        with pytest.raises(ParseError, match="unexpected end of term"):
+            t2("f(x1, x2 # comment\x1f)")
 
     def test_constant(self):
         sig = Signature({"f": 2, "e": 0})
@@ -265,6 +270,9 @@ class TestParser:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             t2("f(x,y)!")
+        # reported before any syntax error, wherever it is
+        with pytest.raises(ParseError, match=r"^unexpected character '\$' in term$"):
+            t2(")f(x,$")
 
 
 def test_size_counts_nodes():
