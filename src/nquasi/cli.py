@@ -137,7 +137,8 @@ def _pair_json(cp) -> dict:
 def _emit(args, command, inputs, verdict, details, exit_code, human_lines) -> int:
     """Print the report and return its exit code.  With --json the report
     is one JSON object, and only then is `inputs()` called for its input
-    digests; otherwise the human lines are printed."""
+    digests (`check` and `complete` also build `details` only then);
+    otherwise the human lines are printed."""
     if getattr(args, "json", False):
         import json
 
@@ -179,11 +180,8 @@ def cmd_check(args) -> int:
 
     if args.conditions:
         report = check_conditions(trs)
-        details["conditions"] = {
-            "star": report.star,
-            "star2": report.star2,
-            "star3": report.star3,
-        }
+        if args.json:
+            details["conditions"] = {"star": report.star, "star2": report.star2, "star3": report.star3}
         ok = ok and report.star_ok and report.star3_ok
         human.append("conditions: size-decrease %s, constants %s, subterm-variables %s"
                      % ("ok" if report.star_ok else "FAIL",
@@ -198,7 +196,8 @@ def cmd_check(args) -> int:
 
     if args.critical_pairs:
         pairs = critical_pairs(trs)
-        details["critical_pairs"] = [_pair_json(cp) for cp in pairs]
+        if args.json:
+            details["critical_pairs"] = [_pair_json(cp) for cp in pairs]
         human.append("%d critical pairs (%d trivial)" % (len(pairs), sum(cp.trivial for cp in pairs)))
         for cp in pairs:
             flag = " [trivial]" if cp.trivial else ""
@@ -212,11 +211,12 @@ def cmd_check(args) -> int:
                 for line in human:
                     print(line)
             raise
-        details["confluence"] = {
-            "status": verdict.status,
-            "witness": _pair_json(verdict.witness) if verdict.witness else None,
-            "nonjoinable": [_pair_json(cp) for cp in verdict.nonjoinable],
-        }
+        if args.json:
+            details["confluence"] = {
+                "status": verdict.status,
+                "witness": _pair_json(verdict.witness) if verdict.witness else None,
+                "nonjoinable": [_pair_json(cp) for cp in verdict.nonjoinable],
+            }
         human.append(verdict.status.replace("-", " "))
         if verdict.witness is not None:
             human.append("witness: rules %s x %s at position %s"
@@ -258,7 +258,7 @@ def cmd_complete(args) -> int:
             {"rule": str(rule), "source_pair": _pair_json(cp)} for rule, cp in result.adopted
         ],
         "trs": format_trs(result.trs),
-    }
+    } if args.json else None
     human = ["confluent after %d completion round(s), %d rule(s) added"
              % (result.rounds, len(result.adopted))]
     for rule, cp in result.adopted:

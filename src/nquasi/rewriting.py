@@ -11,6 +11,7 @@ terms provides an independent cross-check of the critical-pair route.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .terms import (
     _IDENT_RE,
@@ -113,6 +114,7 @@ class Trs:
         self.signature = signature
         self.rules = rules
         self._index = _RuleIndex(rules)
+        self.collapsing = frozenset(r.label for r in rules if isinstance(r.rhs, Var))  # right side a variable
         self.conditions = ConditionsReport(  # returned by check_conditions
             star={r.label: _rule_star(r) for r in rules},
             star2="holds" if len(signature.constants()) <= 1 else "undetermined",
@@ -349,8 +351,11 @@ def normalize(
     the steps of restarting the post-order walk from the root after each
     step: the first redex of that walk lies in the leftmost argument that
     is not yet normal, else at the root, and after a root step inside its
-    result, whose arguments may hold new redexes.  Outermost and random
-    walk the whole term again after every step.
+    result, whose arguments may hold new redexes.  A step by a rule of
+    `system.collapsing`, whose right side is a variable, ends the pass at
+    once: its result is a subterm of the arguments just normalized, so it
+    is normal.  Outermost and random walk the whole term again after every
+    step.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
@@ -366,6 +371,7 @@ def normalize(
             raise StepBoundExceeded("no normal form within %d steps" % max_steps)
 
     if strategy == "leftmost-innermost":
+        collapsing = system.collapsing
 
         def nf(t: Term, pos: Position) -> Term:
             # a loop over the steps at pos and over the arguments: a call per
@@ -384,6 +390,8 @@ def normalize(
                     break
                 t, label, _root = steps[0]
                 record(label, pos)
+                if label in collapsing:
+                    break
             return t
 
         return nf(t, ()), tuple(trace)
@@ -703,26 +711,61 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
 def enumerate_terms(sig: Signature, max_size: int, num_vars: int = 3) -> list:
     """All terms of size <= max_size over the signature and the first
     num_vars of v1, v2, ... that are not symbols (complete up to renaming)."""
-    leaves = [Var(name) for name in fresh_names("v", num_vars, sig)]
-    leaves += [App(c) for c in sig.constants()]
-    return terms_up_to(leaves, [(s, k) for s, k in sig.symbols.items() if k >= 1], max_size)
+    pool, leaves, symbols = _universe(sig, num_vars)
+    return terms_up_to(pool + leaves, symbols, max_size)
 
 
 def terms_up_to(leaves, symbols, max_size: int) -> list:
     """All terms of size <= max_size built from the given leaves and
     (symbol, arity >= 1) pairs, smallest first."""
-    by_size = {1: list(leaves)}
-    for n in range(2, max_size + 1):
-        bucket = []
+    return [t for t, _used in _canonical_terms((), leaves, symbols, max_size)]
+
+
+def _universe(sig: Signature, num_vars: int):
+    """The variable pool, the constants and the (symbol, arity >= 1) pairs
+    that `enumerate_terms` builds its terms from."""
+    pool = [Var(name) for name in fresh_names("v", num_vars, sig)]
+    return pool, [App(c) for c in sig.constants()], [(s, k) for s, k in sig.symbols.items() if k >= 1]
+
+
+def _canonical_terms(pool, leaves, symbols, max_size: int):
+    """(term, j) for each term of `terms_up_to(pool + leaves, symbols,
+    max_size)` whose pool variables first occur in pool order (v1 first,
+    then v2, ...), j being how many it uses, in that enumeration's order;
+    with an empty pool, every term.
+
+    A bucket holds the terms of one size built after `used` pool variables
+    have occurred: those may repeat and only pool[used] may come next.  An
+    application's arguments are filled left to right, each from the bucket
+    of its size after the variables its left neighbours used.  Buckets are
+    built on first use and kept for arguments; the largest size, which is
+    no argument, comes in chunks and is not kept."""
+    buckets = {}
+
+    def bucket(n, used):
+        found = buckets.get((n, used))
+        if found is None:
+            buckets[n, used] = found = [item for chunk in build(n, used) for item in chunk]
+        return found
+
+    def build(n, used):
+        # chunks of (term, pool variables used after it), in enumeration order
+        if n == 1:
+            fresh = [(pool[used], used + 1)] if used < len(pool) else []
+            yield [(v, used) for v in pool[:used]] + fresh + [(leaf, used) for leaf in leaves]
+            return
         for symbol, k in symbols:
             for split in _compositions(n - 1, k):
-                for args in itertools.product(*(by_size[s] for s in split)):
-                    bucket.append(App(symbol, args))
-        by_size[n] = bucket
-    out = []
-    for n in range(1, max_size + 1):
-        out.extend(by_size[n])
-    return out
+                heads = [((), used)]
+                for s in split[:-1]:
+                    heads = [((*args, t), after) for args, before in heads for t, after in bucket(s, before)]
+                for args, before in heads:
+                    yield [(App(symbol, (*args, t)), after) for t, after in bucket(split[-1], before)]
+
+    for n in range(1, max_size):
+        yield from bucket(n, 0)
+    for chunk in build(max_size, 0):
+        yield from chunk
 
 
 def _compositions(total: int, parts: int):
@@ -757,31 +800,63 @@ def local_confluence_oracle(
     with verified termination this decides confluence by Newman's lemma,
     without ever looking at critical pairs.
 
+    The scan visits one term per class of `enumerate_terms` under bijective
+    renamings of the variable pool: the term whose pool variables first
+    occur in pool order (`_canonical_terms`).  A class whose term uses j
+    pool variables has perm(num_vars, j) members, which a confluent verdict
+    counts in `peaks_checked`.  Verdict, peak, pair and exception are those
+    of the scan over every term:
+
+    - Members of a class have one shape, and the enumeration orders terms
+      of one shape lexicographically by their leaf sequences, leaves by
+      their place in pool + constants, so pool variables come first and in
+      pool order.  At the first leaf where a member differs from the
+      first-occurrence term, both have seen the same v1, ..., vi; the
+      first-occurrence term has one of them or v(i+1), the member an unseen
+      variable other than v(i+1), so the first-occurrence term comes first.
+    - The rewrite relation is closed under substitution, so a bijective
+      renaming maps steps to steps with the same label and position (so in
+      the same `step_key` order), reduct searches to reduct searches of the
+      same sizes and joins to joins: being a peak, failing to join and
+      exceeding the cap are the same for every member of a class.
+    - So the first non-joinable pair or `CapExceeded` of the full scan falls
+      on a first-occurrence term, where this scan meets it in the same way.
+
+    A failing verdict counts the peaks of the full enumeration up to its
+    peak, as class sizes would also count members that come after it.
+
     One step relation serves the whole call (`_step_memo`): a term's steps
     are its root steps plus the steps of its arguments, which are computed
     once and kept, so a subterm is matched against the rules once however
     many terms contain it.  A peak's own steps are lifted from its
     arguments' here and not kept: most peaks have the largest size and are
     an argument of no other term, so keeping them would grow the memo by
-    most of the universe (peak RSS 31 MB against 21 MB on complete_loop(2)
-    at size 7), and looking them up would hash every peak for almost no
-    hits.  The steps of the reducts that the joinability walks visit are
-    kept.  Like check_confluence, it raises TerminationNotVerified on a
-    system whose termination the size-decrease check does not certify."""
+    most of the terms visited (a process peak RSS of 18.3 MB against 15.6
+    MB on complete_loop(2) at size 7, Python 3.11), and looking them up
+    would hash every peak for almost no hits.  The steps of the reducts
+    that the joinability walks visit are kept.  Like check_confluence, it
+    raises TerminationNotVerified on a system whose termination the
+    size-decrease check does not certify."""
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     steps = _step_memo(trs)
+    pool, leaves, symbols = _universe(trs.signature, num_vars)
     checked = 0
-    for peak in enumerate_terms(trs.signature, max_size, num_vars):
+    for peak, used in _canonical_terms(pool, leaves, symbols, max_size):
         found = list(_lifted(trs, peak, steps))
         if len(found) < 2:
             continue
-        checked += 1
+        checked += math.perm(num_vars, used)
         succs = []
         for term, _label, _pos in sorted(found, key=step_key):
             if term not in succs:
                 succs.append(term)
         for t1, t2 in itertools.combinations(succs, 2):
             if not _joins(steps, t1, t2, cap):
+                checked = 0
+                for t, _used in _canonical_terms((), pool + leaves, symbols, size(peak)):
+                    checked += len(list(itertools.islice(_lifted(trs, t, steps), 2))) == 2
+                    if t == peak:
+                        break
                 return OracleVerdict(status="not-confluent", peak=peak, pair=(t1, t2), peaks_checked=checked)
     return OracleVerdict(status="confluent", peaks_checked=checked)

@@ -45,13 +45,19 @@ it replaced; and the hand-written term classes with their iterative
 against the frozen dataclasses they replaced; and the term reader as one
 loop over regex tokens with an explicit stack, checked for every parsed
 term and error message against the character-loop tokenizer and
-recursive-descent parser it replaced.  The reference implementations below
+recursive-descent parser it replaced; and the term enumerator as one
+generator over a variable pool that yields one term per renaming class,
+checked against the product over every split of the size that it
+replaced, with the oracle on those terms checked against the oracle on
+every term.  The reference implementations below
 are kept only for these comparisons."""
 
+import collections
 import dataclasses
 import functools
 import itertools
 import json
+import math
 import pickle
 import random
 import re
@@ -104,6 +110,7 @@ from nquasi.rewriting import (
     Trs,
     UnorientableError,
     _RuleIndex,
+    _canonical_terms,
     _rule_star,
     _step_memo,
     check_conditions,
@@ -1221,6 +1228,7 @@ class RootIndexedTrs:
 
     def __init__(self, trs):
         self.terminates = trs.terminates
+        self.collapsing = frozenset(r.label for r in trs.rules if isinstance(r.rhs, Var))
         self.by_root = {}
         for r in trs.rules:
             self.by_root.setdefault(r.lhs.symbol, []).append((r.lhs, r.rhs, r.label))
@@ -1734,6 +1742,81 @@ def test_critical_pairs_are_one_per_rule_pair_and_position(system):
 
 
 # ---------------------------------------------------------------------------
+# the term enumerator: one generator over a variable pool, yielding one
+# term per renaming class of the pool, against the product over every
+# split of the size that it replaced
+
+
+def reference_terms_up_to(leaves, symbols, max_size):
+    """All terms of size <= max_size, smallest first: per size, symbol and
+    split of the arguments' sizes (in lexicographic order), the product of
+    the smaller sizes' terms."""
+    by_size = {1: list(leaves)}
+    for n in range(2, max_size + 1):
+        bucket = []
+        for symbol, k in symbols:
+            for split in itertools.product(range(1, n), repeat=k):
+                if sum(split) == n - 1:
+                    for args in itertools.product(*(by_size[s] for s in split)):
+                        bucket.append(App(symbol, args))
+        by_size[n] = bucket
+    out = []
+    for n in range(1, max_size + 1):
+        out.extend(by_size[n])
+    return out
+
+
+def reference_enumerate_terms(sig, max_size, num_vars=3):
+    pool = [Var(name) for name in fresh_names("v", num_vars, sig)]
+    symbols = [(s, k) for s, k in sig.symbols.items() if k >= 1]
+    return reference_terms_up_to(pool + [App(c) for c in sig.constants()], symbols, max_size)
+
+
+ENUMERATION_SYMBOLS = {
+    "unary": [("u", 1)],
+    "binary": [("f", 2)],
+    "ternary": [("t", 3)],
+    "mixed": [("f", 2), ("u", 1), ("t", 3)],
+}
+
+
+@pytest.mark.parametrize("arities", list(ENUMERATION_SYMBOLS))
+def test_empty_pool_enumerates_every_term_as_the_product_does(arities):
+    symbols = ENUMERATION_SYMBOLS[arities]
+    leaves = [Var("x"), Elem("a"), App("c")]
+    for max_size in range(8):
+        expected = reference_terms_up_to(leaves, symbols, max_size)
+        assert list(_canonical_terms((), leaves, symbols, max_size)) == [(t, 0) for t in expected]
+        assert terms_up_to(leaves, symbols, max_size) == expected
+
+
+def _first_occurrence_form(t, pool):
+    """t with its pool variables renamed to pool[0], pool[1], ... in order
+    of first occurrence, and how many it uses."""
+    names = {v.name for v in pool}
+    firsts = [x for x in _first_occurrences([t]) if x in names]
+    return apply_substitution(dict(zip(firsts, pool)), t), len(firsts)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_pool_enumeration_yields_one_term_per_renaming_class(k):
+    pool = [Var("v%d" % (i + 1)) for i in range(k)]
+    leaves = [App("c"), Elem("a"), Var("x")]  # x is no pool variable: renamings fix it
+    symbols = [("f", 2), ("u", 1)]
+    full = reference_terms_up_to(pool + leaves, symbols, 6)
+    got = list(_canonical_terms(pool, leaves, symbols, 6))
+    assert all(_first_occurrence_form(t, pool) == (t, j) for t, j in got)
+    place = {t: i for i, t in enumerate(full)}
+    order = [place[t] for t, _j in got]
+    assert order == sorted(set(order))  # in the full enumeration's order, each once
+    # each full term is a renaming of exactly one yielded term, and the
+    # class of a term with j pool variables has perm(k, j) members
+    classes = collections.Counter(_first_occurrence_form(t, pool)[0] for t in full)
+    assert dict(classes) == {t: math.perm(k, j) for t, j in got}
+    assert sum(math.perm(k, j) for _t, j in got) == len(full)
+
+
+# ---------------------------------------------------------------------------
 # the local-confluence oracle: one memoized step relation per call, against
 # `rewrite_steps` and `joinable` on every term
 
@@ -1747,7 +1830,7 @@ def reference_local_confluence_oracle(trs, max_size=6, num_vars=3, cap=DEFAULT_R
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     checked = 0
-    for peak in enumerate_terms(trs.signature, max_size, num_vars):
+    for peak in reference_enumerate_terms(trs.signature, max_size, num_vars):
         steps = sorted(rewrite_steps(trs, peak), key=reference_step_key)
         if len(steps) < 2:
             continue
@@ -1816,6 +1899,16 @@ def test_local_confluence_oracle_matches_reference(name):
     expected = oracle_outcome(reference_local_confluence_oracle, trs, max_size)
     assert oracle_outcome(local_confluence_oracle, trs, max_size) == expected
     assert (expected == ORACLE_REFUSAL) == (name == "non-terminating swap")
+
+
+@pytest.mark.parametrize("num_vars", [0, 1, 2, 4])
+@pytest.mark.parametrize("name", ["complete_loop(2)@6", "mutant_loop(2)#0@6", "mutant_loop(2)#4@6"])
+def test_local_confluence_oracle_matches_reference_at_each_pool_size(name, num_vars):
+    trs, max_size = ORACLE_CASES[name]
+    verdict = local_confluence_oracle(trs, max_size, num_vars)
+    assert verdict == reference_local_confluence_oracle(trs, max_size, num_vars)
+    if num_vars >= 2:  # each mutant's witness has two variables
+        assert verdict.confluent == (name == "complete_loop(2)@6")
 
 
 def _assert_step_orders_agree(system, terms):
@@ -2037,7 +2130,7 @@ class CountingTrs:
     are asked for."""
 
     def __init__(self, trs):
-        self.trs, self.terminates, self.asked = trs, trs.terminates, []
+        self.trs, self.terminates, self.collapsing, self.asked = trs, trs.terminates, trs.collapsing, []
 
     def root_steps(self, t):
         self.asked.append(t)
@@ -2068,13 +2161,16 @@ def _postorder_applications(t):
 def test_innermost_normalize_asks_each_application_once(case):
     """Innermost normalization in one pass asks for the root steps of each
     application of t once, and after each step of each application of the
-    step's result once more: no walk from the root again."""
+    step's result once more, unless the step's rule has a variable right
+    side: then the result is a subterm of a normal form and is asked
+    nothing.  No walk from the root again."""
     trs, t = case
     normal_form, trace = reference_normalize_by_positions(trs, t, "leftmost-innermost")
     expected, current = len(_postorder_applications(t)), t
     for label, pos in trace:
         current = next(u for u, l, p in reference_successors(trs, current, positions) if (l, p) == (label, pos))
-        expected += len(_postorder_applications(subterm_at(current, pos)))
+        if not isinstance(trs.rule(label).rhs, Var):
+            expected += len(_postorder_applications(subterm_at(current, pos)))
     counting = CountingTrs(trs)
     assert normalize(counting, t) == (normal_form, trace)
     assert len(counting.asked) == expected, str(t)

@@ -790,6 +790,20 @@ class TestOracle:
         assert len(succs) == 2
         assert not joinable(BQ2, succs[0], succs[1])[0]
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "trs, max_size, status, peaks",
+        [(CL2, 9, "confluent", 395_724), (complete_quasigroup(3), 10, "confluent", 324), (BQ2, 9, "not-confluent", 703)],
+        ids=["cl2@9", "cq3@10", "bq2@9"],
+    )
+    def test_oracle_at_the_larger_reach(self, trs, max_size, status, peaks):
+        # the peak counts of a scan over every term of the enumeration; the
+        # oracle decides one peak per renaming class of the variable pool
+        verdict = local_confluence_oracle(trs, max_size)
+        assert (verdict.status, verdict.peaks_checked) == (status, peaks)
+        if status == "not-confluent":  # the first size-9 peak that fails to join
+            assert str(verdict.peak) == "g1(f(v1,g2(v1,v1)),g2(v1,v1))"
+
     def test_not_confluent_reports_a_real_peak(self):
         verdict = local_confluence_oracle(base_loop(2))
         assert verdict.status == "not-confluent"
