@@ -10,7 +10,8 @@ is its canonical labels; its name blocks are a view for printing and
 sorting.  One closure kernel on an integer union-find builds the congruence
 generated by any set of pairs, under f alone (decisions) or also under
 every division (oracles; the same, see `codescent.check_cep`); the lattice
-is the set of joins of the principal congruences, one per pair.
+is the set of joins of the principal congruences: those of the pairs
+(0, b) when n >= 2, of every pair when n = 1.
 """
 
 from __future__ import annotations
@@ -386,8 +387,17 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
 
     Every congruence is the join of the principal congruences Cg(a, b) of
     its pairs, and a join of congruences is their join as equivalence
-    relations.  So each pair is closed once, and the lattice is built in
-    one pass over the distinct principal congruences: the k-th, Cg(a, b),
+    relations.  For n >= 2 every principal congruence is some Cg(0, b),
+    index 0 being the first element.  Given c != d, let u be the unique
+    element with f(c, u, 0, .., 0) = 0 and t(x) = f(x, u, 0, .., 0).
+    Then t is a unary polynomial of f and a bijection of the finite
+    carrier, so t^-1 = t^(k-1), for the order k of t, is one too; a
+    congruence relating c and d relates t(c) and t(d), and back.  So
+    Cg(c, d) = Cg(t(c), t(d)) = Cg(0, t(d)), in both scopes, since t uses
+    f alone.  For n = 1 this fails: on the identity permutation of order
+    3, Cg(1, 2) is no Cg(0, b).  So the pairs (0, b) are closed when
+    n >= 2, and every pair when n = 1, each once, and the lattice is built
+    in one pass over the distinct principal congruences: the k-th, Cg(a, b),
     is joined by union-find merges, with no further closure, into each
     congruence found so far that does not relate a and b.  By induction
     the found set then holds every join of the first k, since a
@@ -409,7 +419,8 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
             "carrier of size %d exceeds the enumeration bound %d" % (m, DEFAULT_CARRIER_BOUND)
         )
     principal = {}  # labels of Cg(a, b) -> one generating pair (a, b)
-    for a, b in itertools.combinations(range(m), 2):
+    pairs = [(0, b) for b in range(1, m)] if alg.n > 1 else itertools.combinations(range(m), 2)
+    for a, b in pairs:
         principal.setdefault(_closure(alg, scope, [(a, b)]), (a, b))
     found = {tuple(range(m))}
     for other, (a, b) in principal.items():

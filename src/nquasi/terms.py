@@ -430,6 +430,18 @@ def strip_comments(text: str) -> str:
 _TOKEN_RE = re.compile(r"[(),]|%s|(\S)" % _IDENT_RE.pattern)
 
 
+_QUOTED_IN_FULL = 200  # the longest input, and repr of a part of it, a ParseError quotes whole
+
+
+def _cut(value) -> str:
+    """`repr(value)`, or past _QUOTED_IN_FULL characters its first 60,
+    "..." and value's length: a long input gives a one-line message."""
+    shown = repr(value)
+    if len(shown) <= _QUOTED_IN_FULL:
+        return shown
+    return "%s... (%d %s)" % (shown[:60], len(value), "characters" if isinstance(value, str) else "tokens")
+
+
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse the concrete term syntax.  Identifiers not in the signature
     become variables; declared symbols must be applied at their arity.
@@ -444,18 +456,19 @@ def parse_term(text: str, sig: Signature) -> Term:
             raise ParseError("unexpected character %r in term" % m[1])
         tokens.append(m[0])
     tokens.append(None)  # the end of the term
+    quoted = repr if len(text) <= _QUOTED_IN_FULL else _cut
     stack = []
     i = 0
     while True:  # a term starts at tokens[i]
         name = tokens[i]
         if name is None:
-            raise ParseError("unexpected end of term in %r" % text)
+            raise ParseError("unexpected end of term in %s" % quoted(text))
         i += 1
         if name in "(),":
-            raise ParseError("unexpected %r in %r" % (name, text))
+            raise ParseError("unexpected %r in %s" % (name, quoted(text)))
         if tokens[i] == "(":
             if name not in sig:
-                raise ParseError("undeclared symbol %r in %r" % (name, text))
+                raise ParseError("undeclared symbol %s in %s" % (quoted(name), quoted(text)))
             stack.append((name, []))
             i += 1
             continue
@@ -473,9 +486,9 @@ def parse_term(text: str, sig: Signature) -> Term:
             if tok == ",":
                 break
             if tok is None:
-                raise ParseError("unexpected end of term in %r" % text)
+                raise ParseError("unexpected end of term in %s" % quoted(text))
             if tok != ")":
-                raise ParseError("expected ')', found %r in %r" % (tok, text))
+                raise ParseError("expected ')', found %s in %s" % (quoted(tok), quoted(text)))
             stack.pop()
             if sig.arity(symbol) != len(args):
                 raise ParseError(
@@ -484,7 +497,7 @@ def parse_term(text: str, sig: Signature) -> Term:
             t = App(symbol, tuple(args))
         else:  # no application is open: t is the whole term
             if tokens[i] is not None:
-                raise ParseError("trailing input %r in %r" % (tokens[i:-1], text))
+                raise ParseError("trailing input %s in %s" % (quoted(tokens[i:-1]), quoted(text)))
             return t
 
 

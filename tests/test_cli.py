@@ -249,6 +249,15 @@ class TestNormalize:
         code, _, err = run_cli(capsys, "normalize", "--trs", base_quasi_file, "--term", "f(x")
         assert code == 2 and "error" in err
 
+    def test_parse_error_on_a_long_term_is_one_short_line(self, capsys, base_quasi_file):
+        # 5,000 nested f(x, .. missing its last ")": the start of the term and its length are quoted
+        term = "f(x," * 5000 + "x" + ")" * 4999
+        code, out, err = run_cli(capsys, "normalize", "--trs", base_quasi_file, "--term", term)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.startswith("error: unexpected end of term in 'f(x,f(x,")
+        assert err.endswith("... (25000 characters)\n")
+
     def test_step_bound(self, capsys, base_quasi_file):
         code, _, err = run_cli(
             capsys,

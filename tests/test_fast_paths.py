@@ -49,7 +49,9 @@ recursive-descent parser it replaced; and the term enumerator as one
 generator over a variable pool that yields one term per renaming class,
 checked against the product over every split of the size that it
 replaced, with the oracle on those terms checked against the oracle on
-every term.  The reference implementations below
+every term; and, for n >= 2, the principal congruences of the pairs
+(0, b) alone, checked against those of every pair that they replaced.
+The reference implementations below
 are kept only for these comparisons."""
 
 import collections
@@ -928,6 +930,50 @@ def test_enumerated_congruences_of_every_cycle_type_match_the_dense_join(order):
         for scope in ("f", "full"):
             expected = dense_congruence_lattice(alg, scope)
             assert [c.blocks for c in enumerate_congruences(alg, scope)] == expected, (cycle_type, scope)
+
+
+def principal_congruences(alg, scope, pairs):
+    return {algebras._closure(alg, scope, [pair]) for pair in pairs}
+
+
+def assert_principal_congruences_come_from_zero(alg):
+    # for n >= 2 every Cg(c, d) is some Cg(0, b): the lattice closes only those pairs
+    m = alg.order
+    for scope in ("f", "full"):
+        every = principal_congruences(alg, scope, itertools.combinations(range(m), 2))
+        assert principal_congruences(alg, scope, [(0, b) for b in range(1, m)]) == every, (alg, scope)
+
+
+@pytest.mark.parametrize("case", [case for case in KERNEL_CASES if case[0] >= 2 and case[1] <= 8], ids=_kernel_id)
+def test_principal_congruences_of_the_kernel_cases_come_from_zero(case):
+    assert_principal_congruences_come_from_zero(kernel_algebra(*case))
+
+
+def test_principal_congruences_of_every_order_four_square_come_from_zero():
+    squares = list(latin_squares(4))
+    assert len(squares) == 576
+    for square in squares:
+        assert_principal_congruences_come_from_zero(quasigroup_from_square(square, "Q"))
+
+
+def test_principal_congruences_of_seeded_order_five_squares_come_from_zero():
+    rng = random.Random(5)
+    for _ in range(200):
+        assert_principal_congruences_come_from_zero(quasigroup_from_square(random_latin_square(5, rng), "Q"))
+
+
+@pytest.mark.parametrize("alg", _ternary_loops_and_dihedral_fixtures())
+def test_principal_congruences_of_ternary_loops_and_dihedral_fixtures_come_from_zero(alg):
+    assert_principal_congruences_come_from_zero(alg)
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+def test_principal_congruences_of_a_unary_quasigroup_need_every_pair(scope):
+    # on the identity permutation of order 3, Cg(1, 2) = {0} | {1,2} is no Cg(0, b)
+    alg = permutation_quasigroup([0, 1, 2])
+    every = principal_congruences(alg, scope, itertools.combinations(range(3), 2))
+    from_zero = principal_congruences(alg, scope, [(0, 1), (0, 2)])
+    assert every - from_zero == {(0, 1, 1)}
 
 
 # ---------------------------------------------------------------------------
