@@ -24,6 +24,7 @@ from .terms import (
     Var,
     _FrozenRecord,
     _Record,
+    _cut,
     _setattr,
     apply_substitution,
     canonical_renaming,
@@ -78,20 +79,29 @@ class MaxRoundsExceeded(RewriteError):
 
 class Rule(_FrozenRecord):
     """lhs -> rhs, named by its label; the left side is an application and
-    the right side has no variable that the left side lacks."""
+    the right side has no variable that the left side lacks.  Its two
+    termination conditions are computed once, here, and kept beside the
+    fields: `star` (lhs is larger, and no variable occurs more often in rhs)
+    and `star3` (every application with arguments in lhs has all its variables)."""
 
-    __slots__ = _fields = ("lhs", "rhs", "label")
+    __slots__ = ("lhs", "rhs", "label", "star", "star3")
+    _fields = ("lhs", "rhs", "label")
 
     def __init__(self, lhs: Term, rhs: Term, label: str):
         if not isinstance(lhs, App):
             leaf = "a variable" if isinstance(lhs, Var) else "an element"
             raise ValueError("rule %s: left-hand side is %s" % (label, leaf))
-        extra = variables(rhs) - variables(lhs)
+        lhs_vars, rhs_vars = list(iter_variables(lhs)), list(iter_variables(rhs))
+        extra = set(rhs_vars).difference(lhs_vars)
         if extra:
             raise ValueError("rule %s: right-hand side has fresh variables %s" % (label, sorted(extra)))
         _setattr(self, "lhs", lhs)
         _setattr(self, "rhs", rhs)
         _setattr(self, "label", label)
+        _setattr(self, "star", size(lhs) > size(rhs) and all(rhs_vars.count(v) <= lhs_vars.count(v) for v in rhs_vars))
+        lhs_set = set(lhs_vars)
+        applications = (sub for _pos, sub in positions(lhs) if isinstance(sub, App) and sub.args)
+        _setattr(self, "star3", all(variables(sub) == lhs_set for sub in applications))
 
     def __str__(self) -> str:
         return "%s: %s -> %s" % (self.label, self.lhs, self.rhs)
@@ -116,9 +126,9 @@ class Trs:
         self._index = _RuleIndex(rules)
         self.collapsing = frozenset(r.label for r in rules if isinstance(r.rhs, Var))  # right side a variable
         self.conditions = ConditionsReport(  # returned by check_conditions
-            star={r.label: _rule_star(r) for r in rules},
+            star={r.label: r.star for r in rules},
             star2="holds" if len(signature.constants()) <= 1 else "undetermined",
-            star3={r.label: _rule_star3(r) for r in rules},
+            star3={r.label: r.star3 for r in rules},
         )
 
     @property
@@ -194,14 +204,14 @@ def parse_trs(text: str) -> Trs:
             symbols = {}
             for chunk in line[4:].split():
                 if "/" not in chunk:
-                    raise ParseError("line %d: expected NAME/ARITY, got %r" % (lineno, chunk))
+                    raise ParseError("line %d: expected NAME/ARITY, got %s" % (lineno, _cut(chunk)))
                 name, _, arity = chunk.rpartition("/")
                 if name in symbols:
-                    raise ParseError("line %d: repeated symbol %r" % (lineno, name))
+                    raise ParseError("line %d: repeated symbol %s" % (lineno, _cut(name)))
                 try:
                     symbols[name] = int(arity)
                 except ValueError:
-                    raise ParseError("line %d: bad arity in %r" % (lineno, chunk)) from None
+                    raise ParseError("line %d: bad arity in %s" % (lineno, _cut(chunk))) from None
             try:
                 sig = Signature(symbols)
             except ValueError as exc:
@@ -217,7 +227,7 @@ def parse_trs(text: str) -> Trs:
             if "->" not in rest:
                 raise ParseError("line %d: missing '->'" % lineno)
             if any(r.label == label for r in rules):
-                raise ParseError("line %d: duplicate rule label %r" % (lineno, label))
+                raise ParseError("line %d: duplicate rule label %s" % (lineno, _cut(label)))
             lhs_text, _, rhs_text = rest.partition("->")
             try:
                 lhs = parse_term(lhs_text, sig)
@@ -226,7 +236,7 @@ def parse_trs(text: str) -> Trs:
             except ValueError as exc:
                 raise ParseError("line %d: %s" % (lineno, exc)) from None
         else:
-            raise ParseError("line %d: unrecognized line %r" % (lineno, line))
+            raise ParseError("line %d: unrecognized line %s" % (lineno, _cut(line)))
     if sig is None:
         raise ParseError("missing sig line")
     return Trs(sig, rules)
@@ -621,23 +631,10 @@ class ConditionsReport(_Record):
         return all(self.star3.values())
 
 
-def _rule_star(rule: Rule) -> bool:
-    lhs_vars, rhs_vars = list(iter_variables(rule.lhs)), list(iter_variables(rule.rhs))
-    return size(rule.lhs) > size(rule.rhs) and all(rhs_vars.count(v) <= lhs_vars.count(v) for v in rhs_vars)
-
-
-def _rule_star3(rule: Rule) -> bool:
-    lhs_vars = variables(rule.lhs)
-    for _pos, sub in positions(rule.lhs):
-        if isinstance(sub, App) and sub.args and variables(sub) != lhs_vars:
-            return False
-    return True
-
-
 def check_conditions(trs: Trs) -> ConditionsReport:
     """Per-rule size/occurrence check, constant-injectivity check, and the
-    every-proper-subterm-sees-all-variables check; computed once, when the
-    Trs is built.
+    every-proper-subterm-sees-all-variables check; computed once per rule
+    (`Rule.star`, `Rule.star3`) and gathered per system.
 
     The constant condition is semantic (it quantifies over all nontrivial
     models), so it is only reported `holds` when vacuous (at most one
@@ -697,7 +694,7 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
                 raise UnorientableError(cp, "candidate violates rule invariants")
             label = fresh_names("cp", 1, {r.label for r in current.rules})[0]
             rule = Rule(lhs, rhs, label)
-            if not _rule_star(rule):
+            if not rule.star:
                 raise UnorientableError(cp, "candidate violates the size-decrease condition")
             current = current.with_rules([rule])
             adopted.append((rule, cp))

@@ -173,7 +173,7 @@ class Signature:
         arities = dict(symbols)
         for name, arity in arities.items():
             if not name or not _IDENT_RE.fullmatch(name):
-                raise ValueError("bad symbol name: %r" % (name,))
+                raise ValueError("bad symbol name: %s" % _cut(name))
             if not isinstance(arity, int) or arity < 0:
                 raise ValueError("bad arity for %s: %r" % (name, arity))
         self._arities = arities

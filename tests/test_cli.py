@@ -127,6 +127,16 @@ class TestCheck:
         assert code == 0
         assert "constants undetermined" in out
 
+    def test_parse_error_on_a_long_line_is_one_short_line(self, capsys, tmp_path):
+        # a second line of 3,000 words: its start and its length are quoted
+        path = tmp_path / "bogus.trs"
+        path.write_text("sig f/2\n" + " ".join(["bogus"] * 3000) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", "--trs", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
+        assert err.startswith("error: line 2: unrecognized line 'bogus bogus ")
+        assert err.endswith("... (17999 characters)\n")
+
     def test_critical_pairs_listing(self, capsys, base_quasi_file):
         code, out, _ = run_cli(capsys, "check", "--trs", base_quasi_file, "--critical-pairs")
         assert code == 0

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +32,7 @@ from nquasi.codescent import (
     verify_prop_3_6,
 )
 
-from conftest import cep_fixtures, klein_in_dihedral8, random_latin_square
+from conftest import cep_fixtures, child_env, klein_in_dihedral8, random_latin_square
 
 CEP_FIXTURES = cep_fixtures()
 
@@ -308,3 +311,43 @@ class TestSearch:
         sub = algebra_from_function("S1", 2, "quasigroup", ["0"], lambda a, b: 0)
         emb = Embedding(sub, steiner, {"0": "0"})
         assert check_cep(emb).verdict
+
+
+# The three holding embeddings whose `nq codescent --json` reports are
+# compared under two hash seeds in CI: Z2 in Z4, the identity of Z2^3 (16
+# congruences) and the ternary Z2 in Z6.  Their reports give only counts,
+# so the child prints each lattice in the order it is listed.
+LATTICE_ORDER_CHILD = """
+import json
+from nquasi.algebras import Embedding, algebra_from_function, cyclic_loop, enumerate_congruences
+from nquasi.codescent import check_cep
+
+z2cubed = algebra_from_function("Z2^3", 2, "loop", "01234567", lambda a, b: a ^ b, identity="0")
+embeddings = [
+    Embedding(cyclic_loop(2), cyclic_loop(4), {"0": "0", "1": "2"}),
+    Embedding(z2cubed, z2cubed, {a: a for a in "01234567"}),
+    Embedding(cyclic_loop(2, 3), cyclic_loop(6, 3), {"0": "0", "1": "3"}),
+]
+out = []
+for emb in embeddings:
+    for scope in ("full", "f"):
+        report = check_cep(emb, scope)
+        out.append([report.verdict, [str(c) for c, _, _ in report.witnesses]])
+        out.append([str(c) for c in enumerate_congruences(emb.target, scope)])
+print(json.dumps(out))
+"""
+
+
+def test_lattice_order_does_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(child_env(), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", LATTICE_ORDER_CHILD], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    reports = json.loads(outputs[0])[::2]
+    assert all(verdict for verdict, _witnesses in reports)
+    assert [len(witnesses) for _verdict, witnesses in reports] == [2, 2, 16, 16, 2, 2]

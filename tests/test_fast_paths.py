@@ -50,7 +50,10 @@ generator over a variable pool that yields one term per renaming class,
 checked against the product over every split of the size that it
 replaced, with the oracle on those terms checked against the oracle on
 every term; and, for n >= 2, the principal congruences of the pairs
-(0, b) alone, checked against those of every pair that they replaced.
+(0, b) alone, checked against those of every pair that they replaced;
+and each rule's termination conditions, computed once when the rule is
+built, checked against the per-system functions that derived them anew
+for every system.
 The reference implementations below
 are kept only for these comparisons."""
 
@@ -113,7 +116,6 @@ from nquasi.rewriting import (
     UnorientableError,
     _RuleIndex,
     _canonical_terms,
-    _rule_star,
     _step_memo,
     check_conditions,
     check_confluence,
@@ -2697,7 +2699,7 @@ def reference_complete(trs, max_rounds=10, cap=DEFAULT_REDUCT_CAP):
                 raise UnorientableError(cp, "candidate violates rule invariants")
             label, counter = reference_fresh_label(used_labels, counter)
             rule = Rule(lhs, rhs, label)
-            if not _rule_star(rule):
+            if not reference_rule_star(rule):
                 raise UnorientableError(cp, "candidate violates the size-decrease condition")
             current = current.with_rules([rule])
             adopted.append((rule, cp))
@@ -3089,3 +3091,91 @@ def test_a_deep_term_parses_and_prints_back():
         assert (t.symbol, len(t.args), t.args[1].__class__, t.args[1].name) == ("f", 2, Var, "x")
         t = t.args[0]
     assert (t.__class__, t.name) == (Var, ".")
+
+
+# ---------------------------------------------------------------------------
+# termination conditions: `Rule.star` and `Rule.star3`, computed once when
+# the rule is built, against the functions that `Trs` called on every rule
+# of every system it built
+
+
+def reference_rule_star(rule):
+    lhs_vars, rhs_vars = list(iter_variables(rule.lhs)), list(iter_variables(rule.rhs))
+    return size(rule.lhs) > size(rule.rhs) and all(rhs_vars.count(v) <= lhs_vars.count(v) for v in rhs_vars)
+
+
+def reference_rule_star3(rule):
+    lhs_vars = variables(rule.lhs)
+    for _pos, sub in positions(rule.lhs):
+        if isinstance(sub, App) and sub.args and variables(sub) != lhs_vars:
+            return False
+    return True
+
+
+_CONDITION_SIG = Signature({"f": 2, "g": 1, "h": 3})
+
+
+def _failing_rules():
+    """Rules that fail a condition: (rule, star, star3)."""
+    rules = [
+        ("swap", "f(x,y)", "f(y,x)", False, True),
+        ("grow", "g(x)", "f(x,x)", False, True),
+        ("repeat", "h(x,y,z)", "f(x,x)", False, True),  # smaller, but x twice on the right
+        ("sub", "f(g(x),y)", "y", True, False),  # g(x) lacks y
+    ]
+    return [
+        (Rule(parse_term(lhs, _CONDITION_SIG), parse_term(rhs, _CONDITION_SIG), label), star, star3)
+        for label, lhs, rhs, star, star3 in rules
+    ]
+
+
+def _condition_cases():
+    cases = {}
+    for kind in ("quasigroup", "loop"):
+        for n in range(1, 7):
+            for complete in (False, True):
+                name = "%s_%s(%d)" % ("complete" if complete else "base", kind, n)
+                cases[name] = lambda kind=kind, n=n, complete=complete: generate_trs(VarietySpec(kind, n, complete))
+    for kind, seed, prefix in (("quasigroup", 71, "mq"), ("loop", 72, "ml")):  # the AC07 mutants
+        cases["ac07_%s_mutants" % kind] = lambda kind=kind, seed=seed, prefix=prefix: confluence_mutants(
+            generate_trs(VarietySpec(kind, 2, True)), 10, seed=seed, label_prefix=prefix
+        )
+    for name in sorted(UNF_CASES):  # ground and resolved rules
+        cases[name] = UNF_CASES[name][0]
+    cases["failing"] = lambda: Trs(_CONDITION_SIG, [rule for rule, _star, _star3 in _failing_rules()])
+    return cases
+
+
+CONDITION_CASES = _condition_cases()
+
+
+@pytest.mark.parametrize("name", list(CONDITION_CASES))
+def test_rule_conditions_match_reference(name):
+    built = CONDITION_CASES[name]()
+    systems = built if isinstance(built, list) else [built]
+    for trs in systems:
+        for rule in trs.rules:
+            assert (rule.star, rule.star3) == (reference_rule_star(rule), reference_rule_star3(rule)), rule
+        report = check_conditions(trs)
+        assert list(report.star.items()) == [(r.label, reference_rule_star(r)) for r in trs.rules]
+        assert list(report.star3.items()) == [(r.label, reference_rule_star3(r)) for r in trs.rules]
+
+
+def test_failing_rules_fail_their_condition():
+    for rule, star, star3 in _failing_rules():
+        assert (rule.star, rule.star3) == (star, star3), rule.label
+
+
+def test_building_a_trs_walks_no_rule_for_conditions(monkeypatch):
+    bq2 = generate_trs(VarietySpec("quasigroup", 2))
+    prebuilt = Rule(parse_term("f(g1(x,y),y)", bq2.signature), Var("x"), "prebuilt")
+
+    def walked(*args):
+        raise AssertionError("a rule's conditions were computed again")
+
+    monkeypatch.setattr(rewriting, "size", walked)
+    monkeypatch.setattr(rewriting, "positions", walked)
+    extended = bq2.with_rules([prebuilt])
+    monkeypatch.undo()
+    assert check_conditions(extended).star == {**check_conditions(bq2).star, "prebuilt": True}
+    assert check_conditions(extended).star3 == {**check_conditions(bq2).star3, "prebuilt": True}
