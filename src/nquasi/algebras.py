@@ -123,12 +123,6 @@ class FiniteAlgebra:
         """A flat table keyed by element-name tuples, in carrier product order."""
         return dict(zip(self.tuples(), map(self.carrier.__getitem__, flat)))
 
-    def f(self, *args) -> str:
-        return self.table_f[args]
-
-    def g(self, i, *args) -> str:
-        return self.tables_g[i - 1][args]
-
     def index(self, element: str) -> int:
         return self._index[element]
 
@@ -294,14 +288,6 @@ class Congruence(_Frozen):
     def blocks(self) -> tuple:
         named = tuple(zip(self.carrier, self.labels))
         return tuple(tuple(a for a, k in named if k == x) for x, k in enumerate(self.labels) if k == x)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.labels == tuple(range(len(self.labels)))
-
-    @property
-    def is_full(self) -> bool:
-        return not any(self.labels)
 
     def __str__(self) -> str:
         return " | ".join("{" + ",".join(b) + "}" for b in self.blocks)

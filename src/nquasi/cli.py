@@ -13,6 +13,7 @@ import importlib
 import os
 import sys
 
+from . import _OWNER
 from .rewriting import (
     CapExceeded,
     DEFAULT_REDUCT_CAP,
@@ -38,25 +39,15 @@ EXIT_RESOURCE = 3
 
 # Each subcommand imports only what it runs: the layers beyond `terms` and
 # `rewriting`, and `json` where it reads or writes JSON.  The sha256 digest
-# of its input, and so `hashlib`, is computed only for --json.  The
-# per-layer tracer of perfbench/tracing.py rebinds these names in this
-# module: each resolves through its defining layer on first access and is
-# then kept here.  The subcommands call the layer's own binding.
-_LAYER_OF = {
-    "generate_trs": "varieties",
-    "validate_embedding": "algebras",
-    "check_cep": "codescent",
-    "build_amalgam": "amalgams",
-    "check_unique_normal_forms": "amalgams",
-    "check_strong_amalgamation": "amalgams",
-    "normalize_element": "amalgams",
-}
+# of its input, and so `hashlib`, is computed only for --json.  A package
+# export resolves here on first access and is kept, for perfbench/tracing.py
+# to rebind; the subcommands call the layer's own binding.
 
 
 def __getattr__(name):
-    if name not in _LAYER_OF:
+    if name not in _OWNER:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = globals()[name] = getattr(importlib.import_module("." + _LAYER_OF[name], __package__), name)
+    value = globals()[name] = getattr(importlib.import_module("." + _OWNER[name], __package__), name)
     return value
 
 

@@ -149,12 +149,6 @@ class Trs:
                 out.append((apply_substitution(bindings, rule.rhs), rule.label, ()))
         return out
 
-    def rule(self, label: str) -> Rule:
-        for r in self.rules:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
     def with_rules(self, extra) -> "Trs":
         return Trs(self.signature, self.rules + tuple(extra))
 
@@ -721,6 +715,8 @@ def terms_up_to(leaves, symbols, max_size: int) -> list:
 def _universe(sig: Signature, num_vars: int):
     """The variable pool, the constants and the (symbol, arity >= 1) pairs
     that `enumerate_terms` builds its terms from."""
+    if num_vars < 0:
+        raise ValueError("num_vars must be nonnegative, got %r" % num_vars)
     pool = [Var(name) for name in fresh_names("v", num_vars, sig)]
     return pool, [App(c) for c in sig.constants()], [(s, k) for s, k in sig.symbols.items() if k >= 1]
 
@@ -783,10 +779,6 @@ class OracleVerdict(_Record):
         self.peak = peak
         self.pair = pair
         self.peaks_checked = peaks_checked
-
-    @property
-    def confluent(self) -> bool:
-        return self.status == "confluent"
 
 
 def local_confluence_oracle(

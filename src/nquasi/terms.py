@@ -174,7 +174,7 @@ class Signature:
         for name, arity in arities.items():
             if not name or not _IDENT_RE.fullmatch(name):
                 raise ValueError("bad symbol name: %s" % _cut(name))
-            if not isinstance(arity, int) or arity < 0:
+            if type(arity) is not int or arity < 0:
                 raise ValueError("bad arity for %s: %r" % (name, arity))
         self._arities = arities
 
@@ -258,12 +258,17 @@ def replace_at(t: Term, pos: Position, s: Term) -> Term:
     return App(t.symbol, tuple(args))
 
 
-def positions(t: Term, prefix: Position = ()) -> Iterator[tuple]:
-    """(position, subterm) pairs in pre-order (root first)."""
-    yield prefix, t
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            yield from positions(a, prefix + (i,))
+def positions(t: Term) -> Iterator[tuple]:
+    """(position, subterm) pairs in pre-order (root first), from an explicit stack."""
+    stack = [((), t)]
+    while stack:
+        pos, u = stack.pop()
+        yield pos, u
+        if isinstance(u, App):
+            i = len(u.args)
+            for a in reversed(u.args):  # the first argument ends on top
+                stack.append((pos + (i,), a))
+                i -= 1
 
 
 def apply_substitution(sigma: Substitution, t: Term) -> Term:

@@ -91,7 +91,7 @@ class TestKnownFailure:
         assert not report.verdict
         assert report.failing.blocks == (("0", "2"), ("1", "3"))
         back = {cong: restricted for cong, _extension, restricted in report.witnesses}
-        assert back[report.failing].is_full
+        assert back[report.failing].labels == (0, 0, 0, 0)
         verdict, per_congruence = cep_by_enumeration(emb)
         assert not verdict
         assert next(cong for cong, ok in per_congruence if not ok) == report.failing

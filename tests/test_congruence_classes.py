@@ -61,8 +61,8 @@ def translation_to(alg, y):
     """The slot-1 translation x -> f(x, u, 0, .., 0) that maps 0 to y, by names."""
     zero = alg.carrier[0]
     rest = (zero,) * (alg.n - 2)
-    u = next(u for u in alg.carrier if alg.f(zero, u, *rest) == y)
-    return {x: alg.f(x, u, *rest) for x in alg.carrier}
+    u = next(u for u in alg.carrier if alg.table_f[(zero, u, *rest)] == y)
+    return {x: alg.table_f[(x, u, *rest)] for x in alg.carrier}
 
 
 def congruences_by_class(alg, scope):
@@ -277,14 +277,14 @@ def coset_embeddings(k, images, c):
         for a in range(2**k):
             members = sorted(a ^ x for x in w)
             index = {x: i for i, x in enumerate(members)}
-            values = [int(target.f(*(str(x) for x in xs))) for xs in itertools.product(members, repeat=len(images))]
+            values = [int(target.table_f[tuple(str(x) for x in xs)]) for xs in itertools.product(members, repeat=len(images))]
             if all(v in index for v in values):
                 source = algebra_from_function(
                     "coset%d+%s" % (a, "".join(map(str, sorted(w)))),
                     len(images),
                     "quasigroup",
                     [str(i) for i in range(len(members))],
-                    lambda *ix: index[int(target.f(*(str(members[i]) for i in ix)))],
+                    lambda *ix: index[int(target.table_f[tuple(str(members[i]) for i in ix)])],
                 )
                 out.append(Embedding(source, target, {str(i): str(x) for i, x in enumerate(members)}))
                 break

@@ -53,7 +53,8 @@ every term; and, for n >= 2, the principal congruences of the pairs
 (0, b) alone, checked against those of every pair that they replaced;
 and each rule's termination conditions, computed once when the rule is
 built, checked against the per-system functions that derived them anew
-for every system.
+for every system; and `positions` on an explicit stack, checked for every
+pair and its order against the recursive generator that it replaced.
 The reference implementations below
 are kept only for these comparisons."""
 
@@ -1956,7 +1957,7 @@ def test_local_confluence_oracle_matches_reference_at_each_pool_size(name, num_v
     verdict = local_confluence_oracle(trs, max_size, num_vars)
     assert verdict == reference_local_confluence_oracle(trs, max_size, num_vars)
     if num_vars >= 2:  # each mutant's witness has two variables
-        assert verdict.confluent == (name == "complete_loop(2)@6")
+        assert (verdict.status == "confluent") == (name == "complete_loop(2)@6")
 
 
 def _assert_step_orders_agree(system, terms):
@@ -2213,11 +2214,12 @@ def test_innermost_normalize_asks_each_application_once(case):
     side: then the result is a subterm of a normal form and is asked
     nothing.  No walk from the root again."""
     trs, t = case
+    rhs = {r.label: r.rhs for r in trs.rules}
     normal_form, trace = reference_normalize_by_positions(trs, t, "leftmost-innermost")
     expected, current = len(_postorder_applications(t)), t
     for label, pos in trace:
         current = next(u for u, l, p in reference_successors(trs, current, positions) if (l, p) == (label, pos))
-        if not isinstance(trs.rule(label).rhs, Var):
+        if not isinstance(rhs[label], Var):
             expected += len(_postorder_applications(subterm_at(current, pos)))
     counting = CountingTrs(trs)
     assert normalize(counting, t) == (normal_form, trace)
@@ -3179,3 +3181,45 @@ def test_building_a_trs_walks_no_rule_for_conditions(monkeypatch):
     monkeypatch.undo()
     assert check_conditions(extended).star == {**check_conditions(bq2).star, "prebuilt": True}
     assert check_conditions(extended).star3 == {**check_conditions(bq2).star3, "prebuilt": True}
+
+
+# ---------------------------------------------------------------------------
+# `positions` on an explicit stack, against the recursive generator it
+# replaced
+
+
+def reference_positions(t, prefix=()):
+    """(position, subterm) pairs in pre-order (root first)."""
+    yield prefix, t
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, start=1):
+            yield from reference_positions(a, prefix + (i,))
+
+
+_POSITION_SYMBOLS = [("f", 2), ("u", 1), ("t", 3)]
+_POSITION_LEAVES = [Var("x"), Var("y"), Elem("a"), Elem("0@1"), App("c")]
+
+
+def random_position_term(rng, depth):
+    if depth and rng.random() < 0.7:
+        symbol, k = rng.choice(_POSITION_SYMBOLS)
+        return App(symbol, tuple(random_position_term(rng, depth - 1) for _ in range(k)))
+    return rng.choice(_POSITION_LEAVES)
+
+
+def test_positions_match_the_recursive_walk_on_seeded_terms():
+    rng = random.Random(12)
+    for _ in range(3000):
+        t = random_position_term(rng, rng.randint(0, 7))
+        assert list(positions(t)) == list(reference_positions(t)), str(t)
+
+
+def test_positions_of_a_deep_term_need_no_recursion():
+    t = Var("x")
+    for _ in range(10_000):
+        t = App("f", (t, Var("x")))
+    found = list(positions(t))
+    assert len(found) == 20_001
+    assert found[0][0] == () and found[0][1] is t
+    assert found[10_000] == ((1,) * 10_000, Var("x"))  # the innermost first argument
+    assert found[-1] == ((2,), Var("x"))  # the root's second argument comes last

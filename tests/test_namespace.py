@@ -71,6 +71,24 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(nquasi, "_no_such_name")
 
 
+# the layer functions that perfbench/tracing.py rebinds in `nquasi.cli`,
+# resolved there through the package's export map
+CLI_LAYER_NAMES = [
+    "generate_trs", "validate_embedding", "check_cep", "build_amalgam",
+    "check_unique_normal_forms", "check_strong_amalgamation", "normalize_element",
+]
+
+
+@pytest.mark.parametrize("name", CLI_LAYER_NAMES)
+def test_cli_resolves_each_layer_name_to_the_packages_object(name):
+    assert getattr(nquasi.cli, name) is getattr(nquasi, name)
+
+
+def test_cli_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'nquasi.cli' has no attribute 'no_such_name'$"):
+        nquasi.cli.no_such_name
+
+
 FRESH = """
 import sys
 import nquasi

@@ -150,7 +150,7 @@ class TestTrsFileFormat:
             format_trs(d)
         # read back, f(0,0) -> 0 would be the idempotence rule f(x,x) -> x
         with pytest.raises(ValueError, match=r"^rule collapse\[f\(0,0\)\]: element leaves"):
-            format_trs(Trs(d.signature, [d.rule("collapse[f(0,0)]")]))
+            format_trs(Trs(d.signature, [r for r in d.rules if r.label == "collapse[f(0,0)]"]))
 
     @pytest.mark.parametrize(
         "rule, message",
@@ -240,6 +240,13 @@ class TestTrsFileFormat:
         with pytest.raises(ParseError) as info:
             parse_trs(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("arity", [True, False])
+    def test_signature_refuses_a_bool_arity(self, arity):
+        # a bool is an int to isinstance, but no arity
+        with pytest.raises(ValueError) as info:
+            Signature({"f": arity})
+        assert str(info.value) == "bad arity for f: %r" % (arity,)
 
 
 class TestRewriteSteps:
@@ -558,11 +565,11 @@ class TestCriticalPairs:
         from nquasi.terms import apply_substitution, rename_apart, unify
 
         for n in (2, 3):
-            trs = complete_quasigroup(n)
+            lhs = {r.label: r.lhs for r in complete_quasigroup(n).rules}
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
-                    division = trs.rule("2.4[i=%d]" % i).lhs
-                    derived = trs.rule("2.7[i=%d,j=%d]" % (i, j)).lhs
+                    division = lhs["2.4[i=%d]" % i]
+                    derived = lhs["2.7[i=%d,j=%d]" % (i, j)]
                     renaming = rename_apart([division], [derived])
                     assert unify(division, apply_substitution(renaming, derived)) is None
 
@@ -778,6 +785,14 @@ class TestOracle:
     )
     def test_agrees_with_critical_pair_route(self, trs):
         assert local_confluence_oracle(trs).status == check_confluence(trs).status
+
+    def test_negative_num_vars_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            enumerate_terms(BQ2.signature, 3, num_vars=-1)
+        assert str(info.value) == "num_vars must be nonnegative, got -1"
+        with pytest.raises(ValueError) as info:
+            local_confluence_oracle(CL2, 4, num_vars=-2)
+        assert str(info.value) == "num_vars must be nonnegative, got -2"
 
     def test_binary_base_quasigroup_divergence_is_above_the_size_bound(self):
         # the smallest divergent peak of this system has size 9, so the

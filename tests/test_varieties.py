@@ -68,11 +68,11 @@ def test_unary_complete_loop_rules():
 
 
 def test_ternary_identity_rule_instantiation():
-    trs = base_loop(3)
-    rule = trs.rule("2.2[i=1]")
+    rules = {r.label: r for r in base_loop(3).rules}
+    rule = rules["2.2[i=1]"]
     assert str(rule.lhs) == "f(x,e,e)"
     assert rule.rhs == Var("x")
-    assert str(trs.rule("2.2[i=2]").lhs) == "f(e,x,e)"
+    assert str(rules["2.2[i=2]"].lhs) == "f(e,x,e)"
 
 
 def test_binary_complete_quasigroup_contents():
