@@ -69,8 +69,8 @@ class FiniteAlgebra:
     def __init__(self, name, n, kind, carrier, table_f, tables_g=None, identity=None):
         if kind not in ("quasigroup", "loop"):
             raise AlgebraError("kind must be 'quasigroup' or 'loop', got %r" % (kind,))
-        if n < 1:
-            raise AlgebraError("n must be positive")
+        if type(n) is not int or n < 1:
+            raise AlgebraError("n must be a positive integer, got %r" % (n,))
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier) or not carrier:
             raise AlgebraError("carrier must be nonempty and duplicate-free")

@@ -13,7 +13,6 @@ target congruences provides the independent cross-check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .algebras import (
@@ -234,43 +233,18 @@ def latin_squares(order: int):
         stack.append((below, below))
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_table(order):
-    """The candidates of `_closed_subsets_along` for one order, and its row table.
-
-    The candidates are the subsets of 2 to order/2 elements, by size and
-    then lexicographically; candidate k is bit k of a mask.  The table is
-    filled as rows are met: it maps a row permutation p to the masks, one
-    per row index a, of the candidates S that row a keeps closed, meaning
-    a is not in S or p maps S into S."""
-    candidates = tuple(
-        subset
-        for k in range(2, order // 2 + 1)
-        for subset in itertools.combinations(range(order), k)
-    )
-    return candidates, {}
-
-
-def _row_masks(row, candidates):
-    """One table entry of `_subset_table`: the masks for row permutation
-    `row` at each row index."""
-    kept = [0] * len(row)
-    for k, subset in enumerate(candidates):
-        into = all(row[b] in subset for b in subset)
-        for a in range(len(row)):
-            if into or a not in subset:
-                kept[a] |= 1 << k
-    return tuple(kept)
-
-
 def _closed_subsets_along(squares, order):
     """Each square of `squares` (rows are tuples) with its proper subsets
     of at least two elements closed under the table product, by size and
     then lexicographically.
 
-    S is closed when every row a in S maps S into S, so the closed
-    candidates are the bits that survive the AND of the square's row masks
-    (see `_subset_table`), taken in row order until the mask is 0.
+    S is closed when every row a in S maps S into S.  The candidates are
+    the subsets of 2 to order/2 elements in that order, candidate k being
+    bit k of a mask.  The row table, filled as rows are met and kept for
+    one call, holds for a row permutation p one mask per row index a: the
+    candidates S that row a keeps closed, meaning a is not in S or p maps
+    S into S.  The closed candidates are the bits that survive the AND of
+    the square's row masks, taken in row order until the mask is 0.
 
     Only sizes up to order/2 need testing.  If S is closed and b is outside
     S, the products s*b for s in S are |S| distinct elements (b's column
@@ -278,7 +252,9 @@ def _closed_subsets_along(squares, order):
     the unique solution of s*x = t, which S already holds because x -> s*x
     permutes the finite closed set S.  So S and S*b are disjoint, and
     2|S| <= order."""
-    candidates, table = _subset_table(order)
+    candidates = [subset for size in range(2, order // 2 + 1) for subset in itertools.combinations(range(order), size)]
+    outside = [sum(1 << k for k, subset in enumerate(candidates) if a not in subset) for a in range(order)]
+    table = {}  # row permutation -> its mask at each row index
     every = (1 << len(candidates)) - 1
     for square in squares:
         mask = every
@@ -287,7 +263,8 @@ def _closed_subsets_along(squares, order):
                 break
             masks = table.get(row)
             if masks is None:
-                masks = table[row] = _row_masks(row, candidates)
+                into = sum(1 << k for k, subset in enumerate(candidates) if all(row[b] in subset for b in subset))
+                masks = table[row] = [kept | into for kept in outside]
             mask &= masks[a]
         subsets = []
         while mask:

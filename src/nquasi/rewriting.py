@@ -715,6 +715,8 @@ def terms_up_to(leaves, symbols, max_size: int) -> list:
 def _universe(sig: Signature, num_vars: int):
     """The variable pool, the constants and the (symbol, arity >= 1) pairs
     that `enumerate_terms` builds its terms from."""
+    if type(num_vars) is not int:
+        raise ValueError("num_vars must be an integer, got %r" % (num_vars,))
     if num_vars < 0:
         raise ValueError("num_vars must be nonnegative, got %r" % num_vars)
     pool = [Var(name) for name in fresh_names("v", num_vars, sig)]
@@ -733,6 +735,8 @@ def _canonical_terms(pool, leaves, symbols, max_size: int):
     of its size after the variables its left neighbours used.  Buckets are
     built on first use and kept for arguments; the largest size, which is
     no argument, comes in chunks and is not kept."""
+    if type(max_size) is not int:
+        raise ValueError("max_size must be an integer, got %r" % (max_size,))
     buckets = {}
 
     def bucket(n, used):

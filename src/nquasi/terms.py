@@ -172,7 +172,7 @@ class Signature:
     def __init__(self, symbols):
         arities = dict(symbols)
         for name, arity in arities.items():
-            if not name or not _IDENT_RE.fullmatch(name):
+            if type(name) is not str or not _IDENT_RE.fullmatch(name):
                 raise ValueError("bad symbol name: %s" % _cut(name))
             if type(arity) is not int or arity < 0:
                 raise ValueError("bad arity for %s: %r" % (name, arity))

@@ -20,7 +20,7 @@ class VarietySpec(_FrozenRecord):
     def __init__(self, kind: str, n: int, complete: bool = False):
         if kind not in ("quasigroup", "loop"):
             raise ValueError("kind must be 'quasigroup' or 'loop', got %r" % (kind,))
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("n must be a positive integer, got %r" % (n,))
         _setattr(self, "kind", kind)  # quasigroup | loop
         _setattr(self, "n", n)

@@ -102,6 +102,13 @@ class TestValidation:
     def test_steiner_quasigroup_valid(self, steiner):
         assert rebuilt(steiner).tables_g == steiner.tables_g
 
+    @pytest.mark.parametrize("n", [2.0, True, 0])
+    def test_n_must_be_a_positive_integer(self, z3, n):
+        # 2.0 failed inside range, and True built a 1-quasigroup
+        with pytest.raises(AlgebraError) as info:
+            FiniteAlgebra("Z3", n, "quasigroup", z3.carrier, z3.table_f)
+        assert str(info.value) == "n must be a positive integer, got %r" % (n,)
+
     def test_tables_must_be_total(self):
         with pytest.raises(AlgebraError):
             FiniteAlgebra("bad", 2, "quasigroup", ("a", "b"), {("a", "a"): "a"})

@@ -516,6 +516,20 @@ def test_closed_subsets_match_the_reference_in_any_order(order):
     assert sum(map(bool, expected.values())) == {2: 0, 3: 0, 4: 88, 5: 5550}[order]
 
 
+def test_interleaved_scans_of_two_orders_match_the_reference():
+    # each call keeps its own row table, so an order-4 scan and an order-5
+    # scan consumed in turn see nothing of each other
+    fours = list(latin_squares(4))
+    fives = random.Random(45).sample(list(latin_squares(5)), len(fours))
+    found = {4: 0, 5: 0}
+    for (four, closed4), (five, closed5) in zip(_closed_subsets_along(fours, 4), _closed_subsets_along(fives, 5)):
+        assert closed4 == list(reference_closed_subsets(four, 4))
+        assert closed5 == list(reference_closed_subsets(five, 5))
+        found[4] += bool(closed4)
+        found[5] += bool(closed5)
+    assert found[4] == 88 and found[5] > 0
+
+
 def _s3_product(a, b):
     perms = list(itertools.permutations(range(3)))
     return perms.index(tuple(perms[a][perms[b][i]] for i in range(3)))

@@ -2,7 +2,8 @@
 deletion cannot leave a dead import behind.  A line marked `# noqa: F401`
 keeps a name on purpose, and only one that the benchmark's tracer rebinds
 there.  Every public method of a package class is read by the package, a
-demo or the benchmark, so no method is kept for tests alone."""
+demo or the benchmark, so no method is kept for tests alone.  The
+process-wide caches are one named list."""
 
 import ast
 from pathlib import Path
@@ -97,3 +98,38 @@ def test_every_public_method_is_read_outside_the_tests():
         if name not in reads
     ]
     assert unread == []
+
+
+def process_wide_caches(source):
+    """Name of each function decorated with `functools.lru_cache` or
+    `functools.cache`, called or bare, imported from functools or not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                out.append(node.name)
+    return out
+
+
+def test_the_process_wide_caches_are_one_list():
+    # A cache keeps what it holds until the process ends, so each one must
+    # pay for that.  `_slot_readers` does: its value depends only on
+    # (order, n) and is immutable, and the slot rows of every algebra read
+    # it (5,892 `FiniteAlgebra` builds per traced seed-1 cep pass).  A
+    # table filled for later calls, such as the closed-subset scan's, lives
+    # for one call.
+    caches = {(path.stem, name) for path in MODULES for name in process_wide_caches(path.read_text())}
+    assert caches == {("algebras", "_slot_readers")}
+
+
+def test_the_cache_check_sees_every_spelling():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n@functools.cache\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n@cache\ndef d(): pass\n"
+        "class K:\n    @functools.cached_property\n    def e(self): pass\n    @functools.lru_cache()\n    def f(self): pass\n"
+    )
+    assert process_wide_caches(source) == ["a", "b", "c", "d", "f"]

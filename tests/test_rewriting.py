@@ -248,6 +248,13 @@ class TestTrsFileFormat:
             Signature({"f": arity})
         assert str(info.value) == "bad arity for f: %r" % (arity,)
 
+    @pytest.mark.parametrize("name", [1, None, ("f",)])
+    def test_signature_refuses_a_name_that_is_no_string(self, name):
+        # an int reached the regex and raised TypeError there
+        with pytest.raises(ValueError) as info:
+            Signature({name: 2})
+        assert str(info.value) == "bad symbol name: %r" % (name,)
+
 
 class TestRewriteSteps:
     def test_cancellation_at_root(self):
@@ -793,6 +800,24 @@ class TestOracle:
         with pytest.raises(ValueError) as info:
             local_confluence_oracle(CL2, 4, num_vars=-2)
         assert str(info.value) == "num_vars must be nonnegative, got -2"
+
+    def test_num_vars_that_is_no_integer_is_refused(self):
+        # 1.5 built a pool of two variables, and the oracle then failed in math.perm
+        with pytest.raises(ValueError) as info:
+            enumerate_terms(CL2.signature, 1, num_vars=1.5)
+        assert str(info.value) == "num_vars must be an integer, got 1.5"
+        with pytest.raises(ValueError) as info:
+            local_confluence_oracle(CL2, 4, num_vars=True)
+        assert str(info.value) == "num_vars must be an integer, got True"
+
+    def test_max_size_that_is_no_integer_is_refused(self):
+        # both failed inside range
+        with pytest.raises(ValueError) as info:
+            enumerate_terms(CL2.signature, 2.5)
+        assert str(info.value) == "max_size must be an integer, got 2.5"
+        with pytest.raises(ValueError) as info:
+            local_confluence_oracle(CL2, max_size=2.5)
+        assert str(info.value) == "max_size must be an integer, got 2.5"
 
     def test_binary_base_quasigroup_divergence_is_above_the_size_bound(self):
         # the smallest divergent peak of this system has size 9, so the

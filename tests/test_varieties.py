@@ -22,6 +22,14 @@ def test_spec_validation():
         VarietySpec("loop", 0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_spec_refuses_an_n_that_is_no_integer(n):
+    # a bool is an int to isinstance, and VarietySpec("loop", True) kept n=True
+    with pytest.raises(ValueError) as info:
+        VarietySpec("loop", n)
+    assert str(info.value) == "n must be a positive integer, got %r" % (n,)
+
+
 def test_run_helpers_empty_edges():
     assert var_run(1, 0) == ()
     assert var_run(3, 2) == ()
