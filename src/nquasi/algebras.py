@@ -22,25 +22,27 @@ import operator
 
 from .terms import Elem, Term, Var, _Frozen, _Record, _setattr
 
-DEFAULT_CARRIER_BOUND = 8
+CONGRUENCE_CAP = 4140
 
 
 class AlgebraError(ValueError):
     pass
 
 
-class NotAQuasigroupError(AlgebraError):
-    pass
-
-
 class CarrierTooLargeError(AlgebraError):
-    pass
+    """A congruence lattice that would close more pairs than
+    `CONGRUENCE_CAP`, or holds more congruences than that; see
+    `enumerate_congruences`."""
 
 
 class InvalidAlgebraError(AlgebraError):
     """Tables that break an axiom, or a map that is not an embedding; the
     message names the algebra (or says "invalid embedding") and the
     violation."""
+
+
+class NotAQuasigroupError(InvalidAlgebraError):
+    pass
 
 
 class Violation(_Record):
@@ -83,7 +85,10 @@ class FiniteAlgebra:
         self._memo = {}  # ("rows" or "congruences", scope) -> what this algebra derives once
         if tables_g is None:
             if any(len(set(col)) < len(carrier) for rows in _slot_rows(self, "f") for col in zip(*rows)):
-                derive_divisions(n, carrier, self.flat_f)  # a column is no permutation: raises
+                try:
+                    derive_divisions(n, carrier, self.flat_f)  # a column is no permutation: raises
+                except NotAQuasigroupError as exc:
+                    raise NotAQuasigroupError("%s is not a valid %s: %s" % (name, kind, exc)) from None
         elif len(tables_g) != n:
             raise AlgebraError("expected %d division tables, got %d" % (n, len(tables_g)))
         else:
@@ -389,7 +394,17 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
     the found set then holds every join of the first k, since a
     congruence that relates a and b contains Cg(a, b).  The lattice
     depends only on the algebra and the scope, so it is computed once per
-    algebra and scope and kept beside the slot rows."""
+    algebra and scope and kept beside the slot rows.
+
+    The work is capped by `CONGRUENCE_CAP` = Bell(8) = 4140, the most
+    congruences a carrier of order 8 or less can have (every partition is
+    one for the identity permutation of order 8), so no lattice of such an
+    order is refused.  `CarrierTooLargeError` is raised before any closure
+    when more pairs than the cap would be closed (m - 1 when n >= 2,
+    m(m - 1)/2 when n = 1), and after the joins of a principal congruence
+    once more congruences than the cap are found.  The pair count is
+    needed for n = 1: a cyclic permutation has only the congruences of the
+    divisors of m, yet closing its m(m - 1)/2 pairs takes time cubic in m."""
     check_scope(scope)
     lattice = alg._memo.get(("congruences", scope))
     if lattice is None:
@@ -400,10 +415,9 @@ def enumerate_congruences(alg: FiniteAlgebra, scope="full") -> list:
 def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
     """The uncached work of `enumerate_congruences`."""
     m = alg.order
-    if m > DEFAULT_CARRIER_BOUND:
-        raise CarrierTooLargeError(
-            "carrier of size %d exceeds the enumeration bound %d" % (m, DEFAULT_CARRIER_BOUND)
-        )
+    closures = m - 1 if alg.n > 1 else m * (m - 1) // 2
+    if closures > CONGRUENCE_CAP:
+        raise CarrierTooLargeError("congruence lattice exceeded cap %d: %d pairs to close" % (CONGRUENCE_CAP, closures))
     principal = {}  # labels of Cg(a, b) -> one generating pair (a, b)
     pairs = [(0, b) for b in range(1, m)] if alg.n > 1 else itertools.combinations(range(m), 2)
     for a, b in pairs:
@@ -416,6 +430,8 @@ def _congruence_lattice(alg: FiniteAlgebra, scope: str) -> tuple:
             for x, y in moved:
                 _union(parent, x, y)
             found.add(tuple(_find(parent, x) for x in range(m)))
+        if len(found) > CONGRUENCE_CAP:
+            raise CarrierTooLargeError("congruence lattice exceeded cap %d: %d congruences found" % (CONGRUENCE_CAP, len(found)))
     out = [Congruence(alg.carrier, labels) for labels in found]
     out.sort(key=lambda c: (len(c.blocks), c.blocks))  # by names, not indices
     return tuple(out)

@@ -159,9 +159,11 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
     each partition compatible with the permutation is also compatible with
     its inverse: the full congruence generated by each f-congruence of the
     permutation's 1-quasigroup, whose division g1 is the inverse, is that
-    f-congruence.  None means no counterexample (as expected)."""
-    if max_order > 7:
-        raise ValueError("max_order above 7 is out of enumeration range")
+    f-congruence.  None means no counterexample (as expected).  An order
+    above 8 may raise `CarrierTooLargeError` at the congruence cap: the
+    identity permutation of order 9 has Bell(9) = 21,147 congruences."""
+    if type(max_order) is not int:
+        raise ValueError("max_order must be an integer, got %r" % (max_order,))
     for order in range(1, max_order + 1):
         for cycle_type in integer_partitions(order):
             perm = permutation_from_cycle_type(cycle_type)
@@ -183,7 +185,8 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
 
 def latin_squares(order: int):
     """All Latin squares on {0..order-1} as tuples of row tuples, in
-    lexicographic order of their rows; a negative order raises ValueError.
+    lexicographic order of their rows; an order that is no int, or is
+    negative, raises ValueError.
 
     A row is a permutation, and permutation k carries the bitmask
     `fits[k]` of the permutations whose (column, symbol) cells are
@@ -193,6 +196,8 @@ def latin_squares(order: int):
     masks per open level on an explicit stack.  The last row is emitted
     directly: under order-1 rows each column misses exactly one symbol, and
     those symbols form the one permutation that fits."""
+    if type(order) is not int:
+        raise ValueError("order must be an integer, got %r" % (order,))
     if order < 0:
         raise ValueError("order must be nonnegative, got %d" % order)
     if order < 2:
@@ -309,6 +314,8 @@ def search_noncep_monomorphism(max_order: int = 5):
     one fixed permutation: the identity on {0,1,2} has the congruence
     {0,1} | {2}.
     """
+    if type(max_order) is not int:
+        raise ValueError("max_order must be an integer, got %r" % (max_order,))
     if max_order > 5:
         raise ValueError("max_order above 5 is out of enumeration range")
     stats = {"squares": 0, "targets": 0, "sources": 0, "embeddings": 0}

@@ -22,6 +22,8 @@ class VarietySpec(_FrozenRecord):
             raise ValueError("kind must be 'quasigroup' or 'loop', got %r" % (kind,))
         if type(n) is not int or n < 1:
             raise ValueError("n must be a positive integer, got %r" % (n,))
+        if type(complete) is not bool:
+            raise ValueError("complete must be True or False, got %r" % (complete,))
         _setattr(self, "kind", kind)  # quasigroup | loop
         _setattr(self, "n", n)
         _setattr(self, "complete", complete)

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from nquasi import algebras
 from nquasi.algebras import (
+    CONGRUENCE_CAP,
     AlgebraError,
     CarrierTooLargeError,
     Embedding,
@@ -157,6 +159,16 @@ class TestDeriveDivisions:
         with pytest.raises(NotAQuasigroupError, match=re.escape("slot 2: 2 solutions for ('a', 'a')")):
             derive_divisions(2, carrier, flat_table(2, carrier, table))
 
+    @pytest.mark.parametrize("kind, identity", [("quasigroup", None), ("loop", "a")])
+    def test_a_table_that_is_not_latin_names_its_algebra(self, kind, identity):
+        carrier = ("a", "b")
+        table = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
+        message = "B is not a valid %s: slot 2: 2 solutions for ('a', 'a')" % kind
+        with pytest.raises(NotAQuasigroupError, match=re.escape(message)) as built:
+            FiniteAlgebra("B", 2, kind, carrier, table, identity=identity)
+        assert str(built.value) == message
+        assert isinstance(built.value, InvalidAlgebraError)
+
     @pytest.mark.parametrize(
         "alg",
         [
@@ -242,9 +254,48 @@ class TestCongruences:
         assert len(enumerate_congruences(trivial_loop)) == 1
 
     def test_carrier_bound(self):
-        big = cyclic_loop(9)
-        with pytest.raises(CarrierTooLargeError):
+        # the identity permutation of order 9 has Bell(9) = 21,147 congruences
+        big = permutation_quasigroup(list(range(9)))
+        with pytest.raises(CarrierTooLargeError, match=re.escape("congruence lattice exceeded cap 4140: ")):
             enumerate_congruences(big)
+
+    def test_the_cap_is_the_largest_lattice_of_order_eight(self):
+        assert CONGRUENCE_CAP == 4140 == len(enumerate_congruences(permutation_quasigroup(list(range(8))), "f"))
+
+    def test_the_cap_refuses_too_many_pairs_before_any_closure(self, monkeypatch):
+        def no_closure(*args):
+            raise AssertionError("a pair was closed")
+
+        # n = 1 closes every pair: 91 * 90 / 2 <= 4140 < 92 * 91 / 2 = 4186;
+        # 91 = 7 * 13, and a cyclic permutation has one congruence per divisor
+        assert len(enumerate_congruences(permutation_quasigroup(list(range(1, 91)) + [0]), "f")) == 4
+        cycle92 = permutation_quasigroup(list(range(1, 92)) + [0])
+        monkeypatch.setattr(algebras, "_closure", no_closure)
+        with pytest.raises(CarrierTooLargeError, match=re.escape("congruence lattice exceeded cap 4140: 4186 pairs to close")):
+            enumerate_congruences(cycle92, "f")
+
+    def test_the_cap_counts_congruences_for_n_at_least_two(self, monkeypatch):
+        # Z2^4 has 67 subgroups, each a congruence of its loop: a cap of 67
+        # keeps the lattice and a cap of 66 refuses it
+        z2_4 = lambda: algebra_from_function("Z2^4", 2, "loop", [str(i) for i in range(16)], lambda a, b: a ^ b, "0")
+        monkeypatch.setattr(algebras, "CONGRUENCE_CAP", 67)
+        assert len(enumerate_congruences(z2_4(), "f")) == 67
+        monkeypatch.setattr(algebras, "CONGRUENCE_CAP", 66)
+        with pytest.raises(CarrierTooLargeError, match=re.escape("congruence lattice exceeded cap 66: ")):
+            enumerate_congruences(z2_4(), "f")
+
+    @pytest.mark.slow
+    def test_the_cap_refuses_the_lattice_of_z2_to_the_seventh(self):
+        # Z2^7 has 29,212 subgroups, each a congruence of its loop
+        z2_7 = algebra_from_function("Z2^7", 2, "loop", [str(i) for i in range(128)], lambda a, b: a ^ b, identity="0")
+        with pytest.raises(CarrierTooLargeError, match=re.escape("congruence lattice exceeded cap 4140: ")):
+            enumerate_congruences(z2_7, "f")
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cyclic_loop_of_order_nine_has_three_congruences(self, n):
+        for scope in ("f", "full"):
+            lattice = enumerate_congruences(cyclic_loop(9, n), scope)
+            assert [len(c.blocks) for c in lattice] == [1, 3, 9]
 
     def test_full_scope_congruences_are_f_congruences(self):
         # On a finite carrier every f-congruence is compatible with every

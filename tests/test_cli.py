@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop
+from nquasi.algebras import algebra_from_function, algebra_to_json, cyclic_loop, permutation_quasigroup
 from nquasi.cli import main
 from nquasi.rewriting import complete, format_trs, parse_trs
 from nquasi.varieties import VarietySpec, generate_trs
@@ -495,12 +495,13 @@ class TestCodescent:
 
 
 def test_carrier_above_the_enumeration_bound_is_a_resource_exit(capsys, tmp_path):
-    z9 = algebra_to_json(cyclic_loop(9))
+    # the identity permutation of order 9 has Bell(9) = 21,147 congruences
+    p9 = algebra_to_json(permutation_quasigroup(list(range(9))))
     path = tmp_path / "embedding.json"
-    path.write_text(json.dumps({"source": z9, "target": z9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8")
+    path.write_text(json.dumps({"source": p9, "target": p9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8")
     code, out, err = run_cli(capsys, "codescent", "--embedding", str(path))
     assert (code, out) == (3, "")
-    assert err == "error: carrier of size 9 exceeds the enumeration bound 8\n"
+    assert err == "error: congruence lattice exceeded cap 4140: 4150 congruences found\n"
 
 
 class TestHostileInput:
@@ -598,6 +599,24 @@ class TestHostileInput:
         payload = {"source": source, "target": target, "map": mapping}
         err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
         assert err.startswith("error: " + message)
+
+    # f(a, b) = a: every element solves f(0, x) = 0 in slot 2
+    NOT_LATIN = {"name": "B", "n": 2, "carrier": ["0", "1"], "f": [["0", "0"], ["1", "1"]]}
+
+    def test_embedding_with_a_table_that_is_not_latin_names_the_role_and_the_algebra(self, capsys, tmp_path):
+        source = dict(self.NOT_LATIN, kind="quasigroup")
+        payload = {"source": source, "target": source, "map": {"0": "0", "1": "1"}}
+        err = self._assert_rejected(capsys, "codescent", "--embedding", self._embedding_path(tmp_path, payload))
+        assert err == "error: source B is not a valid quasigroup: slot 2: 2 solutions for ('0', '0')\n"
+
+    def test_diagram_with_a_table_that_is_not_latin_names_the_algebra(self, capsys, diagram_file):
+        with open(diagram_file, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload["factors"][0] = dict(self.NOT_LATIN, kind="loop", e="0")
+        with open(diagram_file, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        err = self._assert_rejected(capsys, "amalgam", "--diagram", diagram_file, "--check-unf")
+        assert err == "error: bad diagram file: B is not a valid loop: slot 2: 2 solutions for ('0', '0')\n"
 
     @pytest.mark.parametrize(
         "argv, reason",
@@ -749,7 +768,8 @@ def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_
     one_embedding = tmp_path / "one_embedding.json"
     one_embedding.write_text(json.dumps(dict(diagram, embeddings=[{"0": "0"}])), encoding="utf-8")
     bad_map = tmp_path / "bad_map.json"
-    z2, z4, z9 = (algebra_to_json(cyclic_loop(m)) for m in (2, 4, 9))
+    z2, z4 = (algebra_to_json(cyclic_loop(m)) for m in (2, 4))
+    p9 = algebra_to_json(permutation_quasigroup(list(range(9))))
     bad_map.write_text(json.dumps({"source": z2, "target": z4, "map": {"0": "0", "1": "1"}}), encoding="utf-8")
     list_map, int_map = tmp_path / "list_map.json", tmp_path / "int_map.json"
     list_map.write_text(json.dumps({"source": z2, "target": z4, "map": [["0", "0"], ["1", "2"]]}), encoding="utf-8")
@@ -761,7 +781,7 @@ def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_
     )
     too_large = tmp_path / "too_large.json"
     too_large.write_text(
-        json.dumps({"source": z9, "target": z9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8"
+        json.dumps({"source": p9, "target": p9, "map": {str(i): str(i) for i in range(9)}}), encoding="utf-8"
     )
     cases = [
         (["amalgam", "--diagram", str(one_embedding), "--check-unf"], 2, "error: need one embedding per factor\n"),
@@ -777,7 +797,7 @@ def test_lazily_imported_errors_keep_their_exit_codes(capsys, tmp_path, diagram_
             2,
             "error: invalid embedding: preserve-f at ['1', '1']: f is not preserved\n",
         ),
-        (["codescent", "--embedding", str(too_large)], 3, "error: carrier of size 9 exceeds the enumeration bound 8\n"),
+        (["codescent", "--embedding", str(too_large)], 3, "error: congruence lattice exceeded cap 4140: 4150 congruences found\n"),
     ]
     for argv, code, err in cases:
         assert run_fresh(*argv)[:3] == (code, "", err), argv

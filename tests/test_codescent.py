@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from nquasi import codescent
 from nquasi.algebras import (
+    CarrierTooLargeError,
     Embedding,
     FiniteAlgebra,
     InvalidAlgebraError,
@@ -194,8 +196,12 @@ class TestProp36:
         assert verify_prop_3_6(4) is None
 
     def test_bound_guard(self):
-        with pytest.raises(ValueError):
+        # the identity permutation of order 9 has Bell(9) = 21,147 congruences
+        with pytest.raises(CarrierTooLargeError, match=re.escape("congruence lattice exceeded cap 4140: ")):
             verify_prop_3_6(9)
+
+    def test_order_eight_holds(self):
+        assert verify_prop_3_6(8) is None
 
     def test_counterexample_is_reported(self, monkeypatch):
         # With g1 the shift a -> a+1 in place of the inverse, {0,1} | {2}
@@ -297,6 +303,22 @@ class TestSearch:
         assert found is None
         assert stats["squares"] == 2 + 12 + 576
         assert stats["embeddings"] > 0
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (search_noncep_monomorphism, "max_order"),
+            (verify_prop_3_6, "max_order"),
+            (lambda order: next(latin_squares(order)), "order"),
+        ],
+        ids=["search_noncep_monomorphism", "verify_prop_3_6", "latin_squares"],
+    )
+    def test_an_order_that_is_no_integer_is_refused(self, call, name, value):
+        # 2.5 failed inside range with a TypeError, and True ran as order 1
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == "%s must be an integer, got %r" % (name, value)
 
     def test_search_refuses_order_six_before_enumerating(self, monkeypatch):
         def no_squares(order):

@@ -50,7 +50,7 @@ from nquasi.codescent import cep_by_enumeration, check_cep
 
 from conftest import _dihedral8
 from test_fast_paths import KERNEL_CASES, _kernel_id, kernel_algebra
-from test_group_oracle import CASES, TARGETS, as_algebra, closure
+from test_group_oracle import CASES, TARGET_FORMS, TARGET_GROUPS, TARGETS, as_algebra, closure
 
 
 def partitions_of(congruences):
@@ -150,6 +150,26 @@ def test_enumerated_congruences_match_the_class_oracle(alg, scope):
     lattice = enumerate_congruences(alg, scope)
     assert len(partitions_of(lattice)) == len(lattice)
     assert partitions_of(lattice) == congruences_by_class(alg, scope)
+
+
+def assert_the_target_matches_the_class_oracle(name, form, scope):
+    alg = as_algebra(name, TARGET_GROUPS[name], form)
+    lattice = enumerate_congruences(alg, scope)
+    assert len(partitions_of(lattice)) == len(lattice)
+    assert partitions_of(lattice) == congruences_by_class(alg, scope)
+
+
+@pytest.mark.parametrize("scope", ["f", "full"])
+@pytest.mark.parametrize("name, form", [p for p in TARGET_FORMS if 8 < len(TARGET_GROUPS[p.values[0]]) <= 16])
+def test_group_target_congruences_of_orders_twelve_and_sixteen_match_the_class_oracle(name, form, scope):
+    assert_the_target_matches_the_class_oracle(name, form, scope)
+
+
+@pytest.mark.slow
+def test_s4_congruences_match_the_class_oracle():
+    # order 24: the oracle tries about 1.6 million candidate classes, such
+    # as the C(23, 11) of size 12, for 30-50 s a scope and form
+    assert_the_target_matches_the_class_oracle("S4", (2, "loop"), "full")
 
 
 def test_the_class_oracle_covers_every_group_oracle_algebra_of_order_eight_at_most():

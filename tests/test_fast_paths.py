@@ -1050,10 +1050,10 @@ def test_division_errors_match_reference(case):
     with pytest.raises(NotAQuasigroupError) as got:
         derive_divisions(n, carrier, flat_table(n, carrier, table))
     assert str(got.value) == str(expected.value)
-    # the constructor checks f's one-slot rows and raises the same message
+    # the constructor checks f's one-slot rows and raises the same message, naming the algebra
     with pytest.raises(NotAQuasigroupError) as built:
         FiniteAlgebra("A", n, "quasigroup", carrier, table, tables_g=None)
-    assert str(built.value) == str(expected.value)
+    assert str(built.value) == "A is not a valid quasigroup: %s" % expected.value
 
 
 # ---------------------------------------------------------------------------

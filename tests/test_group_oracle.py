@@ -19,7 +19,7 @@ joins of cyclic ones, with no library.
 import pytest
 
 from nquasi.algebras import Embedding, algebra_from_function, enumerate_congruences
-from nquasi.codescent import check_cep
+from nquasi.codescent import cep_by_enumeration, check_cep
 
 
 def compose(p, q):
@@ -155,10 +155,18 @@ def embedding(target, elements, subgroup, form):
     return Embedding(source, target, {str(k): str(position[p]) for k, p in enumerate(members)})
 
 
-def agreement_counts(form, cases):
-    """Assert that `check_cep` agrees with the criterion in both scopes on
-    each case; return how many embeddings were checked and how many of
-    them lack the extension property."""
+def check_cep_verdict(emb, scope):
+    return check_cep(emb, scope).verdict
+
+
+def enumeration_verdict(emb, scope):
+    return cep_by_enumeration(emb, scope)[0]
+
+
+def agreement_counts(form, cases, deciders=(check_cep_verdict,)):
+    """Assert that each decider (`check_cep` by default) agrees with the
+    criterion in both scopes on each case; return how many embeddings were
+    checked and how many of them lack the extension property."""
     checked = failing = 0
     targets = {}
     for target_name, elements, subgroup in cases:
@@ -167,7 +175,8 @@ def agreement_counts(form, cases):
         expected = cep_by_normal_closure(subgroup, frozenset(elements))
         emb = embedding(targets[target_name], elements, subgroup, form)
         for scope in ("f", "full"):
-            assert check_cep(emb, scope).verdict == expected, (target_name, sorted(subgroup), scope)
+            for decide in deciders:
+                assert decide(emb, scope) == expected, (target_name, sorted(subgroup), scope, decide.__name__)
         checked += 1
         failing += not expected
     print("%d embeddings, %d without the extension property" % (checked, failing))
@@ -185,23 +194,60 @@ def test_check_cep_agrees_with_the_normal_closure_criterion_on_every_ternary_tar
     assert agreement_counts(TERNARY, CASES) == (185, 22)
 
 
+@pytest.mark.parametrize("form", [BINARY, LOOP], ids=["binary", "loop"])
+def test_the_enumeration_oracle_agrees_with_check_cep_and_the_criterion(form):
+    # cep_by_enumeration builds every target's lattice, up to S4 of order 24
+    assert agreement_counts(form, CASES, (check_cep_verdict, enumeration_verdict)) == (185, 22)
+
+
+def normal_coset_partitions(members):
+    """The coset partitions of the normal subgroups of the group on the
+    sorted `members`, in the element names of `as_algebra`."""
+    group = frozenset(members)
+    position = {p: str(k) for k, p in enumerate(members)}
+    expected = set()
+    for n in subgroups(group):
+        if is_normal(n, group):
+            cosets = {frozenset(compose(h, x) for x in n) for h in members}
+            expected.add(frozenset(frozenset(map(position.__getitem__, c)) for c in cosets))
+    return expected
+
+
+def assert_lattice_is_normal_subgroup_cosets(members, form):
+    algebra = as_algebra("H", members, form)
+    expected = normal_coset_partitions(members)
+    for scope in ("f", "full"):
+        found = {frozenset(map(frozenset, c.blocks)) for c in enumerate_congruences(algebra, scope)}
+        assert found == expected, (members, scope)
+
+
 @FORMS
 def test_congruences_are_normal_subgroup_cosets(form):
     # every source subgroup once, with its congruences enumerated on the
     # union-find kernel and read off its normal subgroups
     seen = set()
     for _target_name, elements, subgroup in CASES:
-        members = sorted(subgroup)
         if subgroup in seen or not in_reach(elements, form):
             continue
         seen.add(subgroup)
-        algebra = as_algebra("H", members, form)
-        position = {p: str(k) for k, p in enumerate(members)}
-        expected = set()
-        for n in subgroups(subgroup):
-            if is_normal(n, subgroup):
-                cosets = {frozenset(compose(h, x) for x in n) for h in members}
-                expected.add(frozenset(frozenset(map(position.__getitem__, c)) for c in cosets))
-        for scope in ("f", "full"):
-            found = {frozenset(map(frozenset, c.blocks)) for c in enumerate_congruences(algebra, scope)}
-            assert found == expected, (members, scope)
+        assert_lattice_is_normal_subgroup_cosets(sorted(subgroup), form)
+
+
+TARGET_GROUPS = {name: sorted(closure(generators, len(generators[0]))) for name, generators in TARGETS.items()}
+TARGET_FORMS = [
+    pytest.param(name, form, id="%s:%s" % (name, form_id))
+    for name in TARGETS
+    for form, form_id in ((BINARY, "binary"), (LOOP, "loop"), (TERNARY, "ternary"))
+]
+
+
+@pytest.mark.parametrize("name, form", [p for p in TARGET_FORMS if in_reach(TARGET_GROUPS[p.values[0]], p.values[1])])
+def test_target_congruences_are_normal_subgroup_cosets(name, form):
+    # the targets, of orders 8 to 24, in the forms that keep tier-1 fast
+    assert_lattice_is_normal_subgroup_cosets(TARGET_GROUPS[name], form)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, form", [p for p in TARGET_FORMS if not in_reach(TARGET_GROUPS[p.values[0]], p.values[1])])
+def test_ternary_target_congruences_above_order_twelve_are_normal_subgroup_cosets(name, form):
+    assert_lattice_is_normal_subgroup_cosets(TARGET_GROUPS[name], form)

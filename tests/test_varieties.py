@@ -30,6 +30,14 @@ def test_spec_refuses_an_n_that_is_no_integer(n):
     assert str(info.value) == "n must be a positive integer, got %r" % (n,)
 
 
+@pytest.mark.parametrize("complete", ["no", 1, None])
+def test_spec_refuses_a_complete_flag_that_is_no_bool(complete):
+    # VarietySpec("loop", 2, complete="no") kept "no", and generate_trs read it as true
+    with pytest.raises(ValueError) as info:
+        VarietySpec("loop", 2, complete=complete)
+    assert str(info.value) == "complete must be True or False, got %r" % (complete,)
+
+
 def test_run_helpers_empty_edges():
     assert var_run(1, 0) == ()
     assert var_run(3, 2) == ()
