@@ -71,8 +71,7 @@ class FiniteAlgebra:
     def __init__(self, name, n, kind, carrier, table_f, tables_g=None, identity=None):
         if kind not in ("quasigroup", "loop"):
             raise AlgebraError("kind must be 'quasigroup' or 'loop', got %r" % (kind,))
-        if type(n) is not int or n < 1:
-            raise AlgebraError("n must be a positive integer, got %r" % (n,))
+        _check_positive("n", n)
         carrier = tuple(carrier)
         if len(set(carrier)) != len(carrier) or not carrier:
             raise AlgebraError("carrier must be nonempty and duplicate-free")
@@ -179,9 +178,15 @@ class FiniteAlgebra:
         return "FiniteAlgebra(%s: %d-%s of order %d)" % (self.name, self.n, self.kind, self.order)
 
 
+def _check_positive(name, value) -> None:
+    """Refuse an arity or order that is not an integer of at least 1, bools included."""
+    if type(value) is not int or value < 1:
+        raise AlgebraError("%s must be a positive integer, got %r" % (name, value))
+
+
 def _key(carrier, n, p) -> tuple:
-    """The element-name tuple at place p of a flat table."""
-    return next(itertools.islice(itertools.product(carrier, repeat=n), p, None))
+    """The element-name tuple at place p of a flat table, by p's base-m digits: slot i reads p // m^(n-1-i) % m."""
+    return tuple(carrier[p // len(carrier) ** (n - 1 - i) % len(carrier)] for i in range(n))
 
 
 def _flat_table(alg: FiniteAlgebra, table, opname) -> tuple:
@@ -306,13 +311,13 @@ def check_scope(scope: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _slot_readers(m: int, n: int) -> tuple:
-    """Per slot, per element index a: a function that reads, from the value
-    indices of a table listed in product order of its argument tuples, the
-    tuple of values with a in that slot, over every context of the other
-    slots in product order.  Each reads the place tuple of its (slot, a),
-    computed once per (m, n)."""
-    keys = list(itertools.product(range(m), repeat=n))
-    places = [[tuple(p for p, ix in enumerate(keys) if ix[slot] == a) for a in range(m)] for slot in range(n)]
+    """Per slot, per element index a: a function that reads, from a flat
+    table, the tuple of values with a in that slot, over every context of
+    the other slots in product order.  Its places, built once per (m, n) in
+    n*m^n steps, have digit a at stride s = m^(n-1-slot), the digit rule of
+    `derive_divisions`: b + lo, for b in range(a*s, m^n, m*s) and lo < s."""
+    strides = [m ** (n - 1 - slot) for slot in range(n)]
+    places = [[tuple(b + lo for b in range(a * s, m**n, m * s) for lo in range(s)) for a in range(m)] for s in strides]
     if m ** (n - 1) == 1:  # one place per row: itemgetter would return the value, not a 1-tuple
         return tuple(tuple((lambda flat, p=p: (flat[p],)) for (p,) in per) for per in places)
     return tuple(tuple(operator.itemgetter(*ps) for ps in per) for per in places)
@@ -594,6 +599,7 @@ def algebra_from_json(obj) -> FiniteAlgebra:
 
 def algebra_from_function(name, n, kind, carrier, func, identity=None) -> FiniteAlgebra:
     """Build f from the value index `func` gives each argument index tuple (0-based)."""
+    _check_positive("n", n)
     carrier = tuple(carrier)
     flat = [func(*ix) for ix in itertools.product(range(len(carrier)), repeat=n)]
     return FiniteAlgebra(name, n, kind, carrier, flat, identity=identity)
@@ -601,6 +607,7 @@ def algebra_from_function(name, n, kind, carrier, func, identity=None) -> Finite
 
 def cyclic_loop(order: int, n: int = 2, name=None) -> FiniteAlgebra:
     """The n-loop on {0..order-1} with f = sum mod order and identity 0."""
+    _check_positive("order", order)
     carrier = [str(i) for i in range(order)]
     return algebra_from_function(name or "Z%d" % order, n, "loop", carrier, lambda *ix: sum(ix) % order, identity="0")
 

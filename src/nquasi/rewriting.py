@@ -24,6 +24,7 @@ from .terms import (
     Var,
     _FrozenRecord,
     _Record,
+    _check_bound,
     _cut,
     _setattr,
     apply_substitution,
@@ -45,6 +46,13 @@ from .terms import (
 DEFAULT_REDUCT_CAP = 100_000
 
 STRATEGIES = ("leftmost-innermost", "leftmost-outermost", "random")
+
+
+def _check_cap(cap) -> None:
+    """Refuse a reduct cap that is not an integer of at least 1, as the
+    CLI refuses such an `NQ_REDUCT_CAP`."""
+    if type(cap) is not int or cap < 1:
+        raise ValueError("cap must be a positive integer, got %r" % (cap,))
 
 
 class RewriteError(Exception):
@@ -363,6 +371,8 @@ def normalize(
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
+    if max_steps is not None:
+        _check_bound("max_steps", max_steps)
     if max_steps is None and not system.terminates:
         raise TerminationNotVerified(
             "rules do not all strictly decrease size; pass max_steps to rewrite anyway"
@@ -425,6 +435,7 @@ def reducts(system, t: Term, cap: int = DEFAULT_REDUCT_CAP) -> set:
     branching); the cap is a safety net against a non-decreasing system
     slipping through.
     """
+    _check_cap(cap)
     if not system.terminates:
         raise TerminationNotVerified("reduct enumeration requires size-decreasing rules")
     return _reach(_step_memo(system), t, cap)
@@ -591,6 +602,7 @@ def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdi
     system).  Termination is certified via the size-decrease check; if that
     fails, TerminationNotVerified is raised rather than a guess returned.
     One memoized step relation (`_step_memo`) serves every pair of a call."""
+    _check_cap(cap)
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     pairs = critical_pairs(trs)
@@ -661,6 +673,7 @@ def complete(trs: Trs, max_rounds: int = 10, cap: int = DEFAULT_REDUCT_CAP) -> C
     rule invariants or the size-decrease condition, raises UnorientableError
     rather than guessing.
     """
+    _check_bound("max_rounds", max_rounds)
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("completion requires size-decreasing input rules")
     current = trs
@@ -830,6 +843,7 @@ def local_confluence_oracle(
     that the joinability walks visit are kept.  Like check_confluence, it
     raises TerminationNotVerified on a system whose termination the
     size-decrease check does not certify."""
+    _check_cap(cap)
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
     steps = _step_memo(trs)

@@ -366,9 +366,16 @@ def unify(s: Term, t: Term) -> Substitution | None:
     return sub
 
 
+def _check_bound(name, value) -> None:
+    """Refuse a count or bound that is not an integer of at least 0, bools included."""
+    if type(value) is not int or value < 0:
+        raise ValueError("%s must be a nonnegative integer, got %r" % (name, value))
+
+
 def fresh_names(prefix: str, count: int, taken) -> list:
     """The first `count` of prefix1, prefix2, ... not in `taken` (a set of
     names or a Signature); every name the package invents comes from here."""
+    _check_bound("count", count)
     names = []
     i = 0
     while len(names) < count:

@@ -111,6 +111,23 @@ class TestValidation:
             FiniteAlgebra("Z3", n, "quasigroup", z3.carrier, z3.table_f)
         assert str(info.value) == "n must be a positive integer, got %r" % (n,)
 
+    @pytest.mark.parametrize(
+        "order, n, message",
+        [
+            (2.5, 2, "order must be a positive integer, got 2.5"),
+            (True, 2, "order must be a positive integer, got True"),
+            (0, 2, "order must be a positive integer, got 0"),
+            (3, 2.0, "n must be a positive integer, got 2.0"),
+            (3, 0, "n must be a positive integer, got 0"),
+        ],
+        ids=["order=2.5", "order=True", "order=0", "n=2.0", "n=0"],
+    )
+    def test_cyclic_loop_order_and_n_must_be_positive_integers(self, order, n, message):
+        # 2.5 and n = 2.0 failed inside range, and True built Z1
+        with pytest.raises(AlgebraError) as info:
+            cyclic_loop(order, n)
+        assert str(info.value) == message
+
     def test_tables_must_be_total(self):
         with pytest.raises(AlgebraError):
             FiniteAlgebra("bad", 2, "quasigroup", ("a", "b"), {("a", "a"): "a"})

@@ -369,6 +369,12 @@ class TestUniqueNormalForms:
         # f(g1(2,1),1) -> 2 by division, and g1(2,1) = 1 with f(1,1) now 0
         assert str(bad) == "critical-pair: f(g1(2@1,1@1),1@1) has normal forms {0, 2@1}"
 
+    @pytest.mark.parametrize("cap", [0, 2.5])
+    def test_cap_that_is_no_positive_integer_is_refused(self, cap):
+        with pytest.raises(ValueError) as info:
+            check_unique_normal_forms(two_z3_over_trivial(), cap=cap)
+        assert str(info.value) == "cap must be a positive integer, got %r" % (cap,)
+
     def test_unverified_termination_is_raised(self):
         d = two_z3_over_trivial()
         swap = Rule(App("f", (Var("x"), Var("y"))), App("f", (Var("y"), Var("x"))), "swap")

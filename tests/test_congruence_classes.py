@@ -16,7 +16,7 @@ entry: each entry lies in the class of the entry at its arguments'
 class representatives.  The oracle shares no code with
 `algebras._closure` and is compared with `enumerate_congruences`.
 
-Affine family.  Take an elementary abelian 2-group A = Z2^k and
+Affine family.  Take an elementary abelian group A = Z_p^k and
 f(x_1, .., x_n) = phi_1(x_1) + .. + phi_n(x_n) + c with each phi_i an
 automorphism and n >= 2.  Its congruences are the coset partitions of
 the subgroups M that every phi_i maps into M.  Such cosets are
@@ -37,8 +37,9 @@ a + W by the cosets of the subgroups M of W that every phi_i maps into
 M.  That condition does not depend on the group around W, so the cosets
 of M in A are a congruence of A, and it restricts to the partition of
 a + W by M.  Medial quasigroups are affine by the Toyoda-Bruck theorem,
-so the family is the medial n-quasigroups over Z2^2 and Z2^3 whose
-phi_i are block triangular, each leaving a flag of subgroups invariant.
+so the family is the medial n-quasigroups over Z2^2, Z2^3, Z3^2, Z2^4,
+Z5^2 and Z3^3 whose phi_i are block triangular, each leaving a flag of
+subgroups invariant.
 """
 
 import itertools
@@ -185,18 +186,29 @@ def test_the_cep_workload_targets_are_quasigroups_of_orders_six_to_eight():
 
 
 # ---------------------------------------------------------------------------
-# affine n-quasigroups over Z2^2 and Z2^3
+# affine n-quasigroups over Z_p^k
 
 
-def linear_map(images):
-    """The endomorphism of Z2^k (elements as bit vectors 0..2^k-1, + as
-    xor) sending the j-th basis vector 1 << j to images[j]."""
+def add(p, x, y):
+    """The sum in Z_p^k of two vectors written as base-p integers, digit j
+    being coordinate j."""
+    out, scale = 0, 1
+    while x or y:
+        out += (x % p + y % p) % p * scale
+        x, y, scale = x // p, y // p, scale * p
+    return out
+
+
+def linear_map(p, images):
+    """The endomorphism of Z_p^k (elements as base-p integers
+    0..p^k-1) sending the j-th basis vector p^j to images[j]."""
 
     def phi(x):
         out = 0
-        for j, image in enumerate(images):
-            if x >> j & 1:
-                out ^= image
+        for image in images:
+            for _ in range(x % p):
+                out = add(p, out, image)
+            x //= p
         return out
 
     return phi
@@ -212,69 +224,141 @@ UPPER3 = (1, 2, 7)  # blocks (1, 1, 1): e2 -> e0 + e1 + e2
 ROTATE_LOW3 = (2, 3, 4)  # blocks (2, 1): an order-3 rotation of <e0, e1>
 ROTATE_HIGH3 = (1, 4, 7)  # blocks (1, 2): e0 fixed, an order-3 rotation modulo <e0>
 
+# (p, k, images of the basis under each phi_i, c)
 AFFINE_FAMILY = [
-    (2, (ID2, ID2), 0),
-    (2, (ID2, SHEAR2), 1),
-    (2, (SHEAR2, SHEAR2), 3),
-    (2, (ROTATE2, ID2), 2),
-    (2, (ID2, SHEAR2, ID2), 0),
-    (2, (SHEAR2, ROTATE2, SHEAR2), 1),
-    (3, (ID3, ID3), 0),
-    (3, (ID3, SHEAR3), 5),
-    (3, (SHEAR3, UPPER3), 2),
-    (3, (ROTATE_LOW3, ID3), 4),
-    (3, (ROTATE_HIGH3, SHEAR3), 7),
-    (3, (ID3, UPPER3, ID3), 1),
-    (3, (ROTATE_LOW3, ID3, SHEAR3), 6),
-    (3, (ROTATE_HIGH3, ROTATE_HIGH3, UPPER3), 3),
+    (2, 2, (ID2, ID2), 0),
+    (2, 2, (ID2, SHEAR2), 1),
+    (2, 2, (SHEAR2, SHEAR2), 3),
+    (2, 2, (ROTATE2, ID2), 2),
+    (2, 2, (ID2, SHEAR2, ID2), 0),
+    (2, 2, (SHEAR2, ROTATE2, SHEAR2), 1),
+    (2, 3, (ID3, ID3), 0),
+    (2, 3, (ID3, SHEAR3), 5),
+    (2, 3, (SHEAR3, UPPER3), 2),
+    (2, 3, (ROTATE_LOW3, ID3), 4),
+    (2, 3, (ROTATE_HIGH3, SHEAR3), 7),
+    (2, 3, (ID3, UPPER3, ID3), 1),
+    (2, 3, (ROTATE_LOW3, ID3, SHEAR3), 6),
+    (2, 3, (ROTATE_HIGH3, ROTATE_HIGH3, UPPER3), 3),
+]
+
+# above order 8: the basis vectors are e0 = 1, e1 = p, e2 = p^2, e3 = 8 in
+# Z2^4, and each rotation turns a 2-dimensional block with no invariant
+# line (its characteristic polynomial x^2 + 1, x^2 - 2 or x^2 + x + 1 has
+# no root mod p); a rotation or cycle leaves only 0 and the whole group
+# invariant
+ID9, SHEAR9, SCALE9, MIXED9, ROTATE9 = (1, 3), (1, 4), (2, 3), (2, 5), (3, 2)  # Z3^2: e1 -> e0 + e1, ..
+ID16 = (1, 2, 4, 8)
+SHEAR16 = (1, 3, 6, 12)  # blocks (1, 1, 1, 1): e_j -> e_(j-1) + e_j
+ROTATE16 = (2, 3, 8, 13)  # blocks (2, 2): a rotation of <e0, e1>, and one modulo it
+CYCLE16 = (2, 4, 8, 3)  # one block, e3 -> e0 + e1: x^4 + x + 1 has no factor mod 2
+SHEAR25, SCALE25, MIXED25, ROTATE25 = (1, 6), (2, 5), (3, 9), (5, 2)  # Z5^2
+SHEAR27 = (1, 4, 12)  # blocks (1, 1, 1): e1 -> e0 + e1, e2 -> e1 + e2
+UPPER27 = (1, 3, 13)  # blocks (1, 1, 1): e2 -> e0 + e1 + e2
+SCALE27 = (2, 3, 9)  # e0 -> 2 e0
+ROTATE27 = (1, 9, 7)  # blocks (1, 2): e0 fixed, a rotation modulo <e0>
+CYCLE27 = (3, 9, 4)  # one block, e2 -> e0 + e1: x^3 - x - 1 has no factor mod 3
+
+AFFINE_FAMILY_ABOVE_8 = [
+    (3, 2, (SHEAR9, SCALE9), 1),
+    (3, 2, (ID9, SCALE9), 0),
+    (3, 2, (ROTATE9, ID9), 2),
+    (3, 2, (SHEAR9, MIXED9, ID9), 4),
+    (3, 2, (SCALE9, ID9, SCALE9), 0),
+    (2, 4, (ID16, SHEAR16), 5),
+    (2, 4, (ROTATE16, ID16), 0),
+    (2, 4, (SHEAR16, ROTATE16, ID16), 9),
+    (2, 4, (CYCLE16, SHEAR16), 6),
+    (5, 2, (SHEAR25, SCALE25), 7),
+    (5, 2, (ROTATE25, MIXED25), 0),
+    (5, 2, (SCALE25, MIXED25, SHEAR25), 3),
+    (3, 3, (SHEAR27, UPPER27), 2),
+    (3, 3, (ROTATE27, SCALE27), 0),
+    (3, 3, (SHEAR27, SCALE27, UPPER27), 13),
+    (3, 3, (CYCLE27, SHEAR27), 5),
 ]
 
 
-def affine_algebra(k, images, c):
-    phis = [linear_map(im) for im in images]
+def affine_algebra(p, k, images, c):
+    phis = [linear_map(p, im) for im in images]
     name = "Aff[%s]+%d" % (";".join(",".join(map(str, im)) for im in images), c)
 
     def op(*xs):
         out = c
         for phi, x in zip(phis, xs):
-            out ^= phi(x)
+            out = add(p, out, phi(x))
         return out
 
-    return algebra_from_function(name, len(images), "quasigroup", [str(i) for i in range(2**k)], op)
+    return algebra_from_function(name, len(images), "quasigroup", [str(i) for i in range(p**k)], op)
 
 
-def subgroups(k):
-    """Every subgroup of Z2^k, by brute force over the subsets holding 0."""
-    rest = range(1, 2**k)
-    subsets = (frozenset((0,) + s) for r in range(2**k) for s in itertools.combinations(rest, r))
-    return [s for s in subsets if all(a ^ b in s for a in s for b in s)]
+def subgroups(p, k):
+    """Every subgroup of Z_p^k, as the joins of its cyclic subgroups."""
+
+    def span(vectors):
+        found = {0}
+        frontier = [0]
+        while frontier:
+            x = frontier.pop()
+            for v in vectors:
+                y = add(p, x, v)
+                if y not in found:
+                    found.add(y)
+                    frontier.append(y)
+        return frozenset(found)
+
+    cyclic = {span([v]) for v in range(p**k)}
+    found = set(cyclic)
+    frontier = list(found)
+    while frontier:
+        h = frontier.pop()
+        for z in cyclic:
+            joined = span(h | z)
+            if joined not in found:
+                found.add(joined)
+                frontier.append(joined)
+    return sorted(found, key=lambda w: (len(w), sorted(w)))
 
 
-def invariant_subgroups(k, images):
-    phis = [linear_map(im) for im in images]
-    return [w for w in subgroups(k) if all(phi(x) in w for phi in phis for x in w)]
+def invariant_subgroups(p, k, images):
+    phis = [linear_map(p, im) for im in images]
+    return [w for w in subgroups(p, k) if all(phi(x) in w for phi in phis for x in w)]
 
 
-def cosets(group, subgroup):
-    return frozenset(frozenset(str(a ^ w) for w in subgroup) for a in group)
+def cosets(p, group, subgroup):
+    return frozenset(frozenset(str(add(p, a, w)) for w in subgroup) for a in group)
 
 
 def _affine_id(case):
-    k, images, c = case
-    return "Z2^%d:n=%d:%s+%d" % (k, len(images), ";".join("".join(map(str, im)) for im in images), c)
+    p, k, images, c = case
+    sep = "" if p**k <= 8 else ","  # digits run together only where every image has one
+    return "Z%d^%d:n=%d:%s+%d" % (p, k, len(images), ";".join(sep.join(map(str, im)) for im in images), c)
 
 
 def test_subgroup_counts():
-    # 1 + 3 + 1 subgroups of Z2^2 and 1 + 7 + 7 + 1 of Z2^3
-    assert [len(subgroups(k)) for k in (1, 2, 3)] == [2, 5, 16]
+    # 1 + 3 + 1 subgroups of Z2^2, 1 + 7 + 7 + 1 of Z2^3, 1 + 15 + 35 + 15 + 1
+    # of Z2^4, 1 + 4 + 1 of Z3^2, 1 + 6 + 1 of Z5^2 and 1 + 13 + 13 + 1 of Z3^3
+    assert [len(subgroups(2, k)) for k in (1, 2, 3)] == [2, 5, 16]
+    assert [len(subgroups(p, k)) for p, k in ((2, 4), (3, 2), (5, 2), (3, 3))] == [67, 6, 8, 28]
 
 
-@pytest.mark.parametrize("case", AFFINE_FAMILY, ids=_affine_id)
+def test_every_affine_map_is_an_automorphism():
+    for p, k, images, _ in AFFINE_FAMILY + AFFINE_FAMILY_ABOVE_8:
+        for im in images:
+            phi = linear_map(p, im)
+            assert sorted(map(phi, range(p**k))) == list(range(p**k)), (p, k, im)
+            assert all(phi(add(p, x, y)) == add(p, phi(x), phi(y)) for x in range(p**k) for y in range(p**k))
+
+
+AFFINE_CASES = [pytest.param(case, id=_affine_id(case)) for case in AFFINE_FAMILY + AFFINE_FAMILY_ABOVE_8]
+
+
+@pytest.mark.parametrize("case", AFFINE_CASES)
 def test_affine_congruences_are_the_cosets_of_the_invariant_subgroups(case):
-    k, images, c = case
-    alg = affine_algebra(k, images, c)
-    invariant = invariant_subgroups(k, images)
-    expected = {cosets(range(2**k), w) for w in invariant}
+    p, k, images, c = case
+    alg = affine_algebra(p, k, images, c)
+    invariant = invariant_subgroups(p, k, images)
+    expected = {cosets(p, range(p**k), w) for w in invariant}
     for scope in ("f", "full"):
         lattice = enumerate_congruences(alg, scope)
         assert len(lattice) == len(invariant), scope
@@ -284,18 +368,28 @@ def test_affine_congruences_are_the_cosets_of_the_invariant_subgroups(case):
 def test_affine_family_lattice_sizes():
     # the flags keep some subgroups invariant, and the family reaches from
     # the trivial lattice of the rotation to every subgroup of Z2^3
-    sizes = [len(invariant_subgroups(k, images)) for k, images, _ in AFFINE_FAMILY]
+    sizes = [len(invariant_subgroups(p, k, images)) for p, k, images, _ in AFFINE_FAMILY]
     assert min(sizes) == 2 and max(sizes) == 16 and len(set(sizes)) >= 5
 
 
-def coset_embeddings(k, images, c):
+def test_affine_family_above_order_eight_has_invariant_subgroups_of_every_order():
+    # each group has a member with only the trivial lattice (a rotation)
+    # and one with a proper invariant subgroup of each order
+    for p, k in ((3, 2), (2, 4), (5, 2), (3, 3)):
+        lattices = [invariant_subgroups(p, k, images) for q, j, images, _ in AFFINE_FAMILY_ABOVE_8 if (q, j) == (p, k)]
+        assert min(map(len, lattices)) == 2, (p, k)
+        orders = {len(w) for lattice in lattices for w in lattice}
+        assert orders == {p**j for j in range(k + 1)}, (p, k)
+
+
+def coset_embeddings(p, k, images, c):
     """An embedding into the affine algebra of the first coset a + W closed
     under f, for each invariant subgroup W that has one."""
-    target = affine_algebra(k, images, c)
+    target = affine_algebra(p, k, images, c)
     out = []
-    for w in invariant_subgroups(k, images):
-        for a in range(2**k):
-            members = sorted(a ^ x for x in w)
+    for w in invariant_subgroups(p, k, images):
+        for a in range(p**k):
+            members = sorted(add(p, a, x) for x in w)
             index = {x: i for i, x in enumerate(members)}
             values = [int(target.table_f[tuple(str(x) for x in xs)]) for xs in itertools.product(members, repeat=len(images))]
             if all(v in index for v in values):
@@ -311,7 +405,7 @@ def coset_embeddings(k, images, c):
     return out
 
 
-@pytest.mark.parametrize("case", AFFINE_FAMILY, ids=_affine_id)
+@pytest.mark.parametrize("case", AFFINE_CASES)
 def test_every_coset_embedding_of_an_affine_family_member_has_the_extension_property(case):
     embeddings = coset_embeddings(*case)
     assert embeddings  # the whole carrier is a coset of itself
@@ -325,3 +419,8 @@ def test_affine_family_has_proper_coset_embeddings():
     proper = [emb for case in AFFINE_FAMILY for emb in coset_embeddings(*case) if 1 < emb.source.order < emb.target.order]
     assert len(proper) >= 20
     assert {emb.source.order for emb in proper} == {2, 4}
+
+
+def test_affine_family_above_order_eight_has_proper_coset_embeddings():
+    proper = [emb for case in AFFINE_FAMILY_ABOVE_8 for emb in coset_embeddings(*case) if 1 < emb.source.order < emb.target.order]
+    assert {emb.source.order for emb in proper} == {2, 3, 4, 5, 8, 9}

@@ -54,7 +54,10 @@ every term; and, for n >= 2, the principal congruences of the pairs
 and each rule's termination conditions, computed once when the rule is
 built, checked against the per-system functions that derived them anew
 for every system; and `positions` on an explicit stack, checked for every
-pair and its order against the recursive generator that it replaced.
+pair and its order against the recursive generator that it replaced; and
+the slot readers' places and the tuple at a place, read from base-m
+digits, checked against the scan and the walk over every argument tuple
+that they replaced.
 The reference implementations below
 are kept only for these comparisons."""
 
@@ -917,6 +920,59 @@ def test_kernel_cases_list_carriers_out_of_sorted_order():
         if carrier != sorted(carrier):
             variants.add(case[2])
     assert variants == {"cyclic", "relabelled", "supplied"}
+
+
+def reference_slot_places(m, n):
+    """The place tuples `_slot_readers` built by scanning the list of all
+    m^n argument tuples once per (slot, element a), in n*m^(n+1) steps:
+    every place whose tuple has a in that slot, in product order."""
+    keys = list(itertools.product(range(m), repeat=n))
+    return [[tuple(p for p, ix in enumerate(keys) if ix[slot] == a) for a in range(m)] for slot in range(n)]
+
+
+def reference_key(carrier, n, p):
+    """The element-name tuple at place p, by walking the product of the
+    carrier up to p, as `_key` did before it read p's digits."""
+    return next(itertools.islice(itertools.product(carrier, repeat=n), p, None))
+
+
+# every (m, n) with m <= 8, n <= 4 and m^n <= 4096, and two larger tables
+PLACE_SHAPES = [(m, n) for m in range(1, 9) for n in range(1, 5) if m**n <= 4096] + [(8, 5), (128, 2)]
+
+
+def read_places(m, n):
+    """What the readers of `_slot_readers(m, n)`, computed afresh, read from
+    the table whose value at each place is the place itself."""
+    algebras._slot_readers.cache_clear()
+    flat = tuple(range(m**n))
+    return [[read(flat) for read in per] for per in algebras._slot_readers(m, n)]
+
+
+@pytest.mark.parametrize("m, n", PLACE_SHAPES)
+def test_slot_readers_read_the_places_of_the_tuple_scan(m, n):
+    assert read_places(m, n) == reference_slot_places(m, n)
+
+
+@pytest.mark.parametrize("m, n", PLACE_SHAPES)
+def test_key_reads_the_tuple_of_the_product_walk(m, n):
+    carrier = tuple("e%d" % a for a in reversed(range(m)))  # names out of sorted order
+    got = [algebras._key(carrier, n, p) for p in range(m**n)]
+    # the walk costs p steps at place p: at the two larger tables compare
+    # with the whole product, which is what it reads at each place
+    if m**n <= 4096:
+        assert got == [reference_key(carrier, n, p) for p in range(m**n)]
+    assert got == list(itertools.product(carrier, repeat=n))
+
+
+def test_slot_readers_at_order_251_list_each_place_once_under_its_digit():
+    # the tuple scan takes about a second here, so check the digit rule itself
+    m, n = 251, 2
+    for slot, per in enumerate(read_places(m, n)):
+        stride = m ** (n - 1 - slot)
+        assert sorted(p for places in per for p in places) == list(range(m**n))
+        for a, places in enumerate(per):
+            assert list(places) == sorted(places), (slot, a)  # product order of the other slot
+            assert all(p // stride % m == a for p in places), (slot, a)
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_id)

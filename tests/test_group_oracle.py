@@ -16,6 +16,8 @@ Groups are built from permutation generators by closure, and subgroups as
 joins of cyclic ones, with no library.
 """
 
+import functools
+
 import pytest
 
 from nquasi.algebras import Embedding, algebra_from_function, enumerate_congruences
@@ -192,6 +194,51 @@ def test_check_cep_agrees_with_the_normal_closure_criterion(form):
 @pytest.mark.slow
 def test_check_cep_agrees_with_the_normal_closure_criterion_on_every_ternary_target():
     assert agreement_counts(TERNARY, CASES) == (185, 22)
+
+
+def direct_product(a, b):
+    """Generators of the product of two permutation groups, acting on
+    disjoint points, the second group's after the first's."""
+    da, db = len(a[0]), len(b[0])
+    return [p + tuple(range(da, da + db)) for p in a] + [tuple(range(da)) + tuple(da + x for x in q) for q in b]
+
+
+S3 = [cycle(0, 1, degree=3), cycle(0, 1, 2, degree=3)]
+# target: (generators, order, embeddings, embeddings without the extension
+# property), over every proper non-trivial subgroup in the binary and loop
+# forms; their ternary tables reach 1.7 million entries at S5, so no
+# ternary form is checked
+LARGE_TARGETS = {
+    "S3xS3": (direct_product(S3, S3), 36, 58, 2),
+    "A5": ([cycle(0, 1, 2, degree=5), cycle(0, 1, 2, 3, 4, degree=5)], 60, 57, 26),
+    "Z2wrZ4": ([cycle(0, 1, degree=8), tuple((i + 2) % 8 for i in range(8))], 64, 127, 78),
+    "D4xD4": (direct_product(dihedral(4), dihedral(4)), 64, 387, 129),
+    "S5": ([cycle(0, 1, degree=5), cycle(0, 1, 2, 3, 4, degree=5)], 120, 154, 87),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def large_target_cases(name):
+    """(target name, target elements, subgroup) for every proper non-trivial
+    subgroup of a large target."""
+    generators, order = LARGE_TARGETS[name][:2]
+    group = closure(generators, len(generators[0]))
+    assert len(group) == order
+    ordered = sorted(subgroups(group), key=lambda h: (len(h), sorted(h)))
+    return [(name, sorted(group), h) for h in ordered if 1 < len(h) and h != group]
+
+
+LARGE_TARGET_FORMS = [
+    # orders 36 and 60 take under a second a form, 64 and 120 take 3-21 s
+    pytest.param(name, form, id="%s:%s" % (name, form_id), marks=[pytest.mark.slow] if LARGE_TARGETS[name][1] > 60 else [])
+    for name in LARGE_TARGETS
+    for form, form_id in ((BINARY, "binary"), (LOOP, "loop"))
+]
+
+
+@pytest.mark.parametrize("name, form", LARGE_TARGET_FORMS)
+def test_check_cep_agrees_with_the_normal_closure_criterion_above_order_24(name, form):
+    assert agreement_counts(form, large_target_cases(name)) == LARGE_TARGETS[name][2:]
 
 
 @pytest.mark.parametrize("form", [BINARY, LOOP], ids=["binary", "loop"])

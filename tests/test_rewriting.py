@@ -437,6 +437,13 @@ class TestNormalize:
             assert got == Var("y1")
             assert 0 < len(trace) <= size(t) - 1  # one size unit per step
 
+    @pytest.mark.parametrize("max_steps", [-1, 0.5, True])
+    def test_max_steps_that_is_no_nonnegative_integer_is_refused(self, max_steps):
+        # -1 said "no normal form within -1 steps", and 0.5 "within 0 steps"
+        with pytest.raises(ValueError) as info:
+            normalize(BQ2, bq2("f(g1(x1,x2),x2)"), max_steps=max_steps)
+        assert str(info.value) == "max_steps must be a nonnegative integer, got %r" % (max_steps,)
+
     def test_irreducible_term_fixed_with_empty_trace(self):
         t = bq2("g1(x2, x1)")
         got, trace = normalize(BQ2, t)
@@ -531,6 +538,13 @@ class TestReducts:
         swap = Trs(sig, [Rule(parse_term("f(x,y)", sig), parse_term("f(y,x)", sig), "swap")])
         with pytest.raises(TerminationNotVerified):
             reducts(swap, parse_term("f(a,b)", sig))
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True])
+    def test_cap_that_is_no_positive_integer_is_refused(self, cap):
+        # 0 gave an irreducible term its one-element reduct set
+        with pytest.raises(ValueError) as info:
+            reducts(BQ2, bq2("g1(x2,x1)"), cap=cap)
+        assert str(info.value) == "cap must be a positive integer, got %r" % (cap,)
 
 
 class TestJoinable:
@@ -662,6 +676,13 @@ class TestCheckConfluence:
             check_confluence(swap)
         assert str(refused.value) == "termination not verified (rules do not strictly decrease size)"
 
+    @pytest.mark.parametrize("cap", [-5, 0, 2.5, True])
+    def test_cap_that_is_no_positive_integer_is_refused(self, cap):
+        # -5 raised CapExceeded, a resource error, and 2.5 gave a verdict
+        with pytest.raises(ValueError) as info:
+            check_confluence(CL2, cap=cap)
+        assert str(info.value) == "cap must be a positive integer, got %r" % (cap,)
+
 
 class TestCheckConditions:
     def test_complete_quasigroup_all_hold(self):
@@ -741,6 +762,19 @@ class TestComplete:
         with pytest.raises(MaxRoundsExceeded):
             complete(BQ2, max_rounds=0)
 
+    @pytest.mark.parametrize("max_rounds", [-1, 1.5, True])
+    def test_max_rounds_that_is_no_nonnegative_integer_is_refused(self, max_rounds):
+        # 1.5 ran, and -1 said "completion did not converge within 0 rounds"
+        with pytest.raises(ValueError) as info:
+            complete(BL2, max_rounds=max_rounds)
+        assert str(info.value) == "max_rounds must be a nonnegative integer, got %r" % (max_rounds,)
+
+    @pytest.mark.parametrize("cap", [0, 2.5])
+    def test_cap_that_is_no_positive_integer_is_refused(self, cap):
+        with pytest.raises(ValueError) as info:
+            complete(BL2, cap=cap)
+        assert str(info.value) == "cap must be a positive integer, got %r" % (cap,)
+
 
 class TestUniqueNormalFormsOfCompleteSystems:
     """Confluence consequence, checked by brute force: every term of size
@@ -809,6 +843,13 @@ class TestOracle:
         with pytest.raises(ValueError) as info:
             local_confluence_oracle(CL2, 4, num_vars=True)
         assert str(info.value) == "num_vars must be an integer, got True"
+
+    @pytest.mark.parametrize("cap", [0, -1, 2.5])
+    def test_cap_that_is_no_positive_integer_is_refused(self, cap):
+        # 0 returned "confluent" after 3 peaks, where `reducts` on a redex raises
+        with pytest.raises(ValueError) as info:
+            local_confluence_oracle(CL2, 4, cap=cap)
+        assert str(info.value) == "cap must be a positive integer, got %r" % (cap,)
 
     def test_max_size_that_is_no_integer_is_refused(self):
         # both failed inside range

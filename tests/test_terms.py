@@ -11,6 +11,7 @@ from nquasi.terms import (
     Var,
     apply_substitution,
     canonical_renaming,
+    fresh_names,
     iter_variables,
     match,
     occurs,
@@ -230,6 +231,13 @@ class TestRenameApart:
         rho = rename_apart([t2("f(v1,x)")], [t2("g1(x,v1)")])
         values = {v.name for v in rho.values()}
         assert "v1" not in values
+
+    @pytest.mark.parametrize("count", [1.5, -1, True])
+    def test_fresh_names_count_must_be_a_nonnegative_integer(self, count):
+        # 1.5 returned two names
+        with pytest.raises(ValueError) as info:
+            fresh_names("v", count, set())
+        assert str(info.value) == "count must be a nonnegative integer, got %r" % (count,)
 
 
 class TestParser:
