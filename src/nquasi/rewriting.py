@@ -38,6 +38,7 @@ from .terms import (
     rename_apart,
     replace_at,
     size,
+    subterm_at,
     term_key,
     unify,
     variables,
@@ -520,33 +521,26 @@ class CriticalPair(_FrozenRecord):
         )
 
 
-def critical_pairs(trs: Trs) -> tuple:
-    """All critical pairs of ordered rule pairs, including overlaps of a
-    rule with its own renamed copy.
-
-    Pairs whose two sides are syntactically equal (always the case for the
-    root overlap of a rule with its own copy) come out flagged trivial.
+def _overlaps(trs: Trs):
+    """Every unifiable overlap of a rule's left side with a rule's renamed
+    left side: (rule1, position, rule2, sigma, peak, left, right), with
+    peak = sigma(l1), left = sigma(r1) and right = peak[position <-
+    sigma(r2)], all in the unifier's own variable names.  Rules come in
+    order, positions in pre-order, and the index's candidates in rule
+    order, including each rule's own renamed copy.
 
     Only the rules the index offers for a subterm's root symbol and
     argument heads are tried there, with a variable argument on either
-    side as a wildcard.  That loses no pair: a unifier agrees on the root
-    symbol, the arity and every argument head where neither side has a
-    variable, and renaming apart maps variables to variables, so it keeps
-    every head.  Sorting by rule labels and position makes the order
-    independent of the order in which pairs are found.  Renaming rule2
-    apart depends only on rule1's variables, so rule2's renamed sides are
-    made once per variable set for the whole call.
-
-    Each pair is named through its unifier sigma and built once.  Left and
-    right have no variable that the peak lacks, so their canonical names
-    are the peak's: first occurrences in sigma(x), x running over rule1's
-    left-side variables in order, an unbound x standing for itself.
+    side as a wildcard.  That loses no overlap: a unifier agrees on the
+    root symbol, the arity and every argument head where neither side has
+    a variable, and renaming apart maps variables to variables, so it
+    keeps every head.  Renaming rule2 apart depends only on rule1's
+    variables, so rule2's renamed sides are made once per variable set for
+    the whole call.
     """
-    out = []
     renamed = {}  # (rule1's variables, rule2 label) -> rule2's sides renamed apart from them
     for rule1 in trs.rules:
         names = frozenset(variables(rule1.lhs))  # the right side's are among them
-        occurring = [Var(x) for x in dict.fromkeys(iter_variables(rule1.lhs))]
         for pos, sub in positions(rule1.lhs):
             if not isinstance(sub, App):
                 continue
@@ -560,27 +554,62 @@ def critical_pairs(trs: Trs) -> tuple:
                 sigma = unify(sub, l2)
                 if sigma is None:
                     continue
-                rho = canonical_renaming([sigma.get(x.name, x) for x in occurring], trs.signature)
-                theta = {**rho, **{x: apply_substitution(rho, t) for x, t in sigma.items()}}  # rho after sigma
-                terms = rule1.lhs, rule1.rhs, r2  # taken as they are when theta is empty: all ground
-                peak, left, r2 = (apply_substitution(theta, t) for t in terms) if theta else terms
-                right = replace_at(peak, pos, r2)
-                out.append(
-                    CriticalPair(
-                        left=left,
-                        right=right,
-                        peak=peak,
-                        rule1=rule1.label,
-                        rule2=rule2.label,
-                        position=pos,
-                        mgu=tuple(sorted(sigma.items())),
-                        trivial=left == right,
-                    )
-                )
+                peak, left = rule1.lhs, rule1.rhs  # taken as they are when sigma is empty: all ground
+                if sigma:
+                    peak = apply_substitution(sigma, peak)
+                    left = apply_substitution(sigma, left)
+                    r2 = apply_substitution(sigma, r2)
+                yield rule1, pos, rule2, sigma, peak, left, replace_at(peak, pos, r2)
+
+
+def _named(overlap, signature) -> CriticalPair:
+    """The critical pair of an `_overlaps` overlap: peak, left and right
+    renamed by the first occurrences in the peak (v1, v2, ..., skipping the
+    declared symbols), with the unifier kept as provenance."""
+    rule1, pos, rule2, sigma, peak, left, right = overlap
+    rho = canonical_renaming((peak,), signature)
+    if any(x != v.name for x, v in rho.items()):  # often none moves: rename_apart's names are v1, v2, ...
+        peak = apply_substitution(rho, peak)
+        left = apply_substitution(rho, left)
+        # right is the peak but at the position, so only that part is renamed anew
+        right = replace_at(peak, pos, apply_substitution(rho, subterm_at(right, pos)))
+    return CriticalPair(
+        left=left,
+        right=right,
+        peak=peak,
+        rule1=rule1.label,
+        rule2=rule2.label,
+        position=pos,
+        mgu=tuple(sorted(sigma.items())),
+        trivial=left == right,
+    )
+
+
+def _pair_key(cp: CriticalPair) -> tuple:
     # one unify per (rule1, position, rule2) gives at most one pair, and
     # labels are distinct, so this key never ties and prints no term
-    out.sort(key=lambda cp: (cp.rule1, cp.rule2, cp.position))
-    return tuple(out)
+    return cp.rule1, cp.rule2, cp.position
+
+
+def critical_pairs(trs: Trs) -> tuple:
+    """All critical pairs of ordered rule pairs, including overlaps of a
+    rule with its own renamed copy: every `_overlaps` overlap named by
+    `_named`, sorted by rule labels and position, so the order does not
+    depend on the order in which overlaps are found.
+
+    Pairs whose two sides are syntactically equal (always the case for the
+    root overlap of a rule with its own copy) come out flagged trivial.
+
+    Naming by the peak alone names left and right too: they have no
+    variable that the peak lacks, as sigma(r1) and sigma(r2) take theirs
+    from sigma(l1) and sigma(l2), and sigma(l2) is the peak's subterm at
+    the position.  The peak sigma(l1) reads its variables as those of
+    sigma(x), x running over l1's variables in first-occurrence order (an
+    unbound x standing for itself), so its first occurrences are those of
+    that list, and rho(sigma(t)) is (rho after sigma)(t): each pair is the
+    one that renaming through the composed substitution gives.
+    """
+    return tuple(sorted((_named(overlap, trs.signature) for overlap in _overlaps(trs)), key=_pair_key))
 
 
 class ConfluenceVerdict(_Record):
@@ -601,18 +630,39 @@ def check_confluence(trs: Trs, cap: int = DEFAULT_REDUCT_CAP) -> ConfluenceVerdi
     """Confluent iff every critical pair is joinable (for a terminating
     system).  Termination is certified via the size-decrease check; if that
     fails, TerminationNotVerified is raised rather than a guess returned.
-    One memoized step relation (`_step_memo`) serves every pair of a call."""
+
+    Each overlap is joined in the unifier's own names, through the one
+    memoized step relation of the call (`_step_memo`), and only the
+    overlaps that do not join are named (`_named`) and sorted as
+    `critical_pairs` sorts them; `pairs_total` counts every overlap.  The
+    verdict is that of joining the named pairs: a renaming is a bijection
+    on variables and commutes with one-step rewriting (a rule matches
+    rho(t) at a position iff it matches t there, with rho applied to the
+    bindings), so it maps the reduct set of a term one to one onto that of
+    its renamed copy, and two sides are equal, or join, iff their renamed
+    copies are.  For the same reason every reduct set has the size it has
+    in the named pair, so a pair's join exceeds the cap iff the named
+    pair's does; the join of each non-trivial overlap is always tried, so
+    CapExceeded is raised iff some non-trivial pair exceeds the cap,
+    whatever the join order, and its message names only the cap.
+    """
     _check_cap(cap)
     if not check_conditions(trs).star_ok:
         raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
-    pairs = critical_pairs(trs)
     steps = _step_memo(trs)
-    bad = tuple(cp for cp in pairs if not cp.trivial and not _joins(steps, cp.left, cp.right, cap))
+    total = 0
+    bad = []
+    for overlap in _overlaps(trs):
+        total += 1
+        left, right = overlap[5:]
+        if left != right and not _joins(steps, left, right, cap):
+            bad.append(_named(overlap, trs.signature))
+    bad.sort(key=_pair_key)
     return ConfluenceVerdict(
         status="not-confluent" if bad else "confluent",
         witness=bad[0] if bad else None,
-        nonjoinable=bad,
-        pairs_total=len(pairs),
+        nonjoinable=tuple(bad),
+        pairs_total=total,
     )
 
 

@@ -408,8 +408,17 @@ def canonical_renaming(terms, taken=()) -> Substitution:
 
 
 def _first_occurrences(terms) -> list:
-    """Variable names of the terms, each once, in left-to-right order."""
-    return list(dict.fromkeys(iter_variables(*terms)))
+    """Variable names of the terms, each once, in left-to-right order: the
+    walk of `iter_variables`, inlined, as it names every critical pair."""
+    seen = {}  # a name met again keeps its first place
+    stack = list(reversed(terms))
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            stack.extend(reversed(u.args))
+        elif u.__class__ is Var:
+            seen[u.name] = None
+    return list(seen)
 
 
 def check_well_formed(sig: Signature, t: Term) -> None:

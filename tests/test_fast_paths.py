@@ -21,7 +21,10 @@ replaced;
 the local-confluence oracle on one memoized step relation, checked
 against the oracle on `rewrite_steps` and `joinable` it replaced;
 `check_confluence` on the oracle's join test, checked against the
-`joinable` decision on each critical pair that it replaced; the
+`joinable` decision on each critical pair that it replaced, and joining
+each overlap in its unifier's names and naming only the pairs it
+reports, checked for the whole verdict against the body that named every
+pair through `critical_pairs` and joined them in sorted order; the
 one-step relation as root steps plus lifted argument steps, checked for
 steps, reducts, normal forms and traces against the position walk with
 `replace_at` that it replaced; innermost normalization in one post-order
@@ -110,6 +113,7 @@ from nquasi.rewriting import (
     DEFAULT_REDUCT_CAP,
     CapExceeded,
     CompletionResult,
+    ConfluenceVerdict,
     CriticalPair,
     MaxRoundsExceeded,
     OracleVerdict,
@@ -120,6 +124,10 @@ from nquasi.rewriting import (
     UnorientableError,
     _RuleIndex,
     _canonical_terms,
+    _check_cap,
+    _joins,
+    _named,
+    _overlaps,
     _step_memo,
     check_conditions,
     check_confluence,
@@ -2094,7 +2102,26 @@ def _system_and_term(trs, elements=()):
 
 # ---------------------------------------------------------------------------
 # check_confluence on the oracle's join test over one memoized step relation
-# per call, against the decision by `joinable` on each pair that it replaced
+# per call, against the decision by `joinable` on each pair that it replaced;
+# and joining each overlap in its unifier's names, against the body that
+# named every pair first and joined the named pairs
+
+
+def reference_check_confluence(trs, cap=DEFAULT_REDUCT_CAP):
+    """The body `check_confluence` replaced: every critical pair named
+    through `critical_pairs`, then the named pairs joined in sorted order."""
+    _check_cap(cap)
+    if not check_conditions(trs).star_ok:
+        raise TerminationNotVerified("termination not verified (rules do not strictly decrease size)")
+    pairs = critical_pairs(trs)
+    steps = _step_memo(trs)
+    bad = tuple(cp for cp in pairs if not cp.trivial and not _joins(steps, cp.left, cp.right, cap))
+    return ConfluenceVerdict(
+        status="not-confluent" if bad else "confluent",
+        witness=bad[0] if bad else None,
+        nonjoinable=bad,
+        pairs_total=len(pairs),
+    )
 
 
 def reference_nonjoinable(trs, cap=DEFAULT_REDUCT_CAP):
@@ -2128,7 +2155,7 @@ CONFLUENCE_CASES = _confluence_cases()
 
 
 def confluence_outcome(decide):
-    """The non-joinable pairs that `decide()` returns, or the message of the CapExceeded it raises."""
+    """What `decide()` returns, or the message of the CapExceeded it raises."""
     try:
         return decide()
     except CapExceeded as exc:
@@ -2140,12 +2167,38 @@ def test_check_confluence_matches_the_joinable_decision(name):
     trs = CONFLUENCE_CASES[name]()
     expected = reference_nonjoinable(trs)
     verdict = check_confluence(trs)
+    assert verdict == reference_check_confluence(trs)  # pairs_total included
     assert verdict.nonjoinable == expected
     assert verdict.witness == (expected[0] if expected else None)
     assert verdict.status == ("not-confluent" if expected else "confluent")
     for cap in (1, 2):
         expected = confluence_outcome(lambda: reference_nonjoinable(trs, cap))
         assert confluence_outcome(lambda: check_confluence(trs, cap).nonjoinable) == expected
+    for cap in (1, 2, 3):
+        expected = confluence_outcome(lambda: reference_check_confluence(trs, cap))
+        assert confluence_outcome(lambda: check_confluence(trs, cap)) == expected
+
+
+# CONFLUENCE_CASES holds every UNF_CASES diagram
+@pytest.mark.parametrize("name", list(CONFLUENCE_CASES))
+def test_overlaps_join_as_their_named_pairs_and_are_named_as_the_reference_pairs(name):
+    """What `check_confluence` rests on: an overlap's raw sides join, or
+    outgrow a cap, exactly as its named sides do, and `_named` gives the
+    pair that the reference names at that (rule1, rule2, position)."""
+    trs = CONFLUENCE_CASES[name]()
+    reference = {(cp.rule1, cp.rule2, cp.position): cp for cp in reference_critical_pairs(trs)}
+    overlaps = list(_overlaps(trs))
+    assert len(overlaps) == len(reference)
+    steps = _step_memo(trs)
+    for overlap in overlaps:
+        rule1, pos, rule2, _sigma, _peak, left, right = overlap
+        cp = _named(overlap, trs.signature)
+        assert cp == reference[rule1.label, rule2.label, pos]
+        assert cp.trivial == (left == right)
+        if left != right:
+            for cap in (1, 2, 3, DEFAULT_REDUCT_CAP):
+                raw = confluence_outcome(lambda: _joins(steps, left, right, cap))
+                assert raw == confluence_outcome(lambda: _joins(steps, cp.left, cp.right, cap)), (str(cp), cap)
 
 
 def test_confluence_cases_cover_both_verdicts_the_cap_and_a_join_below_both_sides():
