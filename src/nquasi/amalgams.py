@@ -36,14 +36,13 @@ from .terms import (
     apply_substitution,
     iter_variables,
     parse_term,
-    positions,
 )
 
-# Rule steps match and replace in `rewriting`, and an `Embedding` checks
-# itself when built; these stay bound here so that the per-layer tracer of
-# perfbench/tracing.py can rebind them in this module.
+# Rule steps walk positions, match and replace in `rewriting`, and an
+# `Embedding` checks itself when built; these stay bound here so that the
+# per-layer tracer of perfbench/tracing.py can rebind them in this module.
 from .algebras import validate_embedding  # noqa: F401
-from .terms import match, replace_at  # noqa: F401
+from .terms import match, positions, replace_at  # noqa: F401
 from .varieties import generate_trs, VarietySpec
 
 
@@ -104,19 +103,9 @@ class AmalgamDiagram(Trs):
             for r in variety.rules
         ]
         super().__init__(variety.signature, [*ground, *resolved])
-        self.membership = {}
-        for i, factor in enumerate(self.factors):
-            for a in factor.carrier:
-                self.membership.setdefault(a, set()).add(i)
-        self.membership = {a: frozenset(s) for a, s in self.membership.items()}
+        self.elements = frozenset(a for factor in self.factors for a in factor.carrier)
         base_carrier = set(base.carrier)
-        self.carrier_union = tuple(sorted(self.membership, key=lambda a: (a not in base_carrier, a)))
-
-    def owns(self, element: str) -> frozenset:
-        try:
-            return self.membership[element]
-        except KeyError:
-            raise UnknownElementError("%r is not an element of any factor" % (element,)) from None
+        self.carrier_union = tuple(sorted(self.elements, key=lambda a: (a not in base_carrier, a)))
 
     def __repr__(self) -> str:
         return "AmalgamDiagram(%s over %s, %d factors)" % (
@@ -176,19 +165,29 @@ def build_amalgam(base, factors, embeddings) -> AmalgamDiagram:
 # element terms and their normal forms
 
 
-def _check_element_term(d: AmalgamDiagram, t: Term) -> None:
-    """Refuse a variable, an unknown element, or an application that is not
-    one of the diagram's n-ary operations with n arguments."""
-    for _pos, sub in positions(t):
+def _element_term(d: AmalgamDiagram, t: Term) -> Term:
+    """t with a loop's e() resolved to the base's identity, after one
+    pre-order walk that refuses the first variable, unknown element, or
+    application that is not an n-ary operation with n arguments (printed
+    with e() resolved).  A term without e() is returned as it is."""
+    loop = d.kind == "loop"
+    has_e = False
+    stack = [t]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, App):
-            if sub.symbol not in d.operations or len(sub.args) != d.n:
-                raise AmalgamError(
-                    "%s: not one of %s applied to %d arguments" % (sub, ", ".join(d.operations), d.n)
-                )
+            if sub.symbol in d.operations and len(sub.args) == d.n:
+                stack.extend(reversed(sub.args))  # the first argument ends on top
+            elif loop and sub.symbol == "e" and not sub.args:
+                has_e = True
+            else:
+                bad = _resolve_e(sub, d.identity_leaf) if loop else sub
+                raise AmalgamError("%s: not one of %s applied to %d arguments" % (bad, ", ".join(d.operations), d.n))
         elif isinstance(sub, Var):
             raise UnknownElementError("unknown element %r" % (sub.name,))
-        else:
-            d.owns(sub.name)
+        elif sub.name not in d.elements:
+            raise UnknownElementError("%r is not an element of any factor" % (sub.name,))
+    return _resolve_e(t, d.identity_leaf) if has_e else t
 
 
 def amalgam_steps(d: AmalgamDiagram, t: Term) -> tuple:
@@ -207,16 +206,13 @@ def normalize_element(
     Normal forms are strategy-independent for these varieties, which
     check_unique_normal_forms verifies rather than assumes.
     """
-    if d.kind == "loop":
-        t = _resolve_e(t, d.identity_leaf)
-    _check_element_term(d, t)
-    return AmalgamElement(normalize(d, t, strategy, seed)[0])
+    return AmalgamElement(normalize(d, _element_term(d, t), strategy, seed)[0])
 
 
 def apply_op(d: AmalgamDiagram, symbol: str, args) -> AmalgamElement:
     """Apply f or g_i to amalgam elements and normalize the result;
     `normalize_element` refuses a wrong number of arguments."""
-    # checked here, as `_resolve_e` would turn a loop's e() into its identity
+    # checked here, as the term walk accepts a loop's e() as its identity
     if symbol not in d.operations:
         raise AmalgamError("%r is not an n-ary operation of this variety" % (symbol,))
     arg_terms = tuple(a.normal_form if isinstance(a, AmalgamElement) else a for a in args)
@@ -236,7 +232,7 @@ def parse_element_term(d: AmalgamDiagram, text: str) -> Term:
 
 
 def _resolve_name(d: AmalgamDiagram, name: str) -> str:
-    if name in d.membership:
+    if name in d.elements:
         return name
     if "." in name:
         factor_name, _, element = name.partition(".")

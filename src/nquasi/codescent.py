@@ -154,6 +154,13 @@ def permutation_from_cycle_type(cycle_type) -> tuple:
     return tuple(perm)
 
 
+def _check_order(name: str, value) -> None:
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < 0:
+        raise ValueError("%s must be nonnegative, got %d" % (name, value))
+
+
 def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
     """Check, for every cycle type of every order up to max_order, that
     each partition compatible with the permutation is also compatible with
@@ -162,8 +169,7 @@ def verify_prop_3_6(max_order: int = 6) -> Prop36Counterexample | None:
     f-congruence.  None means no counterexample (as expected).  An order
     above 8 may raise `CarrierTooLargeError` at the congruence cap: the
     identity permutation of order 9 has Bell(9) = 21,147 congruences."""
-    if type(max_order) is not int:
-        raise ValueError("max_order must be an integer, got %r" % (max_order,))
+    _check_order("max_order", max_order)
     for order in range(1, max_order + 1):
         for cycle_type in integer_partitions(order):
             perm = permutation_from_cycle_type(cycle_type)
@@ -196,10 +202,7 @@ def latin_squares(order: int):
     masks per open level on an explicit stack.  The last row is emitted
     directly: under order-1 rows each column misses exactly one symbol, and
     those symbols form the one permutation that fits."""
-    if type(order) is not int:
-        raise ValueError("order must be an integer, got %r" % (order,))
-    if order < 0:
-        raise ValueError("order must be nonnegative, got %d" % order)
+    _check_order("order", order)
     if order < 2:
         yield ((0,),) * order  # () and ((0,),)
         return
@@ -314,8 +317,7 @@ def search_noncep_monomorphism(max_order: int = 5):
     one fixed permutation: the identity on {0,1,2} has the congruence
     {0,1} | {2}.
     """
-    if type(max_order) is not int:
-        raise ValueError("max_order must be an integer, got %r" % (max_order,))
+    _check_order("max_order", max_order)
     if max_order > 5:
         raise ValueError("max_order above 5 is out of enumeration range")
     stats = {"squares": 0, "targets": 0, "sources": 0, "embeddings": 0}

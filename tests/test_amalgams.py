@@ -54,8 +54,7 @@ class TestBuild:
     def test_canonical_renaming(self):
         d = two_z3_over_trivial()
         assert [f.carrier for f in d.factors] == [("0", "1@1", "2@1"), ("0", "1@2", "2@2")]
-        assert d.owns("0") == frozenset({0, 1})
-        assert d.owns("1@2") == frozenset({1})
+        assert d.elements == frozenset({"0", "1@1", "2@1", "1@2", "2@2"})
 
     def test_base_names_survive_noninjective_looking_maps(self):
         d = z4_twice_over_z2()

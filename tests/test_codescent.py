@@ -292,6 +292,18 @@ class TestSearch:
         with pytest.raises(ValueError, match="order must be nonnegative, got %d" % order):
             next(latin_squares(order))
 
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_scans_refuse_a_negative_max_order(self, order):
+        # a bound that checks nothing must not read as "no counterexample"
+        with pytest.raises(ValueError, match="^max_order must be nonnegative, got %d$" % order):
+            search_noncep_monomorphism(order)
+        with pytest.raises(ValueError, match="^max_order must be nonnegative, got %d$" % order):
+            verify_prop_3_6(order)
+
+    def test_scans_accept_a_zero_max_order(self):
+        assert search_noncep_monomorphism(0) == (None, {"squares": 0, "targets": 0, "sources": 0, "embeddings": 0})
+        assert verify_prop_3_6(0) is None
+
     def test_squares_become_valid_quasigroups(self):
         for k, square in enumerate(latin_squares(4)):
             if k % 97 == 0:  # sample; supplied divisions are checked

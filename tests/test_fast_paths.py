@@ -60,7 +60,9 @@ for every system; and `positions` on an explicit stack, checked for every
 pair and its order against the recursive generator that it replaced; and
 the slot readers' places and the tuple at a place, read from base-m
 digits, checked against the scan and the walk over every argument tuple
-that they replaced.
+that they replaced; and the one pre-order walk over an amalgam element
+term, checked for every term and refusal against `e()` resolution
+followed by the `positions` walk through `owns` that it replaced.
 The reference implementations below
 are kept only for these comparisons."""
 
@@ -94,6 +96,9 @@ from nquasi.algebras import (
     permutation_quasigroup,
 )
 from nquasi.amalgams import (
+    AmalgamError,
+    UnknownElementError,
+    _element_term,
     _resolve_e,
     build_amalgam,
     check_unique_normal_forms,
@@ -1124,10 +1129,19 @@ def test_division_errors_match_reference(case):
 # amalgam reduction: the separate engine with collapse steps it replaced
 
 
+def reference_owns(d, element):
+    """The indices of the factors that hold an element, as the deleted
+    `AmalgamDiagram.owns` gave them."""
+    owners = frozenset(i for i, factor in enumerate(d.factors) if element in factor.carrier)
+    if not owners:
+        raise UnknownElementError("%r is not an element of any factor" % (element,))
+    return owners
+
+
 def reference_leaf_factors(d, t):
     """Factors containing every element leaf of t (empty when mixed)."""
     if isinstance(t, Elem):
-        return d.owns(t.name)
+        return reference_owns(d, t.name)
     acc = None
     for a in t.args:
         s = reference_leaf_factors(d, a)
@@ -1334,6 +1348,112 @@ def test_table_value_mutants_are_flagged(name):
         assert not rewrite_steps(mutant, first) and not rewrite_steps(mutant, second)
         assert {first, second} <= irreducible_reducts(mutant, bad.term)
         assert reference_check_unique_normal_forms(mutant) is not None
+
+
+# ---------------------------------------------------------------------------
+# element terms: one walk against e() resolution and the check after it
+
+
+def reference_element_term(d, t):
+    """The two walks that `_element_term` replaced: resolve every e() of a
+    loop term, then refuse the first bad node of the resolved term in
+    pre-order, each leaf looked up through `owns`."""
+    if d.kind == "loop":
+        t = _resolve_e(t, d.identity_leaf)
+    for _pos, sub in positions(t):
+        if isinstance(sub, App):
+            if sub.symbol not in d.operations or len(sub.args) != d.n:
+                raise AmalgamError("%s: not one of %s applied to %d arguments" % (sub, ", ".join(d.operations), d.n))
+        elif isinstance(sub, Var):
+            raise UnknownElementError("unknown element %r" % (sub.name,))
+        else:
+            reference_owns(d, sub.name)
+    return t
+
+
+def _element_outcome(walk, d, t):
+    """The checked term, or the class and message of the refusal."""
+    try:
+        return walk(d, t)
+    except AmalgamError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(UNF_CASES))
+def test_element_term_walk_matches_reference(name):
+    build, max_size = UNF_CASES[name]
+    d = build()
+    for t in element_terms(d, max_size):
+        assert _element_term(d, t) is t  # no e(): the term itself, not a copy
+        assert reference_element_term(d, t) == t
+    if d.kind == "loop":
+        with_e = [
+            replace_at(t, pos, App("e"))
+            for t in element_terms(d, 3)
+            for pos, sub in positions(t)
+            if isinstance(sub, Elem)
+        ]
+        assert with_e
+        for t in with_e:
+            expected = reference_element_term(d, t)
+            assert "e" not in {sub.symbol for _pos, sub in positions(expected) if isinstance(sub, App)}
+            assert _element_term(d, t) == expected
+
+
+def _z3_twice():
+    return UNF_CASES["Z3*Z3/T"][0]()
+
+
+def _st3_twice():
+    return UNF_CASES["St3*St3/S1"][0]()
+
+
+_E = App("e")
+ELEMENT_TERM_CASES = {
+    # id: (diagram builder, term)
+    "variable": (_z3_twice, App("f", (Elem("0"), Var("x")))),
+    "unknown element": (_z3_twice, App("g1", (Elem("1@1"), Elem("7@1")))),
+    "h(0,0)": (_z3_twice, App("h", (Elem("0"), Elem("0")))),
+    "f(1@1)": (_z3_twice, App("f", (Elem("1@1"),))),
+    "e(0)": (_z3_twice, App("e", (Elem("0"),))),
+    "e alone": (_z3_twice, _E),
+    "nested e()": (_z3_twice, App("f", (_E, App("g2", (Elem("2@2"), _E))))),
+    "bad node over e()": (_z3_twice, App("f", (_E, App("h", (_E, Elem("1@2")))))),
+    "e(e)": (_z3_twice, App("e", (_E,))),
+    "e() in St3*St3/S1": (_st3_twice, _E),
+    "nested e() in St3*St3/S1": (_st3_twice, App("f", (Elem("1@1"), _E))),
+    # pre-order names the application h first: post-order would reach x,
+    # and a breadth-first walk y
+    "bad nodes h, x, y": (_z3_twice, App("f", (App("g1", (Elem("0"), App("h", (Var("x"), Elem("0"))))), Var("y")))),
+    "bad nodes x, 9": (_z3_twice, App("f", (Var("x"), Elem("9")))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELEMENT_TERM_CASES))
+def test_element_term_refusals_match_reference(case):
+    build, t = ELEMENT_TERM_CASES[case]
+    d = build()
+    assert _element_outcome(_element_term, d, t) == _element_outcome(reference_element_term, d, t)
+
+
+def test_element_term_refusals_name_the_first_bad_node():
+    d = _z3_twice()
+    ops = "not one of f, g1, g2 applied to 2 arguments"
+    expected = {
+        "variable": (UnknownElementError, "unknown element 'x'"),
+        "unknown element": (UnknownElementError, "'7@1' is not an element of any factor"),
+        "h(0,0)": (AmalgamError, "h(0,0): " + ops),
+        "f(1@1)": (AmalgamError, "f(1@1): " + ops),
+        "e(0)": (AmalgamError, "e(0): " + ops),
+        "bad node over e()": (AmalgamError, "h(0,1@2): " + ops),
+        "e(e)": (AmalgamError, "e(0): " + ops),
+        "bad nodes h, x, y": (AmalgamError, "h(x,0): " + ops),
+        "bad nodes x, 9": (UnknownElementError, "unknown element 'x'"),
+    }
+    assert {case: _element_outcome(_element_term, d, ELEMENT_TERM_CASES[case][1]) for case in expected} == expected
+    assert _element_term(d, _E) == Elem("0")
+    st = _st3_twice()
+    assert _element_outcome(_element_term, st, _E) == (AmalgamError, "e: " + ops)
 
 
 # ---------------------------------------------------------------------------

@@ -65,8 +65,9 @@ def traced_rebindings():
 
 
 def test_every_kept_import_is_a_name_the_tracer_rebinds():
-    # today `match`, `replace_at` and `validate_embedding` in amalgams and
-    # `validate_embedding` in codescent: the tracer shims, in one list
+    # today `match`, `positions`, `replace_at` and `validate_embedding` in
+    # amalgams and `validate_embedding` in codescent: the tracer shims, in
+    # one list
     kept = {(path.stem, name) for path in MODULES for name in kept_imports(path.read_text())}
     assert kept - traced_rebindings() == set()
 
